@@ -285,7 +285,7 @@ def cmd_verify(args) -> int:
         raise CliError("only the heawood reproduction is built in")
     from .verify import run_heawood_verification
 
-    results = run_heawood_verification(threads=thread_count(args), budget=make_budget(args))
+    results = run_heawood_verification(budget=make_budget(args))
     width = max(len(name) for name, _, _, _ in results)
     failures = 0
     for name, expected, got, ok in results:
@@ -311,12 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", required=True,
                        help="builtin:heawood|utility|3partite or a hypergraph file")
 
-    def add_hc(p, required=True):
+    def add_hc(p):
         p.add_argument("--hc", help="constituent check matrix file (polynomial text format)")
         p.add_argument("--hc-inline",
                        help='inline check matrix, rows ";"-separated, entries ","-separated; '
                             'entries are coefficient strings or octal ("o32")')
-        p.set_defaults(hc_required=required)
 
     def add_format(p):
         p.add_argument("--format", choices=("text", "csv"), default="text")
@@ -360,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph-code", help="code whose checks follow the graph")
     add_graph(p)
-    add_hc(p, required=False)
+    add_hc(p)
     p.add_argument("--seed", type=int, default=0)
     add_format(p)
     p.set_defaults(func=cmd_graph_code)
@@ -433,7 +432,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, RuntimeError, OSError) as exc:
+    except (CliError, ValueError, RuntimeError, OSError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,12 +11,10 @@ from .gf2 import (
     PolyMatrix,
     kernel_basis,
     nullspace_basis,
-    nullspace_rational,
-    rank,
+    poly_gcd,
     rank_over_rational_field,
     row_reduce,
     tailbite,
-    tailbite_generator,
 )
 from .blockcodes import LinearBlockCode
 
@@ -294,18 +292,12 @@ def rate_half_subcodes(code: ConvCode) -> list[ConvCode]:
     hp = h.entries[0]
     out = []
     for i, j in combinations(range(3), 2):
-        g = _poly_gcd(hp[i], hp[j])
+        g = poly_gcd(hp[i], hp[j]) or BinaryPoly(1)
         row = [BinaryPoly(0)] * 3
         row[i] = hp[j] // g
         row[j] = hp[i] // g
         out.append(ConvCode(G=PolyMatrix([row]), H=h))
     return out
-
-
-def _poly_gcd(a: BinaryPoly, b: BinaryPoly) -> BinaryPoly:
-    while b:
-        a, b = b, a % b
-    return a if a else BinaryPoly(1)
 
 
 # ---------------------------------------------------------------------------
@@ -325,22 +317,9 @@ def zt_block_code(code: ConvCode, l: int) -> LinearBlockCode:
     n = (l + tail) * code.c
     if l == 0:
         return LinearBlockCode(BinaryMatrix.identity(n))
-    rows = []
-    grid = gen.bits()
-    for shift in range(l):
-        for i in range(gen.rows):
-            bits = 0
-            for j in range(code.c):
-                p = grid[i][j] << shift
-                t = 0
-                while p:
-                    if p & 1:
-                        bits |= 1 << (code.c * t + j)
-                    p >>= 1
-                    t += 1
-            rows.append(bits)
-    gen_matrix = BinaryMatrix(rows, n)
-    return LinearBlockCode(nullspace_basis(gen_matrix))
+    # every degree is at most tail, so the first l levels never wrap
+    rows = tailbite(gen, l + tail).data[:l * gen.rows]
+    return LinearBlockCode(nullspace_basis(BinaryMatrix(rows, n)))
 
 
 def tb_block_code(code: ConvCode, length: int) -> LinearBlockCode:
@@ -358,9 +337,5 @@ def tb_block_code(code: ConvCode, length: int) -> LinearBlockCode:
 def tb_encoder_code(code: ConvCode, length: int) -> LinearBlockCode:
     """Block code spanned by the wrapped generator rows (dimension b * length)."""
     gen = _generator_of(code)
-    wrapped = tailbite_generator(gen, length)
+    wrapped = tailbite(gen, length, -1)
     return LinearBlockCode(nullspace_basis(wrapped))
-
-
-def tb_generator_rows(code: ConvCode, length: int) -> BinaryMatrix:
-    return tailbite_generator(_generator_of(code), length)

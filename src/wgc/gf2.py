@@ -2,7 +2,8 @@
 
 Polynomials are kept as plain ints (bit i = coefficient of D^i); matrices
 store one int per row (bit j = column j).  Everything is immutable after
-construction, so values can be shared freely between threads.
+construction and pickles through its constructor, so values can be shared
+freely between threads and worker processes.
 """
 
 from __future__ import annotations
@@ -143,6 +144,9 @@ class BinaryMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("BinaryMatrix is immutable")
 
+    def __reduce__(self):
+        return BinaryMatrix, (self.data, self.cols)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -261,48 +265,12 @@ class BinaryMatrix:
         return "\n".join([f"{self.rows} {self.cols}"] + self.to_strings()) + "\n"
 
 
-def rank(m: BinaryMatrix) -> int:
-    """GF(2) row rank via elimination (first nonzero pivot in row-major scan)."""
-    work = list(m.data)
-    r = 0
-    for col in range(m.cols):
-        piv = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> col) & 1:
-                work[i] ^= work[r]
-        r += 1
-    return r
-
-
-def rref(m: BinaryMatrix) -> BinaryMatrix:
-    """Reduced row echelon form; canonical for the row space under fixed columns."""
-    work = list(m.data)
-    r = 0
-    for col in range(m.cols):
-        piv = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> col) & 1:
-                work[i] ^= work[r]
-        r += 1
-    return BinaryMatrix(work[:r], m.cols)
-
-
-def row_space_equal(a: BinaryMatrix, b: BinaryMatrix) -> bool:
-    return a.cols == b.cols and rref(a) == rref(b)
-
-
-def nullspace_basis(m: BinaryMatrix) -> BinaryMatrix:
-    """Basis of {v : M v^T = 0}; row count is cols - rank(M)."""
+def _eliminate(m: BinaryMatrix) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan elimination: the nonzero RREF rows and their pivot columns."""
     work = list(m.data)
     pivots: list[int] = []
-    r = 0
     for col in range(m.cols):
+        r = len(pivots)
         piv = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
         if piv is None:
             continue
@@ -311,15 +279,34 @@ def nullspace_basis(m: BinaryMatrix) -> BinaryMatrix:
             if i != r and (work[i] >> col) & 1:
                 work[i] ^= work[r]
         pivots.append(col)
-        r += 1
+    return work[:len(pivots)], pivots
+
+
+def rank(m: BinaryMatrix) -> int:
+    """GF(2) row rank via elimination (first nonzero pivot in row-major scan)."""
+    return len(_eliminate(m)[1])
+
+
+def rref(m: BinaryMatrix) -> BinaryMatrix:
+    """Reduced row echelon form; canonical for the row space under fixed columns."""
+    return BinaryMatrix(_eliminate(m)[0], m.cols)
+
+
+def row_space_equal(a: BinaryMatrix, b: BinaryMatrix) -> bool:
+    return a.cols == b.cols and rref(a) == rref(b)
+
+
+def nullspace_basis(m: BinaryMatrix) -> BinaryMatrix:
+    """Basis of {v : M v^T = 0}; row count is cols - rank(M)."""
+    rows, pivots = _eliminate(m)
     pivot_set = set(pivots)
     basis = []
     for free in range(m.cols):
         if free in pivot_set:
             continue
         v = 1 << free
-        for i, pc in enumerate(pivots):
-            if (work[i] >> free) & 1:
+        for row, pc in zip(rows, pivots):
+            if (row >> free) & 1:
                 v |= 1 << pc
         basis.append(v)
     return BinaryMatrix(basis, m.cols)
@@ -422,9 +409,8 @@ class PolyMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
 
-    @classmethod
-    def from_bits(cls, grid: Sequence[Sequence[int]]) -> "PolyMatrix":
-        return cls(grid)
+    def __reduce__(self):
+        return PolyMatrix, (self.entries,)
 
     @classmethod
     def from_text(cls, text: str) -> "PolyMatrix":
@@ -505,53 +491,29 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows}x{self.cols}, memory={self.memory})"
 
 
-def tailbite(h: PolyMatrix, length: int) -> BinaryMatrix:
-    """Block-circulant expansion of a parity-type polynomial matrix.
+def tailbite(m: PolyMatrix, length: int, sign: int = 1) -> BinaryMatrix:
+    """Block-circulant expansion of a polynomial matrix wrapped at ``length`` levels.
 
     The coefficient of D^t in entry (i, j) lands in block-row s, block-column
-    (s + t) mod length, for every level s.  Levels shorter than the memory
-    wrap around and accumulate (XOR) into the same block column.
-    """
-    if length < 1:
-        raise ValueError("tailbite length must be at least 1")
-    m, n = h.rows, h.cols
-    grid = h.bits()
-    out = []
-    for s in range(length):
-        for i in range(m):
-            bits = 0
-            for j in range(n):
-                p = grid[i][j]
-                t = 0
-                while p:
-                    if p & 1:
-                        bits ^= 1 << (n * ((s + t) % length) + j)
-                    p >>= 1
-                    t += 1
-            out.append(bits)
-    return BinaryMatrix(out, n * length)
-
-
-def tailbite_generator(g: PolyMatrix, length: int) -> BinaryMatrix:
-    """Generator-side wrap: coefficient of D^t lands in block-column (s - t).
-
-    Rows stay orthogonal to tailbite(H, length) whenever G H^T = 0 over
+    (s + sign*t) mod length, for every level s.  Levels shorter than the
+    memory wrap around and accumulate (XOR) into the same block column.
+    sign=1 wraps a parity-check matrix H; sign=-1 wraps a generator G, whose
+    rows then stay orthogonal to tailbite(H, length) whenever G H^T = 0 over
     GF(2)[D], which is the pairing used throughout.
     """
     if length < 1:
         raise ValueError("tailbite length must be at least 1")
-    m, n = g.rows, g.cols
-    grid = g.bits()
+    n = m.cols
+    grid = m.bits()
     out = []
     for s in range(length):
-        for i in range(m):
+        for row in grid:
             bits = 0
-            for j in range(n):
-                p = grid[i][j]
+            for j, p in enumerate(row):
                 t = 0
                 while p:
                     if p & 1:
-                        bits ^= 1 << (n * ((s - t) % length) + j)
+                        bits ^= 1 << (n * ((s + sign * t) % length) + j)
                     p >>= 1
                     t += 1
             out.append(bits)
@@ -704,19 +666,6 @@ def kernel_basis(h: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(rows) if rows else PolyMatrix([])
 
 
-def high_order_matrix(g: PolyMatrix) -> BinaryMatrix:
-    """Row i holds the coefficients of D^(row degree i) across the columns."""
-    out = []
-    for row, d in zip(g.entries, g.row_degrees()):
-        if d is None:
-            raise ValueError("zero row has no high-order coefficients")
-        bits = 0
-        for j, p in enumerate(row):
-            bits |= ((p.bits >> d) & 1) << j
-        out.append(bits)
-    return BinaryMatrix(out, g.cols)
-
-
 def row_reduce(g: PolyMatrix) -> PolyMatrix:
     """Greedy high-order reduction preserving the GF(2)[D] row module.
 
@@ -745,9 +694,11 @@ def row_reduce(g: PolyMatrix) -> PolyMatrix:
             for j, p in enumerate(row):
                 bits |= ((p >> d) & 1) << j
             hi.append(bits)
-        combo = _dependency(hi)
-        if combo is None:
+        deps = nullspace_basis(BinaryMatrix(hi, ncols).transpose())
+        if deps.rows == 0:
             return PolyMatrix(rows)
+        # the first dependent row's unique combination with the rows before it
+        combo = deps.data[0]
         members = [i for i in range(len(rows)) if (combo >> i) & 1]
         dmax = max(degs[i] for i in members)
         target = max(i for i in members if degs[i] == dmax)
@@ -757,21 +708,6 @@ def row_reduce(g: PolyMatrix) -> PolyMatrix:
             for j in range(ncols):
                 new[j] ^= rows[i][j] << sh
         rows[target] = new
-
-
-def _dependency(vecs: list[int]) -> int | None:
-    """Nonzero combination (bitmask over rows) that XORs to zero, or None."""
-    basis: list[tuple[int, int]] = []
-    for i, v in enumerate(vecs):
-        combo = 1 << i
-        for bv, bc in basis:
-            if v & (bv & -bv):
-                v ^= bv
-                combo ^= bc
-        if v == 0:
-            return combo
-        basis.append((v, combo))
-    return None
 
 
 def minimal_basic(g: PolyMatrix) -> PolyMatrix:
@@ -823,6 +759,9 @@ class BivariatePoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePoly is immutable")
+
+    def __reduce__(self):
+        return BivariatePoly, (self.terms,)
 
     @classmethod
     def mono(cls, poly: BinaryPoly | int, z: int = 0) -> "BivariatePoly":
@@ -889,6 +828,9 @@ class BivariatePolyMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePolyMatrix is immutable")
+
+    def __reduce__(self):
+        return BivariatePolyMatrix, (self.entries,)
 
     def __matmul__(self, other: "BivariatePolyMatrix") -> "BivariatePolyMatrix":
         if self.cols != other.rows:

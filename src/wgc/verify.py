@@ -12,8 +12,7 @@ GRAPH_PARENT_CHECK = PolyMatrix([[1, 1, 1], [1, 0b10, 0b1000]])
 BEST_PERM = (1, 3, 2)
 
 
-def run_heawood_verification(threads: int = 1,
-                             budget: woven.WitnessBudget | None = None) -> list[tuple]:
+def run_heawood_verification(budget: woven.WitnessBudget | None = None) -> list[tuple]:
     """Returns (name, expected, got, ok) rows covering the whole pipeline."""
     budget = budget or woven.WitnessBudget()
     results: list[tuple] = []

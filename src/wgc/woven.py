@@ -14,16 +14,13 @@ from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 
 from .gf2 import (
-    BinaryMatrix,
     BinaryPoly,
     BivariatePoly,
     BivariatePolyMatrix,
     PolyMatrix,
+    clmul,
     kernel_basis,
-    rank_over_rational_field,
     row_reduce,
-    tailbite,
-    tailbite_generator,
 )
 from .convcodes import ConvCode, block_distance_conv, free_distance, rate_half_subcodes
 from .hypergraphs import Hypergraph, girth
@@ -234,11 +231,6 @@ def generator_report(code: WovenConvCode) -> GeneratorReport:
         nu_minimal=minimal.constraint_length,
         code_dimension=minimal.rows,
     )
-
-
-def is_generator_complete(code: WovenConvCode) -> bool:
-    """True when the wrapped rows span the whole code (full-rank check side)."""
-    return minimal_generator(code).rows == expanded_generator(code).rows
 
 
 # ---------------------------------------------------------------------------
@@ -516,44 +508,15 @@ def _bidirectional_refine(code: WovenConvCode, cap: int, budget: WitnessBudget
             nxt, u_idx = back_succ[s]
             inputs.append(u_idx)
             s = nxt
-    word = _encode_input_path(tr, inputs, code.n * code.c)
+    word = _encode_input_path(gen, [tr.inputs[u_idx] for u_idx in inputs])
     return meet_w, word, nodes
 
 
-def _encode_input_path(tr, input_indices: list[int], ncols: int) -> tuple[BinaryPoly, ...]:
-    state = tr.zero
-    cols = [0] * ncols
-    for t, u_idx in enumerate(input_indices):
-        u = tr.inputs[u_idx]
-        hists = []
-        nxt = []
-        for i in range(tr.b):
-            hist = (state[i] << 1) | u[i]
-            hists.append(hist)
-            nxt.append(hist & ((1 << tr.row_degs[i]) - 1))
-        for j in range(ncols):
-            bit = 0
-            for i in range(tr.b):
-                bit ^= (tr.taps[i][j] & hists[i]).bit_count() & 1
-            cols[j] |= bit << t
-        state = tuple(nxt)
-    # flush the registers back to zero with zero inputs
-    t = len(input_indices)
-    while any(state):
-        hists = []
-        nxt = []
-        for i in range(tr.b):
-            hist = state[i] << 1
-            hists.append(hist)
-            nxt.append(hist & ((1 << tr.row_degs[i]) - 1))
-        for j in range(ncols):
-            bit = 0
-            for i in range(tr.b):
-                bit ^= (tr.taps[i][j] & hists[i]).bit_count() & 1
-            cols[j] |= bit << t
-        state = tuple(nxt)
-        t += 1
-    return tuple(BinaryPoly(p) for p in cols)
+def _encode_input_path(gen: PolyMatrix, inputs: list[tuple[int, ...]]
+                       ) -> tuple[BinaryPoly, ...]:
+    """Zero-tail codeword u(D) G(D) of a finite input path, one tuple per step."""
+    u = [sum(step[i] << t for t, step in enumerate(inputs)) for i in range(gen.rows)]
+    return (PolyMatrix([u]) @ gen).entries[0]
 
 
 def orbit_multiplicity(code: WovenConvCode, word: tuple[BinaryPoly, ...]) -> int:
@@ -575,8 +538,6 @@ def orbit_multiplicity(code: WovenConvCode, word: tuple[BinaryPoly, ...]) -> int
 
 
 def _is_codeword(code: WovenConvCode, vec: list[int]) -> bool:
-    from .gf2 import clmul
-
     for row in code.H_wg.entries:
         acc = 0
         for p, v in zip(row, vec):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wgc.blockcodes import min_distance
 from wgc.convcodes import (
@@ -18,7 +20,7 @@ from wgc.convcodes import (
     tb_encoder_code,
     zt_block_code,
 )
-from wgc.gf2 import BinaryPoly, PolyMatrix, clmul, rank
+from wgc.gf2 import BinaryPoly, PolyMatrix, clmul, poly_gcd, rank
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +268,24 @@ def test_zt_block_code_zero_information():
     code = ConvCode.from_parity(PolyMatrix([[1, 1, 1], [1, 0b10, 0b1000]]))
     zt = zt_block_code(code, 0)
     assert zt.k == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 31), min_size=3, max_size=3), st.integers(1, 3))
+def test_zt_block_code_holds_every_shifted_generator_row(row, l):
+    polys = [BinaryPoly(p) for p in row]
+    # a 1 x c feedforward encoder with coprime entries is non-catastrophic
+    assume(poly_gcd(poly_gcd(polys[0], polys[1]), polys[2]) == BinaryPoly(1))
+    code = ConvCode.from_generator(PolyMatrix([row]))
+    zt = zt_block_code(code, l)
+    assert zt.k == l
+    for s in range(l):
+        word = 0
+        for j, p in enumerate(row):
+            shifted = clmul(p, 1 << s)
+            for t in range(shifted.bit_length()):
+                word |= ((shifted >> t) & 1) << (3 * t + j)
+        assert zt.H.mul_vec(word) == 0
 
 
 def test_zt_distance_dominates_free_distance_random():

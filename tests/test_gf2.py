@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wgc.gf2 import (
@@ -24,7 +24,6 @@ from wgc.gf2 import (
     rank_over_rational_field,
     row_reduce,
     tailbite,
-    tailbite_generator,
 )
 from conftest import HEAWOOD_ROWS, THREE_PARTITE_ROWS, UTILITY_ROWS, dense_rank
 
@@ -214,7 +213,7 @@ def test_tailbite_generator_rows_have_zero_syndrome(graph_parent_check):
     parent_gen = kernel_basis(graph_parent_check)
     for length in (1, 2, 7, 10):
         wrapped_h = tailbite(graph_parent_check, length)
-        wrapped_g = tailbite_generator(parent_gen, length)
+        wrapped_g = tailbite(parent_gen, length, -1)
         for row in wrapped_g.data:
             assert wrapped_h.mul_vec(row) == 0
 
@@ -237,6 +236,20 @@ def test_row_reduce_rejects_rank_deficient():
     g = PolyMatrix([[0b11, 0b11], [0b110, 0b110]])
     with pytest.raises(ValueError):
         row_reduce(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 63), min_size=6, max_size=6))
+def test_row_reduce_random_full_rank_reaches_full_rank_leading_matrix(entries):
+    g = PolyMatrix([entries[:3], entries[3:]])
+    assume(rank_over_rational_field(g) == 2)
+    reduced = row_reduce(g)
+    assert poly_row_space_equal(reduced, g)
+    assert reduced.constraint_length <= g.constraint_length
+    # row i of the high-order matrix: coefficients of D^(row degree i)
+    high = [sum(((p.bits >> d) & 1) << j for j, p in enumerate(row))
+            for row, d in zip(reduced.entries, reduced.row_degrees())]
+    assert rank(BinaryMatrix(high, reduced.cols)) == reduced.rows
 
 
 def test_minimal_basic_identity_like_row_space():

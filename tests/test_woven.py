@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from wgc.woven import (
     minimal_generator,
     orbit_multiplicity,
     permutation_sweep,
+    _is_codeword,
     two_dim_forms,
     witness_search,
 )
@@ -245,12 +247,10 @@ def test_minimal_generator_row_space_matches_raw(best_code):
 
 def test_generator_rows_stay_codewords_after_wrapping(best_code):
     gen = expanded_generator(best_code)
-    from wgc.gf2 import tailbite_generator
-
     for length in (7, 14, 21, 28):
         levels = length // 7
         wrapped_h = tailbite(best_code.H_wg, levels)
-        wrapped_g = tailbite_generator(gen, levels)
+        wrapped_g = tailbite(gen, levels, -1)
         for row in wrapped_g.data:
             assert wrapped_h.mul_vec(row) == 0
 
@@ -325,12 +325,33 @@ def test_witness_exact_on_degree_zero_specialization():
 # encoder
 
 
-def test_encoder_impulse_matches_generator_row(best_code):
-    from wgc.gf2 import tailbite_generator
+def test_witness_refine_pass_returns_lighter_codeword():
+    # single unshifted generator rows weigh at least 7; the state search finds 6
+    code = build_woven_conv(build_utility(), PolyMatrix([[1, 0b11, 0b101]]), (1, 2, 3))
+    res = witness_search(code, budget=WitnessBudget(max_terms=1, max_shift=0))
+    assert res.weight == 6
+    assert res.exact
+    vec = [p.bits for p in res.word]
+    assert _is_codeword(code, vec)
+    assert sum(v.bit_count() for v in vec) == res.weight
+    assert res.word == tuple(BinaryPoly(b) for b in (0, 0, 0, 0, 0b11, 1, 0b101, 0, 1))
 
+
+def test_algebra_values_pickle_and_parallel_sweep_matches_serial(best_code):
+    H, G = two_dim_forms(best_code)
+    for value in (tailbite(best_code.hc, 3), best_code.H_wg, G.entries[0][0], H):
+        clone = pickle.loads(pickle.dumps(value))
+        assert type(clone) is type(value)
+        assert clone == value
+    hc = PolyMatrix([[1, 0b11, 0b101]])
+    serial = permutation_sweep(build_utility(), hc, threads=1)
+    assert permutation_sweep(build_utility(), hc, threads=2) == serial
+
+
+def test_encoder_impulse_matches_generator_row(best_code):
     gen = expanded_generator(best_code)
     for levels in (3, 7):
-        wrapped = tailbite_generator(gen, levels)
+        wrapped = tailbite(gen, levels, -1)
         info = [0] * (7 * levels)
         info[0] = 1
         out = encode_stream(best_code, info)
