@@ -79,7 +79,8 @@ def min_distance(code: LinearBlockCode, *, full_enum_limit: int = 26,
 
     Beyond the enumeration budget the result is an (upper bound, certified
     floor) pair: the upper bound comes from randomized information sets, the
-    floor from exhaustively ruling out low-weight column dependencies.
+    floor from exhaustively ruling out low-weight column dependencies; the
+    first weight with a dependency (a codeword's support) is exact.
     """
     if code.k <= 0:
         raise ValueError("zero-dimension code has no minimum distance")
@@ -104,6 +105,7 @@ def min_distance(code: LinearBlockCode, *, full_enum_limit: int = 26,
     cols = code.H.transpose().data
     for t in range(1, floor_weight_limit + 1):
         if _has_dependent_columns(cols, t):
+            best = min(best, t)
             break
         floor = t + 1
     floor = min(floor, best)

@@ -198,10 +198,12 @@ def cmd_woven_block(args) -> int:
     assignment = parse_assignment(args.assign, g) if args.assign else None
     wb = blockcodes.build_woven_block(g, constituent, bs, assignment)
     est = blockcodes.min_distance(wb.code, seed=args.seed)
+    bound = blockcodes.product_distance_bound(g, constituent, bs)
     rep = blockcodes.code_report(
         f"woven-block:{args.graph}", wb.code, est,
         extras={
-            "bound": blockcodes.product_distance_bound(g, constituent, bs),
+            "bound": bound,
+            "bound_contradicted": est.value < bound,
             "rate": wb.rate,
             "rate_bound": blockcodes.rate_bound(g, constituent.rate),
         })

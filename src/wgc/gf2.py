@@ -676,24 +676,19 @@ def row_reduce(g: PolyMatrix) -> PolyMatrix:
     """
     rows = [list(r) for r in (g.bits())]
     ncols = g.cols
+    degs = [0] * len(rows)
+    hi = [0] * len(rows)
 
-    def rdeg(row: list[int]) -> int:
-        d = -1
-        for p in row:
-            if p:
-                d = max(d, _deg(p))
-        return d
-
-    while True:
-        degs = [rdeg(r) for r in rows]
-        if any(d < 0 for d in degs):
+    def refresh(i: int) -> None:
+        d = max((p.bit_length() for p in rows[i]), default=0) - 1
+        if d < 0:
             raise ValueError("rank-deficient input: zero row produced")
-        hi = []
-        for row, d in zip(rows, degs):
-            bits = 0
-            for j, p in enumerate(row):
-                bits |= ((p >> d) & 1) << j
-            hi.append(bits)
+        degs[i] = d
+        hi[i] = sum(((p >> d) & 1) << j for j, p in enumerate(rows[i]))
+
+    for i in range(len(rows)):
+        refresh(i)
+    while True:
         deps = nullspace_basis(BinaryMatrix(hi, ncols).transpose())
         if deps.rows == 0:
             return PolyMatrix(rows)
@@ -708,6 +703,7 @@ def row_reduce(g: PolyMatrix) -> PolyMatrix:
             for j in range(ncols):
                 new[j] ^= rows[i][j] << sh
         rows[target] = new
+        refresh(target)
 
 
 def minimal_basic(g: PolyMatrix) -> PolyMatrix:

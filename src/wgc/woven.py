@@ -64,6 +64,7 @@ class WovenConvCode:
         self.H_wg = self._assemble()
         self._offsets: tuple[int, ...] | None | str = "unset"
         self._minimal: PolyMatrix | None = None
+        self._taps: list[tuple[int, int, list[int]]] | None = None
 
     # t-row polynomials: column slot j of the left blocks carries check j on
     # the left and check perm[j] on the right
@@ -554,47 +555,46 @@ def _is_codeword(code: WovenConvCode, vec: list[int]) -> bool:
 def encode_stream(code: WovenConvCode, info_bits, *, pad: bool = False) -> list[int]:
     """Encode a frame; info enters n bits per time instant, wrapped at frame end.
 
-    The frame is tail-bitten at its level count, so the output of a frame of
-    n*L info bits is n*c*L code bits with zero syndrome against
-    tailbite(H_wg, L).  Work per output block is proportional to the number
-    of constituent taps, the register-bank view of the wrapped generator.
+    The frame is tail-bitten at its level count L: the output is the info row
+    times tailbite(expanded_generator(code), L, -1), so a frame of n*L info
+    bits gives n*c*L code bits with zero syndrome against tailbite(H_wg, L).
+    The product runs on packed columns: input row i is one L-bit int u_i
+    (bit lvl holds info bit lvl*n + i), and output column j is the XOR of
+    u_i rotated right by t mod L over the taps D^t of generator entry (i, j).
+    A frame costs one rotation per distinct (row, degree) pair and one XOR
+    per tap, each on L-bit ints; the tap list is built once per code.
     """
-    bits = list(info_bits)
-    k_per_level = code.n
-    if len(bits) % k_per_level:
-        if not pad:
-            raise ValueError(
-                f"info length {len(bits)} is not a multiple of {k_per_level}; "
-                "pass pad=True to zero-pad")
-        bits.extend([0] * (k_per_level - len(bits) % k_per_level))
-    if not bits:
+    try:
+        frame = bytearray(list(info_bits))
+    except (TypeError, ValueError):
+        frame = b"?"  # not an int in 0..255, so not a bit either
+    if frame.translate(None, b"\0\1"):
+        raise ValueError("info bits must be 0 or 1")
+    n, ncols = code.n, code.n * code.c
+    if len(frame) % n and not pad:
+        raise ValueError(f"info length {len(frame)} is not a multiple of {n}; "
+                         "pass pad=True to zero-pad")
+    frame += bytes(-len(frame) % n)
+    if not frame:
         raise ValueError("empty frame")
-    levels = len(bits) // k_per_level
-    gen = expanded_generator(code)
-    grid = gen.bits()
-    c, ncols = code.c, code.n * code.c
-    # taps[t] = list of (input row, column, ) for coefficient of D^t
-    taps: dict[int, list[tuple[int, int]]] = {}
-    for i in range(gen.rows):
-        for j in range(ncols):
-            p = grid[i][j]
-            t = 0
-            while p:
-                if p & 1:
-                    taps.setdefault(t, []).append((i, j))
-                p >>= 1
-                t += 1
-    u_levels = [bits[lvl * k_per_level:(lvl + 1) * k_per_level] for lvl in range(levels)]
-    out = []
-    for lvl in range(levels):
-        block = [0] * ncols
-        for t, pairs in taps.items():
-            src = u_levels[(lvl + t) % levels]
-            for i, j in pairs:
-                if src[i]:
-                    block[j] ^= 1
-        out.extend(block)
-    return out
+    levels = len(frame) // n
+    if code._taps is None:
+        code._taps = [(i, t, cols) for i, row in enumerate(expanded_generator(code).bits())
+                      for t in range(max(p.bit_length() for p in row))
+                      if (cols := [j for j, p in enumerate(row) if p >> t & 1])]
+    text = frame.translate(bytes.maketrans(b"\0\1", b"01"))
+    rows = [int(text[i::n][::-1], 2) for i in range(n)]
+    mask = (1 << levels) - 1
+    out_cols = [0] * ncols
+    for i, t, cols in code._taps:
+        s, u = t % levels, rows[i]
+        rotated = (u >> s | u << (levels - s)) & mask
+        for j in cols:
+            out_cols[j] ^= rotated
+    out = bytearray(levels * ncols)
+    for j, col in enumerate(out_cols):
+        out[j::ncols] = format(col, f"0{levels}b").encode()[::-1]
+    return list(out.translate(bytes.maketrans(b"01", b"\0\1")))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from wgc.blockcodes import (
     BlockStructure,
+    DistanceEstimate,
     LinearBlockCode,
     block_distance,
     build_graph_code,
@@ -69,6 +70,23 @@ def test_min_distance_sampled_path_is_honest(heawood_incidence):
     est = min_distance(code, full_enum_limit=4)
     assert not est.exact or est.value == est.floor
     assert est.floor <= 6 <= est.value
+
+
+def test_min_distance_floor_dependency_is_exact_on_wide_woven_block():
+    wb = build_woven_block(build_heawood(), constituent_code(), BlockStructure(4, 3))
+    assert (wb.code.n, wb.code.k) == (84, 28)
+    assert min_distance(wb.code) == DistanceEstimate(4, 4, True)
+    # independent check by column pairs of H grouped by their XOR: no zero
+    # column, equal pair or pair equal to a third column means no codeword of
+    # weight 3 or less; two pairs with one XOR are the support of a weight-4 one
+    cols = wb.H_wg.transpose().data
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for a, b in combinations(range(len(cols)), 2):
+        pairs.setdefault(cols[a] ^ cols[b], []).append((a, b))
+    assert 0 not in cols and 0 not in pairs and not any(col in pairs for col in cols)
+    quad = next(p + q for group in pairs.values() for p, q in combinations(group, 2))
+    assert len(set(quad)) == 4
+    assert wb.code.syndrome(sum(1 << j for j in quad)) == 0
 
 
 # ---------------------------------------------------------------------------

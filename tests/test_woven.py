@@ -6,6 +6,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgc.blockcodes import LinearBlockCode, build_graph_code, min_distance
 from wgc.convcodes import ConvCode, free_distance
@@ -384,6 +386,29 @@ def test_encoder_linearity(best_code):
 
 def test_encoder_all_zero(best_code):
     assert set(encode_stream(best_code, [0] * 14)) == {0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_encoder_equals_wrapped_generator_product(best_code, data):
+    # levels up to 40 cover frames longer than the generator memory of 10
+    levels = data.draw(st.integers(1, 40))
+    info = data.draw(st.lists(st.integers(0, 1), min_size=7 * levels, max_size=7 * levels))
+    want = 0
+    for row, bit in zip(tailbite(expanded_generator(best_code), levels, -1).data, info):
+        if bit:
+            want ^= row
+    out = encode_stream(best_code, info)
+    assert len(out) == 21 * levels
+    assert sum(b << i for i, b in enumerate(out)) == want
+
+
+@pytest.mark.parametrize("bad", [2, 48, 255, 256, -1, 0.5, "1", None])  # 48 is ASCII "0"
+def test_encoder_rejects_values_other_than_bits(best_code, bad):
+    info = [0, 1] * 7
+    info[5] = bad
+    with pytest.raises(ValueError, match="0 or 1"):
+        encode_stream(best_code, info)
 
 
 def test_encoder_rejects_partial_frames(best_code):
