@@ -6,11 +6,9 @@ from .gf2 import (
     BivariatePoly,
     BivariatePolyMatrix,
     PolyMatrix,
-    canonical_form,
     kernel_basis,
     minimal_basic,
     nullspace_basis,
-    nullspace_rational,
     permutation_equivalent,
     poly_mul,
     rank,

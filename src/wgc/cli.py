@@ -28,7 +28,7 @@ def parse_poly_token(tok: str) -> BinaryPoly:
     """
     tok = tok.strip()
     if tok.startswith(("o", "O", "0o", "0O")):
-        digits = tok[2:] if tok[1] in "oO" else tok[1:]
+        digits = tok[2:] if tok[:2] in ("0o", "0O") else tok[1:]
         if not digits or set(digits) - set("01234567"):
             raise CliError(f"bad octal polynomial {tok!r}")
         bits = 0
@@ -193,6 +193,9 @@ def cmd_graph_code(args) -> int:
 def cmd_woven_block(args) -> int:
     g = load_graph(args.graph)
     hcm = load_poly_matrix(args).constant_matrix()
+    if args.l < 1 or hcm.cols % args.l:
+        raise CliError(f"--l must be a positive divisor of the constituent's "
+                       f"{hcm.cols} columns, got {args.l}")
     constituent = blockcodes.LinearBlockCode(hcm)
     bs = blockcodes.BlockStructure(args.l, hcm.cols // args.l)
     assignment = parse_assignment(args.assign, g) if args.assign else None

@@ -9,7 +9,7 @@ freely between threads and worker processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -313,77 +313,75 @@ def nullspace_basis(m: BinaryMatrix) -> BinaryMatrix:
 
 
 # ---------------------------------------------------------------------------
-# canonical form under row and column permutations
+# graph isomorphism by individualisation and refinement
 
 
-def canonical_form(m: BinaryMatrix) -> BinaryMatrix:
-    """Canonical representative of M under independent row/column permutations.
+def _isomorphisms(adj_a: Sequence[Sequence[int]], adj_b: Sequence[Sequence[int]],
+                  colours: Sequence[int]) -> Iterator[list[int]]:
+    """Every vertex map from graph A onto graph B that keeps colours and adjacency.
 
-    Iterative colour refinement on the row/column incidence structure plus
-    branching on ambiguous cells; the minimum relabelled matrix is canonical.
-    Exponential in the worst case, meant for the small matrices handled here.
+    Individualisation-refinement (B. D. McKay, "Practical graph isomorphism",
+    1981) on the disjoint union of A and B, where vertex v starts with
+    colours[v] on both sides.  The colouring is refined until equitable, and a
+    branch is cut where a colour class has different sizes on the two sides.
+    Otherwise the first non-singleton cell of A is split: one of its vertices
+    is individualised against each B vertex of that colour.  Each map is
+    yielded once, as a list with vmap[v] = image of v.  Exponential in the
+    worst case, meant for the small graphs handled here.
     """
-    nr, nc = m.rows, m.cols
-    row_adj = [tuple(j for j in range(nc) if (m.data[i] >> j) & 1) for i in range(nr)]
-    col_adj = [tuple(i for i in range(nr) if (m.data[i] >> j) & 1) for j in range(nc)]
+    n = len(adj_a)
+    union = list(adj_a) + [[n + u for u in nb] for nb in adj_b]
+    target = [sorted(nb) for nb in adj_b]
 
-    def refine(colors: list[int]) -> list[int]:
+    def refine(col: list[int]) -> list[int]:
         while True:
-            sigs = []
-            for v in range(nr + nc):
-                adj = row_adj[v] if v < nr else col_adj[v - nr]
-                shift = nr if v < nr else 0
-                sigs.append((colors[v], tuple(sorted(colors[u + shift] for u in adj))))
+            sigs = [(c, tuple(sorted([col[u] for u in nb]))) for c, nb in zip(col, union)]
             order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            new = [order[s] for s in sigs]
-            if new == colors:
-                return colors
-            colors = new
+            if len(order) == len(set(col)):
+                return col
+            col = [order[s] for s in sigs]
 
-    best: tuple[int, ...] | None = None
-
-    def emit(colors: list[int]) -> tuple[int, ...]:
-        rows_sorted = sorted(range(nr), key=lambda i: colors[i])
-        cols_sorted = sorted(range(nc), key=lambda j: colors[nr + j])
-        col_pos = {c: p for p, c in enumerate(cols_sorted)}
-        out = []
-        for i in rows_sorted:
-            bits = 0
-            for j in row_adj[i]:
-                bits |= 1 << col_pos[j]
-            out.append(bits)
-        return tuple(out)
-
-    def search(colors: list[int]) -> None:
-        nonlocal best
-        colors = refine(colors)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = next((vs for c, vs in sorted(cells.items()) if len(vs) > 1), None)
-        if target is None:
-            cand = emit(colors)
-            if best is None or cand < best:
-                best = cand
+    def search(col: list[int]) -> Iterator[list[int]]:
+        col = refine(col)
+        side_a, side_b = col[:n], col[n:]
+        sorted_a = sorted(side_a)
+        if sorted_a != sorted(side_b):
             return
-        fresh = max(colors) + 1
-        for v in target:
-            child = list(colors)
-            child[v] = fresh
-            search(child)
+        cell = next((c for c, d in zip(sorted_a, sorted_a[1:]) if c == d), None)
+        if cell is None:
+            where = {c: w for w, c in enumerate(side_b)}
+            vmap = [where[c] for c in side_a]
+            if all(sorted([vmap[u] for u in nb]) == target[vmap[v]]
+                   for v, nb in enumerate(adj_a)):
+                yield vmap
+            return
+        v = side_a.index(cell)
+        fresh = max(col) + 1
+        for w, c in enumerate(side_b):
+            if c == cell:
+                child = list(col)
+                child[v] = child[n + w] = fresh
+                yield from search(child)
 
-    search([0] * nr + [1] * nc)
-    assert best is not None
-    return BinaryMatrix(best, nc)
+    return search(list(colours) * 2)
 
 
 def permutation_equivalent(a: BinaryMatrix, b: BinaryMatrix) -> bool:
-    """True when A equals B after some row and column permutation."""
+    """True when A equals B after some row and column permutation.
+
+    Searches for an isomorphism of the row/column incidence graphs, with
+    rows and columns coloured apart; the first one found settles it.
+    """
     if (a.rows, a.cols) != (b.rows, b.cols):
         return False
-    if sorted(a.row_weights()) != sorted(b.row_weights()):
-        return False
-    return canonical_form(a) == canonical_form(b)
+
+    def graph(m: BinaryMatrix) -> list[list[int]]:
+        cols = m.transpose().data
+        return ([[m.rows + j for j in range(m.cols) if r >> j & 1] for r in m.data]
+                + [[i for i in range(m.rows) if c >> i & 1] for c in cols])
+
+    colours = [0] * a.rows + [1] * a.cols
+    return next(_isomorphisms(graph(a), graph(b), colours), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +414,8 @@ class PolyMatrix:
     def from_text(cls, text: str) -> "PolyMatrix":
         """Parse: first line "rows cols", then one coefficient string per entry."""
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty polynomial matrix text")
         m, n = (int(x) for x in lines[0].split())
         if len(lines) - 1 != m * n:
             raise ValueError(f"expected {m * n} entries, got {len(lines) - 1}")
@@ -521,107 +521,7 @@ def tailbite(m: PolyMatrix, length: int, sign: int = 1) -> BinaryMatrix:
 
 
 # ---------------------------------------------------------------------------
-# rational-field elimination
-
-
-def rank_over_rational_field(m: PolyMatrix) -> int:
-    """Rank of M over GF(2)(D) via fraction-free cross-multiplication."""
-    work = [row[:] for row in m.bits()]
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][col]
-        for i in range(r + 1, nrows):
-            if work[i][col]:
-                f = work[i][col]
-                work[i] = [clmul(a, pv) ^ clmul(b, f) for a, b in zip(work[i], work[r])]
-                g = 0
-                for a in work[i]:
-                    g = _gcd(g, a)
-                    if g == 1:
-                        break
-                if g > 1:
-                    work[i] = [_divmod(a, g)[0] for a in work[i]]
-        r += 1
-    return r
-
-
-class _Frac:
-    """Tiny exact fraction of GF(2)[D] polynomials for back substitution."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError
-        g = _gcd(num, den) if num else den
-        self.num = _divmod(num, g)[0] if num else 0
-        self.den = _divmod(den, g)[0] if num else 1
-
-    def __add__(self, o: "_Frac") -> "_Frac":
-        return _Frac(clmul(self.num, o.den) ^ clmul(o.num, self.den),
-                     clmul(self.den, o.den))
-
-    def __mul__(self, o: "_Frac") -> "_Frac":
-        return _Frac(clmul(self.num, o.num), clmul(self.den, o.den))
-
-    def __truediv__(self, o: "_Frac") -> "_Frac":
-        if o.num == 0:
-            raise ZeroDivisionError
-        return _Frac(clmul(self.num, o.den), clmul(self.den, o.num))
-
-    def __bool__(self) -> bool:
-        return self.num != 0
-
-
-def nullspace_rational(m: PolyMatrix) -> PolyMatrix:
-    """Polynomial basis rows of the GF(2)(D) nullspace {v : M v^T = 0}.
-
-    Each returned row is a rational-nullspace vector with denominators
-    cleared and the common polynomial content divided out.
-    """
-    nrows, ncols = m.rows, m.cols
-    work = [[_Frac(b) for b in row] for row in m.bits()]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][col]
-        work[r] = [e / pv for e in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [a + f * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        entries = [_Frac(0)] * ncols
-        entries[free] = _Frac(1)
-        for i, pc in enumerate(pivots):
-            entries[pc] = work[i][free]
-        den = 1
-        for e in entries:
-            if e.num:
-                den = _divmod(clmul(den, e.den), _gcd(den, e.den))[0]
-        row = [clmul(e.num, _divmod(den, e.den)[0]) for e in entries]
-        content = 0
-        for a in row:
-            content = _gcd(content, a)
-        if content > 1:
-            row = [_divmod(a, content)[0] for a in row]
-        basis.append(row)
-    return PolyMatrix(basis)
+# GF(2)[D] kernels, and through them ranks and bases over GF(2)(D)
 
 
 def kernel_basis(h: PolyMatrix) -> PolyMatrix:
@@ -664,6 +564,11 @@ def kernel_basis(h: PolyMatrix) -> PolyMatrix:
                         wr[cc] ^= wb[cc] << sh
     rows = [work[r][m:] for r in range(n) if not any(work[r][:m])]
     return PolyMatrix(rows) if rows else PolyMatrix([])
+
+
+def rank_over_rational_field(m: PolyMatrix) -> int:
+    """Rank of M over GF(2)(D): columns minus the rank of its kernel module."""
+    return m.cols - kernel_basis(m).rows
 
 
 def row_reduce(g: PolyMatrix) -> PolyMatrix:
@@ -716,9 +621,9 @@ def minimal_basic(g: PolyMatrix) -> PolyMatrix:
     """
     if g.rows == 0:
         return g
-    if rank_over_rational_field(g) != g.rows:
+    checks = kernel_basis(g)
+    if g.cols - checks.rows != g.rows:
         raise ValueError("generator matrix is rank deficient over GF(2)(D)")
-    checks = nullspace_rational(g)
     if checks.rows == 0:
         return PolyMatrix([[1 if i == j else 0 for j in range(g.cols)]
                            for i in range(g.rows)])

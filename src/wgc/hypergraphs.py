@@ -69,6 +69,8 @@ class Hypergraph:
     @classmethod
     def from_text(cls, text: str) -> "Hypergraph":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty hypergraph text")
         s, c, n = (int(x) for x in lines[0].split())
         edges = []
         for ln in lines[1:]:

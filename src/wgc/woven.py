@@ -18,6 +18,7 @@ from .gf2 import (
     BivariatePoly,
     BivariatePolyMatrix,
     PolyMatrix,
+    _isomorphisms,
     clmul,
     kernel_basis,
     row_reduce,
@@ -600,6 +601,10 @@ def encode_stream(code: WovenConvCode, info_bits, *, pad: bool = False) -> list[
 # ---------------------------------------------------------------------------
 # permutation sweep
 
+# equivalence flags are skipped above this many graph vertices, where the
+# automorphism search would no longer be small
+_MAX_AUTOMORPHISM_VERTICES = 40
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -667,8 +672,7 @@ def permutation_sweep(g: Hypergraph, hc: PolyMatrix,
     return tagged
 
 
-def equivalent_permutation_pairs(g: Hypergraph, hc: PolyMatrix,
-                                 perms, *, max_vertices: int = 40
+def equivalent_permutation_pairs(g: Hypergraph, hc: PolyMatrix, perms
                                  ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Permutation pairs certified equivalent by a graph automorphism.
 
@@ -677,80 +681,38 @@ def equivalent_permutation_pairs(g: Hypergraph, hc: PolyMatrix,
     two codes are identical up to coordinate relabelling.  Unflagged pairs
     may still be equivalent through relabellings outside this family.
     """
-    if 2 * g.n > max_vertices:
+    if 2 * g.n > _MAX_AUTOMORPHISM_VERTICES:
         return []
-    autos = _bipartite_automorphisms(g)
-    row_sets = {}
-    mats = {}
-    for perm in perms:
-        code = build_woven_conv(g, hc, perm)
-        mats[perm] = code.H_wg.entries
-        row_sets[perm] = sorted(code.H_wg.entries)
-    ncols = g.num_edges
-    found = []
-    for pa, pb in combinations(perms, 2):
-        hit = False
-        for edge_perm in autos:
-            inverse = [0] * ncols
-            for j, img in enumerate(edge_perm):
-                inverse[img] = j
-            mapped = sorted(
-                tuple(row[inverse[j]] for j in range(ncols)) for row in mats[pa]
-            )
-            if mapped == row_sets[pb]:
-                hit = True
-                break
-        if hit:
-            found.append((pa, pb))
-    return found
+    autos = _edge_automorphisms(g)
+    rows = {perm: [tuple(p.bits for p in row)
+                   for row in build_woven_conv(g, hc, perm).H_wg.entries] for perm in perms}
+    holders: dict[tuple, list[tuple[int, ...]]] = {}
+    for perm, r in rows.items():
+        holders.setdefault(tuple(sorted(r)), []).append(perm)
+    hits = {(pa, pb) for per in autos for pa, r in rows.items()
+            for pb in holders.get(tuple(sorted(tuple(row[j] for j in per) for row in r)), ())}
+    return [pair for pair in combinations(perms, 2) if pair in hits]
 
 
-def _bipartite_automorphisms(g: Hypergraph) -> list[list[int]]:
-    """Edge permutations induced by automorphisms of the bipartite graph."""
+def _edge_automorphisms(g: Hypergraph) -> list[list[int]]:
+    """Edge permutations induced by automorphisms of the bipartite graph.
+
+    Automorphisms that swap the two sides are included.  In each list
+    per[j] is the edge that the automorphism maps onto edge j.
+    """
     n = g.n
-    adj: list[set[int]] = [set() for _ in range(2 * n)]
-    for (a, b) in g.edges:
-        adj[a].add(n + b)
-        adj[n + b].add(a)
-    verts = list(range(2 * n))
-    autos: list[dict[int, int]] = []
-
-    def extend(mapping: dict[int, int], used: set[int]) -> None:
-        if len(mapping) == len(verts):
-            autos.append(dict(mapping))
-            return
-        v = max((x for x in verts if x not in mapping),
-                key=lambda x: sum(1 for y in adj[x] if y in mapping))
-        cands = set(verts) - used
-        for y in adj[v]:
-            if y in mapping:
-                cands &= adj[mapping[y]]
-        for cand in sorted(cands):
-            if all((mapping[y] in adj[cand]) == (y in adj[v]) for y in mapping):
-                mapping[v] = cand
-                used.add(cand)
-                extend(mapping, used)
-                del mapping[v]
-                used.discard(cand)
-
-    extend({}, set())
-    edge_index = {}
+    adj: list[list[int]] = [[] for _ in range(2 * n)]
+    edge_index: dict[tuple[int, int], list[int]] = {}
     for i, (a, b) in enumerate(g.edges):
+        adj[a].append(n + b)
+        adj[n + b].append(a)
         edge_index.setdefault((a, b), []).append(i)
     out = []
-    for mapping in autos:
+    for vmap in _isomorphisms(adj, adj, [0] * (2 * n)):
         image_index = {k: list(v) for k, v in edge_index.items()}
         per = [0] * g.num_edges
-        ok = True
         for i, (a, b) in enumerate(g.edges):
-            u, w = mapping[a], mapping[n + b]
-            if u >= n:
-                u, w = w, u
-            bucket = image_index.get((u, w - n))
-            if not bucket:
-                ok = False
-                break
-            per[i] = bucket.pop()
-        if ok:
-            out.append(per)
+            u, w = sorted((vmap[a], vmap[n + b]))
+            per[image_index[(u, w - n)].pop()] = i
+        out.append(per)
     return out

@@ -40,6 +40,21 @@ def test_invariant_failure_is_a_clean_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["freedist", "--gen-inline", "o"],
+    ["woven-block", "--graph", "builtin:utility", "--hc-inline", "1,1,1", "--l", "0"],
+    ["girth", "--graph", "{empty}"],
+    ["woven", "build", "--graph", "builtin:utility", "--hc", "{empty}"],
+])
+def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    assert cli.main([arg.format(empty=empty) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("assign, d_min, contradicted", [
     (None, "4", "True"),                  # identity routing: a weight-4 codeword
     ("1,2,0;0,1,2;2,0,1", "10", "False"),

@@ -33,6 +33,7 @@ from wgc.woven import (
     minimal_generator,
     orbit_multiplicity,
     permutation_sweep,
+    _edge_automorphisms,
     _is_codeword,
     two_dim_forms,
     witness_search,
@@ -456,6 +457,18 @@ def test_sweep_flags_equivalent_reverse_pair(sweep_rows, constituent_check):
     by_perm = {r.perm: r for r in sweep_rows}
     assert "equivalent-to:3,1,2" in by_perm[(2, 3, 1)].flags
     assert "equivalent-to:2,3,1" in by_perm[(3, 1, 2)].flags
+
+
+@pytest.mark.parametrize("g, count", [(build_heawood(), 336), (build_utility(), 72)])
+def test_edge_automorphisms_preserve_shared_vertices(g, count):
+    # 168 and 36 keep the two sides in place; as many more swap them
+    autos = _edge_automorphisms(g)
+    assert len({tuple(per) for per in autos}) == len(autos) == count
+    meet = [[e[0] == f[0] or e[1] == f[1] for f in g.edges] for e in g.edges]
+    for per in autos:
+        assert sorted(per) == list(range(g.num_edges))
+        assert all(meet[per[i]][per[j]] == meet[i][j]
+                   for i in range(g.num_edges) for j in range(g.num_edges))
 
 
 def test_sweep_bounds_consistent(sweep_rows):
