@@ -44,6 +44,8 @@ class BlockStructure:
     c: int
 
     def check(self, n: int) -> None:
+        if self.l < 1 or self.c < 1:
+            raise ValueError(f"block structure {self.l}x{self.c} needs l >= 1 and c >= 1")
         if self.l * self.c != n:
             raise ValueError(f"block structure {self.l}x{self.c} does not tile length {n}")
 

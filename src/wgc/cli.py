@@ -151,9 +151,12 @@ def cmd_blockdist(args) -> int:
         code = convcodes.ConvCode.from_parity(PolyMatrix.from_text(Path(args.parity).read_text()))
         print(f"block_distance={convcodes.block_distance_conv(code)}")
         return 0
-    if not args.matrix or not args.l:
+    if not args.matrix or args.l is None:
         raise CliError("need --parity (polynomial) or --matrix with --l")
     code = blockcodes.LinearBlockCode(load_binary_matrix(args.matrix))
+    if args.l < 1 or code.n % args.l:
+        raise CliError(f"--l must be a positive divisor of the code length {code.n}, "
+                       f"got {args.l}")
     bs = blockcodes.BlockStructure(args.l, code.n // args.l)
     print(f"block_distance={blockcodes.block_distance(code, bs)}")
     return 0

@@ -578,6 +578,12 @@ def row_reduce(g: PolyMatrix) -> PolyMatrix:
     row of largest degree is replaced by the D-shifted combination that
     cancels its leading coefficients.  Fixed point: high-order matrix has
     full row rank.
+
+    The high-order rows are eliminated in index order into an echelon keyed
+    by leading bit, each entry carrying the set of rows it combines, so the
+    first dependent row comes with its unique combination of the rows
+    before it.  A replaced row invalidates only the entries of that row and
+    later ones, which are dropped and eliminated again.
     """
     rows = [list(r) for r in (g.bits())]
     ncols = g.cols
@@ -593,22 +599,36 @@ def row_reduce(g: PolyMatrix) -> PolyMatrix:
 
     for i in range(len(rows)):
         refresh(i)
-    while True:
-        deps = nullspace_basis(BinaryMatrix(hi, ncols).transpose())
-        if deps.rows == 0:
-            return PolyMatrix(rows)
-        # the first dependent row's unique combination with the rows before it
-        combo = deps.data[0]
-        members = [i for i in range(len(rows)) if (combo >> i) & 1]
-        dmax = max(degs[i] for i in members)
-        target = max(i for i in members if degs[i] == dmax)
+    echelon: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, row set)
+    leads: list[int] = []  # leading bit entered by row i, for the rows done
+    while len(leads) < len(rows):
+        i = len(leads)
+        vec, combo = hi[i], 1 << i
+        while vec:
+            lead = vec.bit_length() - 1
+            if lead not in echelon:
+                echelon[lead] = (vec, combo)
+                leads.append(lead)
+                break
+            ev, ec = echelon[lead]
+            vec ^= ev
+            combo ^= ec
+        if vec:
+            continue
+        members = [m for m in range(i + 1) if (combo >> m) & 1]
+        dmax = max(degs[m] for m in members)
+        target = max(m for m in members if degs[m] == dmax)
         new = [0] * ncols
-        for i in members:
-            sh = dmax - degs[i]
+        for m in members:
+            sh = dmax - degs[m]
             for j in range(ncols):
-                new[j] ^= rows[i][j] << sh
+                new[j] ^= rows[m][j] << sh
         rows[target] = new
         refresh(target)
+        for lead in leads[target:]:
+            del echelon[lead]
+        del leads[target:]
+    return PolyMatrix(rows)
 
 
 def minimal_basic(g: PolyMatrix) -> PolyMatrix:

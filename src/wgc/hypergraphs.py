@@ -218,6 +218,12 @@ def sd_girth(g: Hypergraph, d: int, max_edges: int | None = None) -> int | None:
     incident vertex touches at least ``d`` of them.  Exact iterative
     deepening over connected edge subsets anchored at their smallest edge;
     exponential in general, sized for graphs of a couple dozen edges.
+
+    A partial subset is dropped as soon as some vertex it touches still
+    lacks ``d - deg`` edges and either fewer slots remain to the target
+    size, or fewer of the vertex's edges may still be added (index above
+    the anchor, not banned in this branch, not chosen yet).  At the target
+    size this is exactly the compactness test.
     """
     if d < 2:
         raise ValueError("compactness degree must be at least 2")
@@ -226,26 +232,38 @@ def sd_girth(g: Hypergraph, d: int, max_edges: int | None = None) -> int | None:
     cap = g.num_edges if max_edges is None else min(max_edges, g.num_edges)
 
     edge_verts = [frozenset((p, v) for p, v in enumerate(e)) for e in g.edges]
+    vertex_edges: dict[tuple[int, int], list[int]] = {}
+    for i, verts in enumerate(edge_verts):
+        for pv in verts:
+            vertex_edges.setdefault(pv, []).append(i)
     neighbors: list[set[int]] = [set() for _ in range(g.num_edges)]
     for i, j in combinations(range(g.num_edges), 2):
         if edge_verts[i] & edge_verts[j]:
             neighbors[i].add(j)
             neighbors[j].add(i)
 
-    def compact(subset: tuple[int, ...]) -> bool:
-        deg: dict[tuple[int, int], int] = {}
-        for i in subset:
-            for pv in edge_verts[i]:
-                deg[pv] = deg.get(pv, 0) + 1
-        return all(cnt >= d for cnt in deg.values())
-
     def grown(anchor: int, k: int) -> bool:
         # connected subsets of size k whose minimum edge index is `anchor`
-        found = False
+
+        def feasible(current: list[int], banned: set[int]) -> bool:
+            deg: dict[tuple[int, int], int] = {}
+            for i in current:
+                for pv in edge_verts[i]:
+                    deg[pv] = deg.get(pv, 0) + 1
+            room = k - len(current)
+            for pv, cnt in deg.items():
+                short = d - cnt
+                if short > 0 and (short > room or sum(
+                        1 for x in vertex_edges[pv]
+                        if x > anchor and x not in banned and x not in current) < short):
+                    return False
+            return True
 
         def rec(current: list[int], frontier: set[int], banned: set[int]) -> bool:
+            if not feasible(current, banned):
+                return False
             if len(current) == k:
-                return compact(tuple(current))
+                return True
             options = sorted(frontier - banned)
             local_ban = set(banned)
             for e in options:

@@ -304,6 +304,7 @@ class WitnessResult:
     word: tuple[BinaryPoly, ...]
     exact: bool
     nodes_expanded: int
+    words_enumerated: int
 
 
 class BudgetExhausted(RuntimeError):
@@ -337,60 +338,56 @@ def witness_search(code: WovenConvCode, target: int | None = None,
     weight-bounded bidirectional pass over the encoder state space.  The
     result is marked exact only when that pass finishes inside the budget;
     a codeword is normalized so some term uses shift zero.
+
+    Each word of the enumeration is one int holding column ``j`` at bit
+    offset ``j * stride``, where ``stride`` is the widest row entry plus
+    ``max_shift``: no XOR of shifted rows reaches past it, so a D-shift is
+    one ``<<``, a combination one ``^`` and a weight one ``bit_count``.
+    Combinations come in ``itertools.combinations`` order (by size, then
+    lexicographic); the XOR of each prefix is formed once and only the last
+    term varies in the inner loop.  The first word of the lowest positive
+    weight wins, and ``words_enumerated`` counts the words scored.
     """
     budget = budget or WitnessBudget()
     rows = _family_rows(code)
     ncols = code.n * code.c
-    best_vec: list[int] | None = None
+    stride = max((p.bit_length() for row in rows for p in row), default=0) + budget.max_shift
+    packed = [sum(p << (j * stride) for j, p in enumerate(row)) for row in rows]
+    words = [row << b for row in packed for b in range(budget.max_shift + 1)]
+    best_word = 0
     best_w = 1 << 60
+    count = 0
 
-    shifted = [(r, b) for r in range(len(rows)) for b in range(budget.max_shift + 1)]
-    vecs = {t: [p << t[1] for p in rows[t[0]]] for t in shifted}
-    zero_shift = [t for t in shifted if t[1] == 0]
-
-    def consider(vec: list[int]) -> None:
-        nonlocal best_vec, best_w
-        w = sum(p.bit_count() for p in vec)
+    for first in range(0, len(words), budget.max_shift + 1):
+        base = words[first]
+        w = base.bit_count()
+        count += 1
         if 0 < w < best_w:
-            best_w = w
-            best_vec = vec
-
-    for base_t in zero_shift:
-        base = vecs[base_t]
-        consider(base)
-        others = [t for t in shifted if t > base_t]
+            best_w, best_word = w, base
         for extra in range(1, budget.max_terms):
-            for combo in combinations(others, extra):
-                vec = list(base)
-                for t in combo:
-                    tv = vecs[t]
-                    for j in range(ncols):
-                        vec[j] ^= tv[j]
-                consider(vec)
+            for prefix in combinations(range(first + 1, len(words)), extra - 1):
+                acc = base
+                for i in prefix:
+                    acc ^= words[i]
+                last = prefix[-1] if prefix else first
+                for i in range(last + 1, len(words)):
+                    w = (acc ^ words[i]).bit_count()
+                    if 0 < w < best_w:
+                        best_w, best_word = w, acc ^ words[i]
+                count += len(words) - last - 1
 
-    if best_vec is None:
+    if not best_word:
         raise ValueError("no nonzero codeword found; empty generator family")
-
+    mask = (1 << stride) - 1
+    word = tuple(BinaryPoly((best_word >> (j * stride)) & mask) for j in range(ncols))
+    weight, exact, nodes = best_w, False, 0
     refined = _bidirectional_refine(code, best_w, budget)
-    if refined is None:
-        result = WitnessResult(
-            weight=best_w,
-            word=tuple(BinaryPoly(p) for p in best_vec),
-            exact=False,
-            nodes_expanded=0,
-        )
-    else:
-        weight, word, nodes = refined
-        if weight < best_w:
-            result = WitnessResult(weight=weight, word=word, exact=True,
-                                   nodes_expanded=nodes)
-        else:
-            result = WitnessResult(
-                weight=best_w,
-                word=tuple(BinaryPoly(p) for p in best_vec),
-                exact=True,
-                nodes_expanded=nodes,
-            )
+    if refined is not None:
+        exact, nodes = True, refined[2]
+        if refined[0] < best_w:
+            weight, word = refined[0], refined[1]
+    result = WitnessResult(weight=weight, word=word, exact=exact, nodes_expanded=nodes,
+                           words_enumerated=count)
     if target is not None and result.weight > target:
         raise BudgetExhausted(
             f"no codeword of weight <= {target} found (best {result.weight})", result)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
-from wgc.gf2 import BinaryMatrix, PolyMatrix
+from wgc.gf2 import BinaryMatrix, BinaryPoly, PolyMatrix, nullspace_basis
+from wgc.woven import _family_rows
 
 # 14x21 incidence matrix of the built-in bipartite graph, fixed row order:
 # the seven degree-3 check rows of one side, then the other side.
@@ -205,6 +208,55 @@ def convolve_mod2(a: list[int], b: list[int]) -> list[int]:
 
 def coeffs(poly) -> list[int]:
     return [poly.coeff(i) for i in range(poly.bits.bit_length())]
+
+
+def list_witness_enumeration(code, budget) -> tuple[int, tuple, int]:
+    """The row-combination enumeration of ``witness_search`` on column lists.
+
+    Every word is a list of column polynomials (as ints) and a combination
+    XORs it column by column; returns the first word of the lowest positive
+    weight in ``itertools.combinations`` order and the number of words scored.
+    """
+    rows = _family_rows(code)
+    ncols = code.n * code.c
+    shifted = [(r, b) for r in range(len(rows)) for b in range(budget.max_shift + 1)]
+    vecs = {t: [p << t[1] for p in rows[t[0]]] for t in shifted}
+    best_vec, best_w, count = None, 1 << 60, 0
+    for base_t in (t for t in shifted if t[1] == 0):
+        others = [t for t in shifted if t > base_t]
+        candidates = [()] + [combo for extra in range(1, budget.max_terms)
+                             for combo in combinations(others, extra)]
+        for combo in candidates:
+            vec = list(vecs[base_t])
+            for t in combo:
+                for j in range(ncols):
+                    vec[j] ^= vecs[t][j]
+            count += 1
+            w = sum(p.bit_count() for p in vec)
+            if 0 < w < best_w:
+                best_w, best_vec = w, vec
+    return best_w, tuple(BinaryPoly(p) for p in best_vec), count
+
+
+def nullspace_row_reduce(g: PolyMatrix) -> PolyMatrix:
+    """``row_reduce`` finding each dependency by a fresh nullspace of the high-order rows."""
+    rows = [list(r) for r in g.bits()]
+    while True:
+        degs = [max(p.bit_length() for p in row) - 1 for row in rows]
+        if min(degs) < 0:
+            raise ValueError("rank-deficient input: zero row produced")
+        hi = [sum(((p >> d) & 1) << j for j, p in enumerate(row)) for row, d in zip(rows, degs)]
+        deps = nullspace_basis(BinaryMatrix(hi, g.cols).transpose())
+        if deps.rows == 0:
+            return PolyMatrix(rows)
+        members = [i for i in range(len(rows)) if (deps.data[0] >> i) & 1]
+        dmax = max(degs[i] for i in members)
+        target = max(i for i in members if degs[i] == dmax)
+        new = [0] * g.cols
+        for i in members:
+            for j in range(g.cols):
+                new[j] ^= rows[i][j] << (dmax - degs[i])
+        rows[target] = new
 
 
 # ---------------------------------------------------------------------------

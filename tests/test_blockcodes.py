@@ -98,6 +98,13 @@ def test_block_distance_single_parity_check():
     assert block_distance(code, BlockStructure(1, 3)) == 2
 
 
+@pytest.mark.parametrize("l, c", [(-1, -3), (0, 3), (3, 0)])
+def test_block_structure_rejects_non_positive_sizes(l, c):
+    # l * c equals the length, so only the sign check can reject it
+    with pytest.raises(ValueError, match="l >= 1 and c >= 1"):
+        BlockStructure(l, c).check(l * c)
+
+
 def test_block_distance_repetition():
     code = LinearBlockCode(BinaryMatrix.from_strings(["110", "011"]))
     assert code.k == 1

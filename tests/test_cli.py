@@ -55,6 +55,17 @@ def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("l", ["-1", "0", "4"])
+def test_blockdist_rejects_a_block_length_that_does_not_tile(tmp_path, capsys, l):
+    matrix = tmp_path / "h.txt"
+    matrix.write_text("3 6\n110100\n011010\n101001\n")
+    assert cli.main(["blockdist", "--matrix", str(matrix), "--l", l]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--l" in err
+    assert cli.main(["blockdist", "--matrix", str(matrix), "--l", "2"]) == 0
+    assert capsys.readouterr().out == "block_distance=2\n"
+
+
 @pytest.mark.parametrize("assign, d_min, contradicted", [
     (None, "4", "True"),                  # identity routing: a weight-4 codeword
     ("1,2,0;0,1,2;2,0,1", "10", "False"),

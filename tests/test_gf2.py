@@ -24,7 +24,15 @@ from wgc.gf2 import (
     row_reduce,
     tailbite,
 )
-from conftest import HEAWOOD_ROWS, THREE_PARTITE_ROWS, UTILITY_ROWS, dense_rank
+from wgc.hypergraphs import build_heawood
+from wgc.woven import build_woven_conv
+from conftest import (
+    HEAWOOD_ROWS,
+    THREE_PARTITE_ROWS,
+    UTILITY_ROWS,
+    dense_rank,
+    nullspace_row_reduce,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +257,22 @@ def test_row_reduce_random_full_rank_reaches_full_rank_leading_matrix(entries):
     high = [sum(((p.bits >> d) & 1) << j for j, p in enumerate(row))
             for row, d in zip(reduced.entries, reduced.row_degrees())]
     assert rank(BinaryMatrix(high, reduced.cols)) == reduced.rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 4), st.lists(st.integers(0, 255), min_size=12,
+                                                       max_size=12))
+def test_row_reduce_matches_nullspace_reduction(rows, cols, entries):
+    g = PolyMatrix([entries[r * cols:(r + 1) * cols] for r in range(rows)])
+    assume(rows <= cols and rank_over_rational_field(g) == rows)
+    assert row_reduce(g) == nullspace_row_reduce(g)
+
+
+def test_row_reduce_matches_nullspace_reduction_on_heawood_kernels(constituent_check):
+    for perm in permutations((1, 2, 3)):
+        code = build_woven_conv(build_heawood(), constituent_check, perm)
+        kernel = kernel_basis(code.H_wg)
+        assert row_reduce(kernel) == nullspace_row_reduce(kernel)
 
 
 def test_minimal_basic_identity_like_row_space():

@@ -5,6 +5,8 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgc.hypergraphs import (
     Hypergraph,
@@ -167,6 +169,20 @@ def test_sd_girth_three_partite_matches_exhaustive_subsets():
     g = build_three_partite()
     assert subset_sd_girth_oracle(g, 2, 6) == 6
     assert sd_girth(g, 2) == 6
+
+
+def test_sd_girth_heawood_full_degree_is_every_edge():
+    assert sd_girth(build_heawood(), 3) == 21
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 2, 3), (2, 3, 3), (2, 3, 4), (2, 4, 3), (3, 2, 4),
+                        (3, 3, 3), (3, 4, 3), (2, 2, 6)]),
+       st.integers(0, 10_000))
+def test_sd_girth_matches_exhaustive_subsets_on_random_graphs(shape, seed):
+    g = random_regular(*shape, seed)
+    for d in range(2, g.c + 1):
+        assert sd_girth(g, d) == subset_sd_girth_oracle(g, d, g.num_edges)
 
 
 def test_sd_girth_rejects_small_d_and_handles_large_d():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from wgc.gf2 import (
     row_space_equal,
     tailbite,
 )
-from wgc.hypergraphs import build_heawood, build_utility
+from wgc.hypergraphs import Hypergraph, build_heawood, build_utility, random_regular
 from wgc.woven import (
     StructureError,
     WitnessBudget,
@@ -38,7 +39,7 @@ from wgc.woven import (
     two_dim_forms,
     witness_search,
 )
-from conftest import TABLE_RESULTS
+from conftest import TABLE_RESULTS, list_witness_enumeration
 
 BEST = (1, 3, 2)
 
@@ -282,6 +283,46 @@ def test_witness_search_reference_weights(constituent_check):
         assert res.weight == weight
         assert not res.exact  # state space far beyond the refinement budget
         assert orbit_multiplicity(code, res.word) == 7
+
+
+def test_witness_enumeration_counts_every_scored_word(constituent_check):
+    # 14 single rows and 85,085 combinations of two or three shifted rows;
+    # the rank-deficient (1,2,3) has 15 rows and 104,000 combinations
+    g = build_heawood()
+    for perm in permutations((1, 2, 3)):
+        res = witness_search(build_woven_conv(g, constituent_check, perm))
+        assert res.words_enumerated == (104_015 if perm == (1, 2, 3) else 85_099)
+
+
+def _circulant(n: int, a: int, b: int) -> Hypergraph:
+    edges = [(r, (r - o) % n) for r in range(n) for o in (0, a, b)]
+    return Hypergraph(2, 3, n, tuple(edges))
+
+
+@st.composite
+def small_woven_codes(draw):
+    kind = draw(st.sampled_from(["utility", "circulant", "random"]))
+    if kind == "utility":
+        g = build_utility()
+    elif kind == "circulant":
+        n = draw(st.integers(3, 4))
+        a, b = draw(st.permutations(range(1, n)))[:2]
+        g = _circulant(n, a, b)
+    else:
+        g = random_regular(2, 3, draw(st.integers(3, 4)), draw(st.integers(0, 1000)))
+    hc = PolyMatrix([draw(st.lists(st.integers(1, 15), min_size=3, max_size=3))])
+    return build_woven_conv(g, hc, tuple(draw(st.permutations((1, 2, 3)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_woven_codes(), st.integers(1, 4), st.integers(0, 4))
+def test_packed_witness_enumeration_matches_column_lists(code, max_terms, max_shift):
+    # a state limit of -1 turns the exact state search off, so the result
+    # is the enumeration's own best word
+    budget = WitnessBudget(max_terms=max_terms, max_shift=max_shift, search_state_limit=-1)
+    res = witness_search(code, budget=budget)
+    assert not res.exact
+    assert (res.weight, res.word, res.words_enumerated) == list_witness_enumeration(code, budget)
 
 
 def test_witness_chain_product_improved_witness(best_code):
