@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import heapq
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations
 
 from .gf2 import (
     BinaryMatrix,
@@ -88,73 +89,166 @@ class ConvCode:
 # ---------------------------------------------------------------------------
 # trellis machinery
 
+_INF = 1 << 60
 
-class _Trellis:
-    """Shift-register state space of a polynomial generator matrix."""
+
+def _subset_xors(parts: list[int]) -> list[int]:
+    """XOR of every subset of parts, at the index whose bit k selects parts[k]."""
+    out = [0]
+    for p in parts:
+        out += [x ^ p for x in out]
+    return out
+
+
+class _Encoder:
+    """Shift-register encoder of a polynomial generator; a state is one int.
+
+    Row i keeps its last deg_i inputs in state bits off_i .. off_i + deg_i - 1,
+    newest lowest, and input bit b - 1 - i feeds row i.  Bit j of a branch
+    output is column j, the XOR of the contributions of the set state bits
+    (byte tables) and of the input (one entry per input), both computed once
+    per generator.  Branches are generated on demand, never as a table.
+    """
 
     def __init__(self, G: PolyMatrix):
-        self.b = G.rows
-        self.c = G.cols
+        self.G = G
+        b = G.rows
         grid = G.bits()
-        self.row_degs = [max((p.bit_length() - 1 for p in row if p), default=0)
-                         for row in grid]
-        self.nu = sum(self.row_degs)
-        self.taps = grid
-        self.inputs = [u for u in product((0, 1), repeat=self.b)]
+        degs = [max((p.bit_length() - 1 for p in row if p), default=0) for row in grid]
+        self.nu = sum(degs)
+        offs = [sum(degs[:i]) for i in range(b)]
 
-    def step(self, state: tuple[int, ...], u: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """One time step; returns (next state, output weight)."""
-        hists = []
-        nxt = []
-        for i in range(self.b):
-            hist = (state[i] << 1) | u[i]
-            hists.append(hist)
-            nxt.append(hist & ((1 << self.row_degs[i]) - 1))
-        out = 0
-        for j in range(self.c):
-            bit = 0
-            for i in range(self.b):
-                bit ^= (self.taps[i][j] & hists[i]).bit_count() & 1
-            out |= bit << j
-        return tuple(nxt), out.bit_count()
+        def emit(i: int, delay: int) -> int:  # output of row i's input `delay` steps back
+            return sum((p >> delay & 1) << j for j, p in enumerate(grid[i]))
 
-    @property
-    def zero(self) -> tuple[int, ...]:
-        return tuple(0 for _ in range(self.b))
+        bits = [emit(i, k + 1) for i in range(b) for k in range(degs[i])]
+        self._tables = [_subset_xors(bits[lo:lo + 8]) for lo in range(0, self.nu, 8)]
+        ins = range(b - 1, -1, -1)  # input bit k feeds row b - 1 - k
+        lifts = _subset_xors([(degs[i] > 0) << offs[i] for i in ins])
+        self._inputs = list(zip(range(1 << b), lifts, _subset_xors([emit(i, 0) for i in ins])))
+        self._lows = lifts[-1]
+        self._keep = ((1 << self.nu) - 1) ^ self._lows
+        tops = _subset_xors([1 << (offs[i] + degs[i] - 1) for i in range(b) if degs[i]])
+        self._tops = [(t, self._out(t)) for t in tops]
+
+    def _out(self, s: int) -> int:
+        acc = 0
+        for table in self._tables:
+            acc ^= table[s & 255]
+            s >>= 8
+        return acc
+
+    def successors(self, s: int) -> list[tuple[int, int, int]]:
+        """(input, next state, output weight) of every branch out of state s."""
+        base, out = (s << 1) & self._keep, self._out(s)
+        return [(u, base | lift, (out ^ e).bit_count()) for u, lift, e in self._inputs]
+
+    def predecessors(self, t: int) -> list[tuple[int, int, int]]:
+        """(input, previous state, output weight) of every branch into state t."""
+        base, low = (t & self._keep) >> 1, t & self._lows
+        out = self._out(base)
+        return [(u, base | top, (out ^ top_out ^ e).bit_count())
+                for u, lift, e in self._inputs if lift == low for top, top_out in self._tops]
+
+    def encode(self, inputs: list[int]) -> tuple[BinaryPoly, ...]:
+        """Zero-tail codeword u(D) G(D) of a finite input path, one input per step."""
+        u = [sum((x >> k & 1) << t for t, x in enumerate(inputs))
+             for k in reversed(range(self.G.rows))]
+        return (PolyMatrix([u]) @ self.G).entries[0]
+
+
+def _lightest_paths(enc: _Encoder, *, forward: bool = True, cap: int = _INF,
+                    max_nodes: int = _INF, stop_at_zero: bool = False):
+    """Capped, node-budgeted Dijkstra from the zero state over the encoder.
+
+    Paths leave the zero state, forward over successors or backward over
+    predecessors, and never pass through it again: a branch back to it ends
+    the path, so ``dist[0]`` is the lightest nonzero loop seen.  Paths as
+    heavy as ``cap`` are dropped; ``link[s]`` is the (state, input) of the
+    branch from s towards the start.  ``stop_at_zero`` ends the search once
+    no open path is lighter than ``dist[0]``.  Returns (dist, link, nodes
+    expanded), or None once more than ``max_nodes`` would be expanded.
+    """
+    step = enc.successors if forward else enc.predecessors
+    dist, link, heap = {}, {}, []
+    d = s = nodes = 0
+    while True:
+        for u, t, w in step(s):
+            w += d
+            if (s or t or u) and w < dist.get(t, cap):
+                dist[t], link[t] = w, (s, u)
+                if t:
+                    heapq.heappush(heap, (w, t))
+        while heap:
+            d, s = heapq.heappop(heap)
+            if d == dist[s]:
+                break
+        else:
+            return dist, link, nodes
+        if stop_at_zero and d >= dist.get(0, cap):
+            return dist, link, nodes
+        nodes += 1
+        if nodes > max_nodes:
+            return None
+
+
+def _link_inputs(link: dict[int, tuple[int, int]], s: int) -> list[int]:
+    """Inputs on the linked branches from state s to the zero state."""
+    inputs = [link[s][1]]
+    while s := link[s][0]:
+        inputs.append(link[s][1])
+    return inputs
+
+
+def lightest_codeword(G: PolyMatrix, cap: int, max_nodes: int
+                      ) -> tuple[int, tuple[BinaryPoly, ...], int] | None:
+    """Lightest nonzero codeword below ``cap``, by a search from both ends.
+
+    The forward and backward searches both run to ``cap`` and together
+    expand at most ``max_nodes`` states, else None.  They join at the state
+    whose two weights sum least; the zero state joins a forward path that
+    has already remerged.  Returns (weight, u(D) G(D), nodes expanded), or
+    (cap, (), nodes) when no nonzero codeword is lighter than ``cap``.
+    """
+    enc = _Encoder(G)
+    fwd = _lightest_paths(enc, cap=cap, max_nodes=max_nodes)
+    back = fwd and _lightest_paths(enc, forward=False, cap=cap, max_nodes=max_nodes - fwd[2])
+    if back is None:
+        return None
+    (dist, link, nodes), (bdist, blink, bnodes) = fwd, back
+    total = {s: w + (bdist.get(s, _INF) if s else 0) for s, w in dist.items()}
+    meet = min(total, key=total.get, default=0)
+    if total.get(meet, cap) >= cap:
+        return cap, (), nodes + bnodes
+    inputs = _link_inputs(link, meet)[::-1] + (_link_inputs(blink, meet) if meet else [])
+    return total[meet], enc.encode(inputs), nodes + bnodes
 
 
 def _generator_of(code: ConvCode) -> PolyMatrix:
     return code.with_generator().G
 
 
-def _transition_table(tr: _Trellis):
-    """Reachable states and their (next-state index, branch weight) lists."""
-    zero = tr.zero
-    states = [zero]
-    index = {zero: 0}
-    rows: list[list[tuple[int, int]]] = []
-    i = 0
-    while i < len(states):
-        st = states[i]
-        outs = []
-        for u in tr.inputs:
-            nxt, w = tr.step(st, u)
-            if nxt not in index:
-                index[nxt] = len(states)
-                states.append(nxt)
-            outs.append((index[nxt], w))
-        rows.append(outs)
-        i += 1
-    return states, rows
+def _zero_weight_order(enc: _Encoder) -> list[int]:
+    """Nonzero states in a topological order of the zero-weight branches between them.
 
-
-def _check_noncatastrophic(rows: list[list[tuple[int, int]]]) -> None:
-    zero_edges: dict[int, list[int]] = {}
-    for s in range(1, len(rows)):
-        for nxt, w in rows[s]:
-            if w == 0 and nxt != 0:
-                zero_edges.setdefault(s, []).append(nxt)
-    _topo_order(len(rows), zero_edges)
+    A cycle of such branches is a zero-weight loop through nonzero states:
+    the encoder is catastrophic and CatastrophicEncoderError is raised.
+    """
+    n = 1 << enc.nu
+    edges = {s: [t for _, t, w in enc.successors(s) if t and not w] for s in range(1, n)}
+    indeg = Counter(t for outs in edges.values() for t in outs)
+    ready = [s for s in range(1, n) if indeg[s] == 0]
+    order = []
+    while ready:
+        s = ready.pop()
+        order.append(s)
+        for t in edges[s]:
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                ready.append(t)
+    if len(order) != n - 1:
+        raise CatastrophicEncoderError("zero-weight cycle through nonzero states")
+    return order
 
 
 def free_distance(code: ConvCode, *, max_constraint: int = 24) -> int:
@@ -163,30 +257,19 @@ def free_distance(code: ConvCode, *, max_constraint: int = 24) -> int:
     The zero state is start and goal but never an interior vertex, so the
     result is the weight of the lightest nonzero diverge/remerge loop.
     Zero-weight loops through nonzero states abort with
-    CatastrophicEncoderError before the search.
+    CatastrophicEncoderError before the search; a loop of weight zero means
+    dependent generator rows and raises ValueError.
     """
-    tr = _Trellis(_generator_of(code))
-    if tr.nu > max_constraint:
+    enc = _Encoder(_generator_of(code))
+    if enc.nu > max_constraint:
         raise ValueError(
-            f"constraint length {tr.nu} exceeds the exact-search budget {max_constraint}")
-    states, rows = _transition_table(tr)
-    _check_noncatastrophic(rows)
-    heap: list[tuple[int, int]] = []
-    for (nxt, w), u in zip(rows[0], tr.inputs):
-        if any(u):
-            heapq.heappush(heap, (w, nxt))
-    settled = set()
-    while heap:
-        w, s = heapq.heappop(heap)
-        if s == 0:
-            return w
-        if s in settled:
-            continue
-        settled.add(s)
-        for nxt, bw in rows[s]:
-            if nxt not in settled:
-                heapq.heappush(heap, (w + bw, nxt))
-    raise CatastrophicEncoderError("no remerging path found")
+            f"constraint length {enc.nu} exceeds the exact-search budget {max_constraint}")
+    _zero_weight_order(enc)
+    dist = _lightest_paths(enc, stop_at_zero=True)[0]
+    if dist[0] == 0:
+        raise ValueError("a nonzero input encodes to zero: "
+                         "the generator rows are dependent over GF(2)(D)")
+    return dist[0]
 
 
 def spectrum(code: ConvCode, depth: int, *, max_constraint: int = 24) -> dict[int, int]:
@@ -198,61 +281,24 @@ def spectrum(code: ConvCode, depth: int, *, max_constraint: int = 24) -> dict[in
     """
     d_free = free_distance(code, max_constraint=max_constraint)
     w_max = d_free + depth
-    tr = _Trellis(_generator_of(code))
-    states, rows = _transition_table(tr)
+    enc = _Encoder(_generator_of(code))
+    order = _zero_weight_order(enc)
 
-    # counts[s][w] = number of partial paths reaching state s with weight w
-    counts = [[0] * (w_max + 1) for _ in states]
+    # counts[s][w] = number of partial paths reaching state s with weight w;
+    # the zero state, first in the order, starts the one empty path
+    counts = [[0] * (w_max + 1) for _ in range(1 << enc.nu)]
+    counts[0][0] = 1
     arrived = [0] * (w_max + 1)
-    for (nxt, w), u in zip(rows[0], tr.inputs):
-        if any(u) and w <= w_max:
-            if nxt == 0:
-                arrived[w] += 1
-            else:
-                counts[nxt][w] += 1
-
-    zero_edges: dict[int, list[int]] = {}
-    for s in range(1, len(states)):
-        for nxt, w in rows[s]:
-            if w == 0 and nxt != 0:
-                zero_edges.setdefault(s, []).append(nxt)
-    order = _topo_order(len(states), zero_edges)
-
     for w in range(w_max + 1):
-        for s in order:
+        for s in [0, *order]:
             cnt = counts[s][w]
             if not cnt:
                 continue
-            for nxt, bw in rows[s]:
-                if w + bw > w_max:
+            for u, nxt, bw in enc.successors(s):
+                if w + bw > w_max or not (s or u):
                     continue
-                if nxt == 0:
-                    arrived[w + bw] += cnt
-                elif bw == 0:
-                    counts[nxt][w] += cnt
-                else:
-                    counts[nxt][w + bw] += cnt
-            counts[s][w] = 0
+                (counts[nxt] if nxt else arrived)[w + bw] += cnt
     return {w: arrived[w] for w in range(d_free, w_max + 1)}
-
-
-def _topo_order(n: int, edges: dict[int, list[int]]) -> list[int]:
-    indeg = [0] * n
-    for s, outs in edges.items():
-        for t in outs:
-            indeg[t] += 1
-    ready = [s for s in range(1, n) if indeg[s] == 0]
-    order = []
-    while ready:
-        s = ready.pop()
-        order.append(s)
-        for t in edges.get(s, ()):
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                ready.append(t)
-    if len(order) != n - 1:
-        raise CatastrophicEncoderError("zero-weight cycle through nonzero states")
-    return order
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ collapses to a two-variable description: convolutional in D, wrapped in Z.
 
 from __future__ import annotations
 
-import heapq
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
@@ -23,7 +22,8 @@ from .gf2 import (
     kernel_basis,
     row_reduce,
 )
-from .convcodes import ConvCode, block_distance_conv, free_distance, rate_half_subcodes
+from .convcodes import (ConvCode, block_distance_conv, free_distance, lightest_codeword,
+                        rate_half_subcodes)
 from .hypergraphs import Hypergraph, girth
 
 
@@ -292,10 +292,24 @@ def distance_bounds(code: WovenConvCode, *, witness: "WitnessResult | None" = No
 
 @dataclass(frozen=True)
 class WitnessBudget:
+    """Limits of ``witness_search``.
+
+    ``max_terms`` and ``max_shift`` bound the enumeration: rows per
+    combination and D-shift per row.  The exact pass builds no table.  It
+    runs only when the minimal generator's constraint length ν is at most
+    ``search_state_limit``, which caps the 2^ν states it could reach, and it
+    gives up once its two searches expand more than ``search_nodes`` states.
+    """
+
     max_terms: int = 3
     max_shift: int = 12
     search_nodes: int = 200_000
     search_state_limit: int = 20
+
+    def __post_init__(self):
+        for name, low in (("max_terms", 1), ("max_shift", 0), ("search_nodes", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -334,10 +348,12 @@ def witness_search(code: WovenConvCode, target: int | None = None,
     """Lowest-weight codeword found under the budget.
 
     Enumerates combinations of D-shifted generator rows (at most
-    ``max_terms`` terms, shifts up to ``max_shift``), then tries a
-    weight-bounded bidirectional pass over the encoder state space.  The
-    result is marked exact only when that pass finishes inside the budget;
-    a codeword is normalized so some term uses shift zero.
+    ``max_terms`` terms, shifts up to ``max_shift``; some term uses shift
+    zero), then runs the exact pass: ``lightest_codeword`` on the minimal
+    generator, capped at the best enumerated weight.  It finds a lighter
+    codeword or certifies that none exists, and the result is then exact.
+    Past ``search_state_limit`` or ``search_nodes`` it is skipped or gives
+    up, and the result is not exact with ``nodes_expanded`` 0.
 
     Each word of the enumeration is one int holding column ``j`` at bit
     offset ``j * stride``, where ``stride`` is the widest row entry plus
@@ -381,7 +397,9 @@ def witness_search(code: WovenConvCode, target: int | None = None,
     mask = (1 << stride) - 1
     word = tuple(BinaryPoly((best_word >> (j * stride)) & mask) for j in range(ncols))
     weight, exact, nodes = best_w, False, 0
-    refined = _bidirectional_refine(code, best_w, budget)
+    gen = minimal_generator(code)
+    refined = (lightest_codeword(gen, best_w, budget.search_nodes)
+               if gen.constraint_length <= budget.search_state_limit else None)
     if refined is not None:
         exact, nodes = True, refined[2]
         if refined[0] < best_w:
@@ -392,130 +410,6 @@ def witness_search(code: WovenConvCode, target: int | None = None,
         raise BudgetExhausted(
             f"no codeword of weight <= {target} found (best {result.weight})", result)
     return result
-
-
-_INF = 1 << 60
-
-
-def _bidirectional_refine(code: WovenConvCode, cap: int, budget: WitnessBudget
-                          ) -> tuple[int, tuple[BinaryPoly, ...], int] | None:
-    """Weight-bounded two-sided search for the exact lightest codeword.
-
-    Forward distances start at the diverging branches, backward distances
-    end at the remerging branches; both avoid the zero state in the
-    interior, so stitching them at any state yields a valid single-event
-    path.  Returns None, honestly, when the state space or node budget is
-    exceeded; all expansions are pruned at the enumeration cap since
-    heavier paths cannot improve it.
-    """
-    gen = minimal_generator(code)
-    if gen.constraint_length > budget.search_state_limit:
-        return None
-    from .convcodes import _Trellis, _transition_table
-
-    tr = _Trellis(gen)
-    states, rows = _transition_table(tr)
-    nodes = 0
-
-    fwd = {}
-    fwd_pred: dict[int, tuple[int, int]] = {}
-    best_single = _INF
-    best_single_u = None
-    heap: list[tuple[int, int]] = []
-    for u_idx, (nxt, w) in enumerate(rows[0]):
-        if not any(tr.inputs[u_idx]):
-            continue
-        if nxt == 0:
-            if w < best_single:
-                best_single, best_single_u = w, u_idx
-        elif w < cap and w < fwd.get(nxt, _INF):
-            fwd[nxt] = w
-            fwd_pred[nxt] = (0, u_idx)
-            heapq.heappush(heap, (w, nxt))
-    while heap:
-        w, s = heapq.heappop(heap)
-        if w > fwd.get(s, _INF):
-            continue
-        nodes += 1
-        if nodes > budget.search_nodes:
-            return None
-        for u_idx, (nxt, bw) in enumerate(rows[s]):
-            if nxt == 0:
-                continue
-            nw = w + bw
-            if nw < cap and nw < fwd.get(nxt, _INF):
-                fwd[nxt] = nw
-                fwd_pred[nxt] = (s, u_idx)
-                heapq.heappush(heap, (nw, nxt))
-
-    back: dict[int, int] = {}
-    back_succ: dict[int, tuple[int, int]] = {}
-    rev: list[list[tuple[int, int, int]]] = [[] for _ in states]
-    for s, outs in enumerate(rows):
-        if s == 0:
-            continue
-        for u_idx, (nxt, w) in enumerate(outs):
-            rev[nxt].append((s, u_idx, w))
-    heap = []
-    for s, u_idx, w in rev[0]:
-        if w < cap and w < back.get(s, _INF):
-            back[s] = w
-            back_succ[s] = (0, u_idx)
-            heapq.heappush(heap, (w, s))
-    while heap:
-        w, s = heapq.heappop(heap)
-        if w > back.get(s, _INF):
-            continue
-        nodes += 1
-        if nodes > budget.search_nodes:
-            return None
-        for prev, u_idx, bw in rev[s]:
-            if prev == 0:
-                continue
-            nw = w + bw
-            if nw < cap and nw < back.get(prev, _INF):
-                back[prev] = nw
-                back_succ[prev] = (s, u_idx)
-                heapq.heappush(heap, (nw, prev))
-
-    meet_state = None
-    meet_w = best_single
-    for s, wf in fwd.items():
-        total = wf + back.get(s, _INF)
-        if total < meet_w:
-            meet_w = total
-            meet_state = s
-    if meet_w >= cap:
-        return cap, (), nodes  # certification only; caller keeps its witness
-
-    inputs: list[int] = []
-    if meet_state is None:
-        assert best_single_u is not None
-        inputs = [best_single_u]
-    else:
-        chain = []
-        s = meet_state
-        while True:
-            prev, u_idx = fwd_pred[s]
-            chain.append(u_idx)
-            if prev == 0:
-                break
-            s = prev
-        inputs = chain[::-1]
-        s = meet_state
-        while s != 0:
-            nxt, u_idx = back_succ[s]
-            inputs.append(u_idx)
-            s = nxt
-    word = _encode_input_path(gen, [tr.inputs[u_idx] for u_idx in inputs])
-    return meet_w, word, nodes
-
-
-def _encode_input_path(gen: PolyMatrix, inputs: list[tuple[int, ...]]
-                       ) -> tuple[BinaryPoly, ...]:
-    """Zero-tail codeword u(D) G(D) of a finite input path, one tuple per step."""
-    u = [sum(step[i] << t for t, step in enumerate(inputs)) for i in range(gen.rows)]
-    return (PolyMatrix([u]) @ gen).entries[0]
 
 
 def orbit_multiplicity(code: WovenConvCode, word: tuple[BinaryPoly, ...]) -> int:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+import heapq
+from itertools import combinations, product
 
 import pytest
 
+from wgc.convcodes import CatastrophicEncoderError
 from wgc.gf2 import BinaryMatrix, BinaryPoly, PolyMatrix, nullspace_basis
 from wgc.woven import _family_rows
 
@@ -257,6 +259,155 @@ def nullspace_row_reduce(g: PolyMatrix) -> PolyMatrix:
             for j in range(g.cols):
                 new[j] ^= rows[i][j] << (dmax - degs[i])
         rows[target] = new
+
+
+class TupleTrellis:
+    """Shift-register state space of a polynomial generator; a state is a tuple of registers."""
+
+    def __init__(self, G: PolyMatrix):
+        self.b = G.rows
+        self.c = G.cols
+        self.taps = G.bits()
+        self.row_degs = [max((p.bit_length() - 1 for p in row if p), default=0)
+                         for row in self.taps]
+        self.inputs = list(product((0, 1), repeat=self.b))
+        self.zero = (0,) * self.b
+
+    def step(self, state: tuple[int, ...], u: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """One time step; returns (next state, output weight)."""
+        hists = [(state[i] << 1) | u[i] for i in range(self.b)]
+        nxt = tuple(h & ((1 << d) - 1) for h, d in zip(hists, self.row_degs))
+        out = 0
+        for j in range(self.c):
+            bit = 0
+            for i in range(self.b):
+                bit ^= (self.taps[i][j] & hists[i]).bit_count() & 1
+            out |= bit << j
+        return nxt, out.bit_count()
+
+
+def transition_table(tr: TupleTrellis):
+    """Reachable states in breadth-first order and their (next index, weight) lists."""
+    states = [tr.zero]
+    index = {tr.zero: 0}
+    rows: list[list[tuple[int, int]]] = []
+    for st in states:
+        outs = []
+        for u in tr.inputs:
+            nxt, w = tr.step(st, u)
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            outs.append((index[nxt], w))
+        rows.append(outs)
+    return states, rows
+
+
+def table_free_distance(G: PolyMatrix) -> int:
+    """Free distance by Dijkstra over the whole transition table.
+
+    Raises CatastrophicEncoderError on a zero-weight cycle through nonzero
+    states; returns 0 when a nonzero input remerges at weight 0.
+    """
+    tr = TupleTrellis(G)
+    _, rows = transition_table(tr)
+    indeg = [0] * len(rows)
+    zero_edges = {s: [t for t, w in rows[s] if w == 0 and t] for s in range(1, len(rows))}
+    for outs in zero_edges.values():
+        for t in outs:
+            indeg[t] += 1
+    ready = [s for s in range(1, len(rows)) if indeg[s] == 0]
+    seen = 0
+    while ready:
+        seen += 1
+        for t in zero_edges[ready.pop()]:
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                ready.append(t)
+    if seen != len(rows) - 1:
+        raise CatastrophicEncoderError("zero-weight cycle through nonzero states")
+    heap = [(w, nxt) for (nxt, w), u in zip(rows[0], tr.inputs) if any(u)]
+    heapq.heapify(heap)
+    settled = set()
+    while heap:
+        w, s = heapq.heappop(heap)
+        if s == 0:
+            return w
+        if s in settled:
+            continue
+        settled.add(s)
+        for nxt, bw in rows[s]:
+            if nxt not in settled:
+                heapq.heappush(heap, (w + bw, nxt))
+    raise CatastrophicEncoderError("no remerging path found")
+
+
+def table_bidirectional_refine(gen: PolyMatrix, cap: int, search_nodes: int):
+    """Two-sided capped search over the whole transition table.
+
+    Returns (weight, word, nodes expanded), (cap, (), nodes) when no codeword
+    is lighter than cap, or None when more than search_nodes states expand.
+    """
+    inf = 1 << 60
+    tr = TupleTrellis(gen)
+    states, rows = transition_table(tr)
+    nodes = 0
+
+    def dijkstra(seeds, edges):
+        nonlocal nodes
+        dist, link = {}, {}
+        heap = []
+        for s, to, u_idx, w in seeds:
+            if w < cap and w < dist.get(s, inf):
+                dist[s], link[s] = w, (to, u_idx)
+                heapq.heappush(heap, (w, s))
+        while heap:
+            w, s = heapq.heappop(heap)
+            if w > dist[s]:
+                continue
+            nodes += 1
+            if nodes > search_nodes:
+                return None
+            for nxt, u_idx, bw in edges[s]:
+                if nxt and w + bw < cap and w + bw < dist.get(nxt, inf):
+                    dist[nxt], link[nxt] = w + bw, (s, u_idx)
+                    heapq.heappush(heap, (w + bw, nxt))
+        return dist, link
+
+    singles = [(w, u_idx) for u_idx, (nxt, w) in enumerate(rows[0])
+               if any(tr.inputs[u_idx]) and nxt == 0]
+    succ = [[(nxt, u_idx, w) for u_idx, (nxt, w) in enumerate(outs)] for outs in rows]
+    fwd = dijkstra([(nxt, 0, u_idx, w) for u_idx, (nxt, w) in enumerate(rows[0])
+                    if any(tr.inputs[u_idx]) and nxt], succ)
+    pred: list[list[tuple[int, int, int]]] = [[] for _ in states]
+    for s, outs in enumerate(rows[1:], 1):
+        for u_idx, (nxt, w) in enumerate(outs):
+            pred[nxt].append((s, u_idx, w))
+    back = fwd and dijkstra([(s, 0, u_idx, w) for s, u_idx, w in pred[0]], pred)
+    if back is None:
+        return None
+    (fdist, flink), (bdist, blink) = fwd, back
+    single = min(singles, default=(inf, None))
+    meet_w, meet = single[0], None
+    for s, wf in fdist.items():
+        if wf + bdist.get(s, inf) < meet_w:
+            meet_w, meet = wf + bdist[s], s
+    if meet_w >= cap:
+        return cap, (), nodes
+    if meet is None:
+        path = [single[1]]
+    else:
+        path, s = [], meet
+        while s:
+            s, u_idx = flink[s]
+            path.append(u_idx)
+        path.reverse()
+        s = meet
+        while s:
+            s, u_idx = blink[s]
+            path.append(u_idx)
+    u = [sum(tr.inputs[u_idx][i] << t for t, u_idx in enumerate(path)) for i in range(tr.b)]
+    return meet_w, (PolyMatrix([u]) @ gen).entries[0], nodes
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from conftest import WOVEN_BLOCK_CONSTITUENT_ROWS
 SRC = Path(__file__).resolve().parents[1] / "src"
 HC = "11001,110111,101111"
 BLOCK_HC = ";".join(",".join(row) for row in WOVEN_BLOCK_CONSTITUENT_ROWS)
+WITNESS = ["woven", "witness", "--graph", "builtin:utility", "--hc-inline", "1,11,101"]
 
 
 def test_package_runs_as_module():
@@ -45,6 +46,11 @@ def test_invariant_failure_is_a_clean_error(monkeypatch, capsys):
     ["woven-block", "--graph", "builtin:utility", "--hc-inline", "1,1,1", "--l", "0"],
     ["girth", "--graph", "{empty}"],
     ["woven", "build", "--graph", "builtin:utility", "--hc", "{empty}"],
+    ["freedist", "--gen-inline", "0,0"],
+    ["freedist", "--gen-inline", "1,1;1,1"],
+    [*WITNESS, "--max-shift", "-1"],
+    [*WITNESS, "--budget", "0"],
+    [*WITNESS, "--budget", "-2"],
 ])
 def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv):
     empty = tmp_path / "empty.txt"

