@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from itertools import combinations
+from math import ceil, comb
 from typing import Sequence
 
 from .gf2 import BinaryMatrix, nullspace_basis, rank
@@ -52,7 +52,11 @@ class BlockStructure:
 
 @dataclass(frozen=True)
 class DistanceEstimate:
-    """Minimum-distance answer; ``exact`` means value == certified floor."""
+    """Minimum-distance answer with its proof status.
+
+    ``value`` is the weight of a codeword found (an upper bound), ``floor`` a
+    certified lower bound, and ``exact`` means value == floor.
+    """
 
     value: int
     floor: int
@@ -74,57 +78,94 @@ def _codeword_iter(basis: Sequence[int]):
         yield word
 
 
-def min_distance(code: LinearBlockCode, *, full_enum_limit: int = 26,
-                 floor_weight_limit: int = 4, sample_iters: int = 400,
-                 seed: int = 0) -> DistanceEstimate:
-    """Minimum distance, exact by full enumeration up to 2^full_enum_limit words.
+def _information_sets(gen: BinaryMatrix) -> list[tuple[list[int], int]]:
+    """Systematic generators on disjoint pivot columns, as (rows, rank) pairs.
 
-    Beyond the enumeration budget the result is an (upper bound, certified
-    floor) pair: the upper bound comes from randomized information sets, the
-    floor from exhaustively ruling out low-weight column dependencies; the
-    first weight with a dependency (a codeword's support) is exact.
+    Each generator comes from eliminating ``gen`` on the columns no earlier
+    generator pivots on; its first ``rank`` rows are the identity on its pivot
+    columns, the other rows are zero on every column it could pivot on.  The
+    list stops at the first generator of rank below k, left out if it is 0.
+    """
+    rows, used, sets = list(gen.data), 0, []
+    while True:
+        r = 0
+        for col in range(gen.cols):
+            bit = 1 << col
+            if used & bit:
+                continue
+            piv = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            for i in range(len(rows)):
+                if i != r and rows[i] & bit:
+                    rows[i] ^= rows[r]
+            used |= bit
+            r += 1
+        if r:
+            sets.append((rows[:], r))
+        if r < len(rows):
+            return sets
+
+
+def _lightest_combination(rows: list[int], w: int) -> int:
+    """Lowest weight among the XORs of ``w`` distinct rows.
+
+    Combinations come in ``itertools.combinations`` order; the XOR of each
+    prefix of w - 1 rows is formed once and only the last row varies.
+    """
+    tails = [rows[i:] for i in range(len(rows))]
+    best = 1 << 62
+    for prefix in combinations(range(len(rows) - 1), w - 1):
+        acc = 0
+        for i in prefix:
+            acc ^= rows[i]
+        tail = tails[prefix[-1] + 1] if prefix else rows
+        best = min(best, min(map(int.bit_count, map(acc.__xor__, tail))))
+    return best
+
+
+def min_distance(code: LinearBlockCode, *, full_enum_limit: int = 26) -> DistanceEstimate:
+    """Minimum distance by the Brouwer-Zimmermann algorithm.
+
+    (Surveyed in M. Grassl, "Searching for linear codes with large minimum
+    distance", 2006.)  The generator is made systematic on disjoint column
+    sets (``_information_sets``); round w scores the XOR of every w rows of
+    each systematic generator Gamma_j of rank r_j.  A codeword not yet scored
+    through Gamma_j has at least w + 1 - (k - r_j) ones on its pivot columns,
+    so once every generator has finished round w the sum over j of
+    max(0, w + 1 - (k - r_j)) is a certified floor; the search stops when the
+    floor meets the lightest word scored.  Before round 1 the floor counts
+    the full-rank generators and the value is the lightest row of the first.
+
+    ``full_enum_limit`` is a budget of 2^full_enum_limit scored words: a
+    generator's round that would pass it is not started, and the result then
+    carries the floor of the rounds finished, with ``exact`` False unless
+    the two meet.
     """
     if code.k <= 0:
         raise ValueError("zero-dimension code has no minimum distance")
-    basis = list(code.generator_matrix().data)
-    if code.k <= full_enum_limit:
-        best = min(w.bit_count() for w in _codeword_iter(basis))
-        return DistanceEstimate(best, best, True)
+    if full_enum_limit < 0:
+        raise ValueError(f"full_enum_limit must be >= 0, got {full_enum_limit}")
+    k, budget, scored = code.k, 1 << full_enum_limit, 0
+    sets = _information_sets(code.generator_matrix())
+    done = [0] * len(sets)  # rounds each generator has finished
+    best = min(row.bit_count() for row in sets[0][0])
 
-    rng = random.Random(seed)
-    best = min(b.bit_count() for b in basis)
-    n = code.n
-    for _ in range(sample_iters):
-        # random full-rank recombination, keep light rows
-        rows = basis[:]
-        rng.shuffle(rows)
-        acc = 0
-        for r in rows[: rng.randrange(2, min(6, len(rows)) + 1)]:
-            acc ^= r
-        if acc:
-            best = min(best, acc.bit_count())
-    floor = 1
-    cols = code.H.transpose().data
-    for t in range(1, floor_weight_limit + 1):
-        if _has_dependent_columns(cols, t):
-            best = min(best, t)
-            break
-        floor = t + 1
-    floor = min(floor, best)
-    return DistanceEstimate(best, floor, floor == best)
+    def floor() -> int:
+        return min(best, sum(max(0, w + 1 - (k - r)) for (_, r), w in zip(sets, done)))
 
-
-def _has_dependent_columns(cols: Sequence[int], t: int) -> bool:
-    """True when some t columns XOR to zero (weight-t codeword exists)."""
-    from itertools import combinations
-
-    for combo in combinations(range(len(cols)), t):
-        acc = 0
-        for j in combo:
-            acc ^= cols[j]
-        if acc == 0:
-            return True
-    return False
+    for w in range(1, k + 1):
+        for j, (rows, _) in enumerate(sets):
+            if floor() == best:
+                return DistanceEstimate(best, best, True)
+            scored += comb(k, w)
+            if scored > budget:
+                return DistanceEstimate(best, floor(), False)
+            best = min(best, _lightest_combination(rows, w))
+            done[j] = w
+    # round k of the first generator scored every nonzero codeword
+    return DistanceEstimate(best, best, True)
 
 
 def block_distance(code: LinearBlockCode, bs: BlockStructure, *,
@@ -229,8 +270,8 @@ def build_woven_block(g: Hypergraph, constituent: LinearBlockCode,
 # bounds
 
 
-def girth_distance_check(g: Hypergraph, constituent: LinearBlockCode,
-                         **dist_kwargs) -> tuple[int | None, int]:
+def girth_distance_check(g: Hypergraph, constituent: LinearBlockCode, *,
+                         full_enum_limit: int = 26) -> tuple[int | None, int]:
     """(predicted, measured) minimum distance for the graph-based code.
 
     The prediction is the compact-subgraph girth at depth equal to the
@@ -242,7 +283,7 @@ def girth_distance_check(g: Hypergraph, constituent: LinearBlockCode,
         raise ValueError("constituent minimum distance must be at least 2")
     predicted = sd_girth(g, d_c)
     code = build_graph_code(g, constituent.H)
-    actual = min_distance(code, **dist_kwargs).value
+    actual = min_distance(code, full_enum_limit=full_enum_limit).value
     return predicted, actual
 
 

@@ -100,17 +100,19 @@ class BoundPoint:
     regime: str  # "vg" or "graph-limited"
 
 
-def woven_vg_bound(rate: float, s: int) -> BoundPoint:
+def woven_vg_bound(rate: float, s: int, dvg: float | None = None) -> BoundPoint:
     """Relative-distance guarantee for the random woven ensemble.
 
     When the entropy root sits at or above the optimizer boundary the
     ensemble meets the plain entropy bound (regime "vg"); otherwise the
     guarantee is the root of the interior-optimizer branch, which is
-    strictly smaller ("graph-limited").
+    strictly smaller ("graph-limited").  ``dvg`` is vg_delta(rate) when
+    the caller has it already.
     """
     if s < 2:
         raise DomainError("need s >= 2")
-    dvg = vg_delta(rate)
+    if dvg is None:
+        dvg = vg_delta(rate)
     boundary = _delta_boundary(rate, s)
     if dvg >= boundary - XTOL:
         return BoundPoint(rate, s, dvg, "vg")
@@ -238,17 +240,25 @@ def emit_curves(s_list, grid_step: float, kind: str) -> list[dict]:
         raise DomainError("grid step must be in (0, 0.1]")
     rows: list[dict] = []
     if kind == "vg":
+        # every s walks the same rates, so each entropy root is found once;
+        # a failed root is None and woven_vg_bound raises its error again
+        grid = []
+        r = grid_step
+        while r < 1.0 - 1e-12:
+            try:
+                grid.append((r, vg_delta(r)))
+            except (DomainError, BracketError):
+                grid.append((r, None))
+            r += grid_step
         for s in s_list:
-            r = grid_step
-            while r < 1.0 - 1e-12:
+            for r, dvg in grid:
                 try:
-                    pt = woven_vg_bound(r, s)
+                    pt = woven_vg_bound(r, s, dvg)
                     rows.append({"s": s, "rate": round(r, 12), "delta": pt.delta,
                                  "regime": pt.regime})
                 except (DomainError, BracketError) as exc:
                     rows.append({"s": s, "rate": round(r, 12), "delta": "",
                                  "regime": f"error:{exc}"})
-                r += grid_step
         return rows
     if kind == "costello":
         r = grid_step

@@ -7,9 +7,12 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import blockcodes, bounds, convcodes, hypergraphs, woven
-from .gf2 import BinaryMatrix, BinaryPoly, PolyMatrix
+# each command imports the modules it uses, so a run loads only those
+if TYPE_CHECKING:
+    from . import blockcodes, hypergraphs, woven
+    from .gf2 import BinaryMatrix, BinaryPoly, PolyMatrix
 
 
 class CliError(RuntimeError):
@@ -26,6 +29,7 @@ def parse_poly_token(tok: str) -> BinaryPoly:
     Octal digit k contributes coefficients of D^(3k)..D^(3k+2); the digit
     value is c0 + 2 c1 + 4 c2 within the triple.
     """
+    from .gf2 import BinaryPoly
     tok = tok.strip()
     if tok.startswith(("o", "O", "0o", "0O")):
         digits = tok[2:] if tok[:2] in ("0o", "0O") else tok[1:]
@@ -42,6 +46,7 @@ def parse_poly_token(tok: str) -> BinaryPoly:
 
 
 def parse_poly_matrix_inline(text: str) -> PolyMatrix:
+    from .gf2 import PolyMatrix
     rows = []
     for row_text in text.split(";"):
         rows.append([parse_poly_token(tok) for tok in row_text.split(",")])
@@ -49,6 +54,7 @@ def parse_poly_matrix_inline(text: str) -> PolyMatrix:
 
 
 def load_graph(spec: str) -> hypergraphs.Hypergraph:
+    from . import hypergraphs
     name = spec.removeprefix("builtin:")
     if name in hypergraphs.BUILTINS:
         return hypergraphs.BUILTINS[name]()
@@ -59,10 +65,12 @@ def load_graph(spec: str) -> hypergraphs.Hypergraph:
 
 
 def load_binary_matrix(path: str) -> BinaryMatrix:
+    from .gf2 import BinaryMatrix
     return BinaryMatrix.from_text(Path(path).read_text())
 
 
 def load_poly_matrix(args, file_attr: str = "hc", inline_attr: str = "hc_inline") -> PolyMatrix:
+    from .gf2 import PolyMatrix
     path = getattr(args, file_attr, None)
     inline = getattr(args, inline_attr, None)
     if path and inline:
@@ -80,6 +88,7 @@ def parse_perm(text: str) -> tuple[int, ...]:
 
 def parse_assignment(text: str, g: hypergraphs.Hypergraph) -> blockcodes.Assignment:
     """Per-vertex block orders for the second partition; "1,2,0;0,1,2;2,0,1"."""
+    from . import blockcodes
     groups = [tuple(int(x) for x in part.split(",")) for part in text.split(";")]
     if len(groups) != g.n:
         raise CliError(f"assignment needs {g.n} vertex groups, got {len(groups)}")
@@ -97,6 +106,7 @@ def emit(args, text: str) -> None:
 
 
 def report_out(args, rep: dict) -> None:
+    from . import blockcodes
     if getattr(args, "format", "text") == "csv":
         emit(args, blockcodes.report_csv([rep]))
     else:
@@ -104,6 +114,7 @@ def report_out(args, rep: dict) -> None:
 
 
 def make_budget(args) -> woven.WitnessBudget:
+    from . import woven
     return woven.WitnessBudget(
         max_terms=args.budget,
         max_shift=args.max_shift,
@@ -125,6 +136,7 @@ def thread_count(args) -> int:
 
 
 def cmd_girth(args) -> int:
+    from . import hypergraphs
     g = load_graph(args.graph)
     value = hypergraphs.girth(g)
     print("girth=" + ("none" if value is None else str(value)))
@@ -132,6 +144,7 @@ def cmd_girth(args) -> int:
 
 
 def cmd_sd_girth(args) -> int:
+    from . import hypergraphs
     g = load_graph(args.graph)
     value = hypergraphs.sd_girth(g, args.d)
     print(f"sd_girth(d={args.d})=" + ("none" if value is None else str(value)))
@@ -139,14 +152,17 @@ def cmd_sd_girth(args) -> int:
 
 
 def cmd_mindist(args) -> int:
+    from . import blockcodes
     code = blockcodes.LinearBlockCode(load_binary_matrix(args.matrix))
-    est = blockcodes.min_distance(code, full_enum_limit=args.enum_limit, seed=args.seed)
+    est = blockcodes.min_distance(code, full_enum_limit=args.enum_limit)
     rep = blockcodes.code_report(args.matrix, code, est)
     report_out(args, rep)
     return 0
 
 
 def cmd_blockdist(args) -> int:
+    from . import blockcodes, convcodes
+    from .gf2 import PolyMatrix
     if args.parity:
         code = convcodes.ConvCode.from_parity(PolyMatrix.from_text(Path(args.parity).read_text()))
         print(f"block_distance={convcodes.block_distance_conv(code)}")
@@ -163,6 +179,8 @@ def cmd_blockdist(args) -> int:
 
 
 def cmd_freedist(args) -> int:
+    from . import convcodes
+    from .gf2 import PolyMatrix
     if args.gen or args.gen_inline:
         gm = (PolyMatrix.from_text(Path(args.gen).read_text()) if args.gen
               else parse_poly_matrix_inline(args.gen_inline))
@@ -178,11 +196,13 @@ def cmd_freedist(args) -> int:
 
 
 def cmd_graph_code(args) -> int:
+    from . import blockcodes, hypergraphs
+    from .gf2 import BinaryMatrix
     g = load_graph(args.graph)
     hc = load_poly_matrix(args).constant_matrix() if (args.hc or args.hc_inline) \
         else BinaryMatrix.from_strings(["1" * g.c])
     code = blockcodes.build_graph_code(g, hc)
-    est = blockcodes.min_distance(code, seed=args.seed)
+    est = blockcodes.min_distance(code)
     gg = hypergraphs.girth(g)
     rep = blockcodes.code_report(
         f"graph-code:{args.graph}", code, est,
@@ -194,6 +214,7 @@ def cmd_graph_code(args) -> int:
 
 
 def cmd_woven_block(args) -> int:
+    from . import blockcodes
     g = load_graph(args.graph)
     hcm = load_poly_matrix(args).constant_matrix()
     if args.l < 1 or hcm.cols % args.l:
@@ -203,7 +224,7 @@ def cmd_woven_block(args) -> int:
     bs = blockcodes.BlockStructure(args.l, hcm.cols // args.l)
     assignment = parse_assignment(args.assign, g) if args.assign else None
     wb = blockcodes.build_woven_block(g, constituent, bs, assignment)
-    est = blockcodes.min_distance(wb.code, seed=args.seed)
+    est = blockcodes.min_distance(wb.code)
     bound = blockcodes.product_distance_bound(g, constituent, bs)
     rep = blockcodes.code_report(
         f"woven-block:{args.graph}", wb.code, est,
@@ -218,12 +239,14 @@ def cmd_woven_block(args) -> int:
 
 
 def _woven_code(args) -> woven.WovenConvCode:
+    from . import woven
     g = load_graph(args.graph)
     hc = load_poly_matrix(args)
     return woven.build_woven_conv(g, hc, parse_perm(args.perm))
 
 
 def cmd_woven_build(args) -> int:
+    from . import woven
     code = _woven_code(args)
     rep = woven.generator_report(code)
     emit(args, code.H_wg.to_text())
@@ -234,6 +257,7 @@ def cmd_woven_build(args) -> int:
 
 
 def cmd_woven_bounds(args) -> int:
+    from . import woven
     code = _woven_code(args)
     rep = woven.distance_bounds(code)
     print(f"product_bound={rep.product_bound}")
@@ -242,6 +266,7 @@ def cmd_woven_bounds(args) -> int:
 
 
 def cmd_woven_witness(args) -> int:
+    from . import woven
     code = _woven_code(args)
     try:
         res = woven.witness_search(code, target=args.target, budget=make_budget(args))
@@ -258,6 +283,7 @@ def cmd_woven_witness(args) -> int:
 
 
 def cmd_woven_sweep(args) -> int:
+    from . import woven
     g = load_graph(args.graph)
     hc = load_poly_matrix(args)
     rows = woven.permutation_sweep(g, hc, budget=make_budget(args),
@@ -273,6 +299,7 @@ def cmd_woven_sweep(args) -> int:
 
 
 def cmd_woven_encode(args) -> int:
+    from . import woven
     code = _woven_code(args)
     raw = Path(args.infile).read_text()
     bits = [int(ch) for ch in raw if ch in "01"]
@@ -282,6 +309,7 @@ def cmd_woven_encode(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds
     s_list = [int(x) for x in args.s.split(",")] if args.s else [2]
     rows = bounds.emit_curves(s_list, args.step, args.kind)
     emit(args, bounds.curves_csv(rows))
@@ -347,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mindist", help="minimum distance of a binary code")
     p.add_argument("--matrix", required=True, help="parity-check matrix file (binary text)")
-    p.add_argument("--enum-limit", type=int, default=26)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--enum-limit", type=int, default=26, metavar="N",
+                   help="budget of 2^N scored words (default 26)")
     add_format(p)
     p.set_defaults(func=cmd_mindist)
 
@@ -368,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph-code", help="code whose checks follow the graph")
     add_graph(p)
     add_hc(p)
-    p.add_argument("--seed", type=int, default=0)
     add_format(p)
     p.set_defaults(func=cmd_graph_code)
 
@@ -377,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_hc(p)
     p.add_argument("--l", type=int, required=True, help="sub-block width")
     p.add_argument("--assign", help='second-partition block orders, e.g. "1,2,0;0,1,2;2,0,1"')
-    p.add_argument("--seed", type=int, default=0)
     add_format(p)
     p.set_defaults(func=cmd_woven_block)
 

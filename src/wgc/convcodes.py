@@ -256,20 +256,20 @@ def free_distance(code: ConvCode, *, max_constraint: int = 24) -> int:
 
     The zero state is start and goal but never an interior vertex, so the
     result is the weight of the lightest nonzero diverge/remerge loop.
-    Zero-weight loops through nonzero states abort with
-    CatastrophicEncoderError before the search; a loop of weight zero means
-    dependent generator rows and raises ValueError.
+    Generator rows dependent over GF(2)(D) (some nonzero input encodes to
+    zero) raise ValueError first; zero-weight loops through nonzero states
+    then abort with CatastrophicEncoderError before the search.
     """
-    enc = _Encoder(_generator_of(code))
+    gen = _generator_of(code)
+    if rank_over_rational_field(gen) < gen.rows:
+        raise ValueError("a nonzero input encodes to zero: "
+                         "the generator rows are dependent over GF(2)(D)")
+    enc = _Encoder(gen)
     if enc.nu > max_constraint:
         raise ValueError(
             f"constraint length {enc.nu} exceeds the exact-search budget {max_constraint}")
     _zero_weight_order(enc)
-    dist = _lightest_paths(enc, stop_at_zero=True)[0]
-    if dist[0] == 0:
-        raise ValueError("a nonzero input encodes to zero: "
-                         "the generator rows are dependent over GF(2)(D)")
-    return dist[0]
+    return _lightest_paths(enc, stop_at_zero=True)[0][0]
 
 
 def spectrum(code: ConvCode, depth: int, *, max_constraint: int = 24) -> dict[int, int]:

@@ -8,7 +8,6 @@ collapses to a two-variable description: convolutional in D, wrapped in Z.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 
@@ -544,6 +543,8 @@ def permutation_sweep(g: Hypergraph, hc: PolyMatrix,
     perms = sorted(permutations(range(1, g.c + 1)))
     jobs = [(g, hc, perm, budget) for perm in perms]
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_sweep_one, jobs))
     else:

@@ -178,17 +178,18 @@ def dense_nullspace(rows: list[str]) -> list[list[int]]:
 
 
 def dense_min_weight(rows: list[str]) -> int:
-    """Exhaustive minimum weight from the independent nullspace."""
-    basis = dense_nullspace(rows)
-    k = len(basis)
-    assert k <= 20, "oracle meant for small dimensions"
+    """Exhaustive minimum weight from the independent nullspace.
+
+    The basis vectors are packed into ints and every nonzero combination is
+    visited once by a Gray-code walk (step m flips basis row tz(m)).
+    """
+    basis = [int("".join(map(str, vec)), 2) for vec in dense_nullspace(rows)]
+    assert len(basis) <= 20, "oracle meant for small dimensions"
     best = None
-    for mask in range(1, 1 << k):
-        acc = [0] * len(basis[0])
-        for i in range(k):
-            if (mask >> i) & 1:
-                acc = [a ^ b for a, b in zip(acc, basis[i])]
-        w = sum(acc)
+    word = 0
+    for m in range(1, 1 << len(basis)):
+        word ^= basis[(m & -m).bit_length() - 1]
+        w = word.bit_count()
         if w and (best is None or w < best):
             best = w
     return best

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wgc.blockcodes import (
     BlockStructure,
@@ -70,6 +72,46 @@ def test_min_distance_sampled_path_is_honest(heawood_incidence):
     est = min_distance(code, full_enum_limit=4)
     assert not est.exact or est.value == est.floor
     assert est.floor <= 6 <= est.value
+
+
+@st.composite
+def parity_check_rows(draw):
+    """Random H as 0/1 strings; repeated and summed rows make it rank deficient."""
+    n = draw(st.integers(2, 20))
+    rng = draw(st.randoms(use_true_random=False))  # uniform bits, unlike integers()
+    rows = [rng.getrandbits(n) for _ in range(draw(st.integers(1, n)))]
+    for a, b in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                        st.integers(0, len(rows) - 1)), max_size=3)):
+        rows.append(rows[a] ^ rows[b])
+    return [format(r, f"0{n}b") for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(parity_check_rows())
+def test_min_distance_matches_brute_force(rows):
+    code = LinearBlockCode(BinaryMatrix.from_strings(rows))
+    assume(1 <= code.k <= 14)
+    d = dense_min_weight(rows)
+    est = min_distance(code)
+    assert est.exact and est.value == est.floor == d
+    # every word budget leaves a certified floor and a reachable weight
+    for limit in range(code.k + 1):
+        est = min_distance(code, full_enum_limit=limit)
+        assert est.floor <= d <= est.value and est.exact == (est.floor == est.value)
+
+
+def test_min_distance_word_budget_keeps_a_certified_floor():
+    # the code has d = 4 (see the next test); the limits are too small for
+    # an exact answer at first, and from 2^6 words it is exact
+    wb = build_woven_block(build_heawood(), constituent_code(), BlockStructure(4, 3))
+    assert not min_distance(wb.code, full_enum_limit=0).exact
+    for limit in range(8):
+        est = min_distance(wb.code, full_enum_limit=limit)
+        # the lightest row of the first systematic generator already has weight 4
+        assert est.floor <= 4 == est.value
+        assert est.exact == (est.value == est.floor)
+    with pytest.raises(ValueError, match="full_enum_limit"):
+        min_distance(wb.code, full_enum_limit=-1)
 
 
 def test_min_distance_floor_dependency_is_exact_on_wide_woven_block():

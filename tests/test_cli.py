@@ -29,6 +29,33 @@ def test_package_runs_as_module():
     assert proc.stdout.splitlines()[0] == "rate,delta"
 
 
+# runs ``python -m wgc.cli ARGS`` in this interpreter, then names the heavy modules loaded
+START_UP_PROBE = """
+import runpy, sys
+sys.argv = ["wgc", *sys.argv[1:]]
+try:
+    runpy.run_module("wgc.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print("exit", exc.code)
+print(*[m for m in ("wgc.woven", "wgc.convcodes", "concurrent.futures") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--kind", "vg", "--s", "2", "--step", "0.1"],
+    ["mindist", "--matrix", "{matrix}"],
+])
+def test_start_up_imports_only_what_the_command_uses(tmp_path, argv):
+    matrix = tmp_path / "h.txt"
+    matrix.write_text("2 4\n1110\n0111\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", START_UP_PROBE, *(a.format(matrix=matrix) for a in argv)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    *_, status, loaded = proc.stdout.splitlines()
+    assert (status, loaded) == ("exit 0", ""), proc.stderr
+
+
 def test_invariant_failure_is_a_clean_error(monkeypatch, capsys):
     def broken(code):
         raise AssertionError("expanded generator failed the parity check")
