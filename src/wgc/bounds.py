@@ -1,21 +1,27 @@
 """Numeric evaluation of the asymptotic distance bounds for woven graph codes.
 
-Every root is either closed form or a single plain bisection with bracket
-verification; the branch functions have logarithmic endpoints, so robustness
-beats speed here.  ``rate_for_delta`` returns the entropy rate 1 - h(delta)
-exactly where the ensemble meets it, and otherwise bisects the exponent
-``fhat`` in the rate directly, never a root of another bisection.
+Every root is either closed form or comes from ``newton``, one bracketed
+Newton iteration that stops on a relative step, so a root keeps its digits
+however small it gets as the rate approaches 1.  Each branch function is
+convex or concave on its bracket and starts at the end from which Newton
+steps move monotonically to the root; its constants and domain checks are
+set up once per root.  The entropy and the exponents use ``log1p`` and
+``expm1``, which do not cancel near rate 1.  ``rate_for_delta`` returns the entropy rate
+1 - h(delta) exactly where the ensemble meets it, and otherwise finds the
+root of the exponent ``fhat`` in the rate directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
-from math import log2
+from itertools import count, product, takewhile
+from math import expm1, log, log1p, log2
+from typing import TYPE_CHECKING, NamedTuple
 
-FTOL = 1e-12
-XTOL = 1e-10
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+LN2 = log(2.0)
+RTOL = 1e-15  # a root is final once a step moves it by at most this fraction
 
 
 class DomainError(ValueError):
@@ -23,7 +29,13 @@ class DomainError(ValueError):
 
 
 class BracketError(RuntimeError):
-    """Bisection bracket does not straddle a sign change."""
+    """Root bracket does not straddle a sign change."""
+
+
+def _entropy_slope(x: float) -> tuple[float, float]:
+    """(h(x), h'(x)) for 0 < x < 1, in bits; log1p keeps small x exact."""
+    lx, l1x = log(x), log1p(-x)
+    return -(x * lx + (1.0 - x) * l1x) / LN2, (l1x - lx) / LN2
 
 
 def binary_entropy(x: float) -> float:
@@ -32,43 +44,69 @@ def binary_entropy(x: float) -> float:
         raise DomainError(f"entropy argument {x} outside [0, 1]")
     if x in (0.0, 1.0):
         return 0.0
-    return -x * log2(x) - (1.0 - x) * log2(1.0 - x)
+    return _entropy_slope(x)[0]
 
 
-def bisect(f, lo: float, hi: float, *, ftol: float = FTOL, xtol: float = XTOL) -> float:
-    flo, fhi = f(lo), f(hi)
+def newton(f, lo: float, hi: float, x: float) -> float:
+    """Root of f on [lo, hi] by Newton steps from the end x; f(x) is (f(x), f'(x)).
+
+    Each evaluation shrinks the bracket to the side that keeps the sign
+    change, and a step that would leave it (or a flat slope) goes to its
+    midpoint instead.  Stops when a Newton step, or half the bracket after a
+    midpoint step, is at most RTOL of the iterate.
+    """
+    ends = {lo: f(lo), hi: f(hi)}
+    flo, fhi = ends[lo][0], ends[hi][0]
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if (flo < 0) == (fhi < 0):
         raise BracketError(f"no sign change on [{lo}, {hi}] (f: {flo}, {fhi})")
+    fx, dfx = ends[x]
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) < ftol or hi - lo < xtol:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
+        if fx == 0.0:
+            return x
+        if (fx < 0) == (flo < 0):
+            lo = x
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = x
+        nxt = x - fx / dfx if dfx else lo
+        if lo < nxt < hi:
+            done = abs(nxt - x) <= RTOL * nxt
+        else:
+            nxt = 0.5 * (lo + hi)
+            done = hi - lo <= 2.0 * RTOL * nxt
+        x = nxt
+        if done:
+            return x
+        fx, dfx = f(x)
+    return x
 
 
 def vg_delta(rate: float) -> float:
     """Root of h(delta) + R - 1 = 0 in (0, 1/2)."""
     if not 0.0 < rate < 1.0:
         raise DomainError(f"rate {rate} outside (0, 1)")
-    return bisect(lambda d: binary_entropy(d) + rate - 1.0, 1e-15, 0.5)
+    gap = 1.0 - rate
+
+    def f(d):
+        h, dh = _entropy_slope(d)
+        return h - gap, dh
+
+    # h is concave and rising, so steps from the low end climb to the root
+    return newton(f, 1e-15, 0.5, 1e-15)
 
 
-def _delta_boundary(rate: float, s: int) -> float:
-    return 1.0 - 2.0 ** ((rate - 1.0) / s)
+def _branch_constants(rate: float, s: int) -> tuple[float, float]:
+    """(boundary, c): 1 - 2^((R-1)/s) and log2(2^((1-R)/s) - 1), via expm1."""
+    x = LN2 * (1.0 - rate) / s
+    return -expm1(-x), log(expm1(x)) / LN2
 
 
 def gamma_opt_block(delta: float, rate: float, s: int) -> float:
     """Optimizing fraction of active constituents: min(1, delta / boundary)."""
-    return min(1.0, delta / _delta_boundary(rate, s))
+    return min(1.0, delta / _branch_constants(rate, s)[0])
 
 
 def fhat(delta: float, rate: float, s: int) -> float:
@@ -85,15 +123,14 @@ def fhat(delta: float, rate: float, s: int) -> float:
         raise DomainError(f"rate {rate} outside (0, 1)")
     if s < 2:
         raise DomainError("need s >= 2")
-    boundary = _delta_boundary(rate, s)
+    boundary, c = _branch_constants(rate, s)
+    h = _entropy_slope(delta)[0]
     if delta >= boundary:
-        return binary_entropy(delta) + rate - 1.0
-    return ((1.0 - s) * binary_entropy(delta)
-            - delta * s * log2(2.0 ** (-(rate - 1.0) / s) - 1.0))
+        return h - (1.0 - rate)
+    return (1.0 - s) * h - delta * s * c
 
 
-@dataclass(frozen=True)
-class BoundPoint:
+class BoundPoint(NamedTuple):
     rate: float
     s: int
     delta: float
@@ -113,13 +150,18 @@ def woven_vg_bound(rate: float, s: int, dvg: float | None = None) -> BoundPoint:
         raise DomainError("need s >= 2")
     if dvg is None:
         dvg = vg_delta(rate)
-    boundary = _delta_boundary(rate, s)
-    if dvg >= boundary - XTOL:
+    boundary, c = _branch_constants(rate, s)
+    if dvg >= boundary:
         return BoundPoint(rate, s, dvg, "vg")
-    # the interior-branch root can sit at exponentially small delta when the
-    # rate approaches 1, so the bracket starts far below double precision
-    lo = min(2.0 ** -500, boundary / 2)
-    root = bisect(lambda d: fhat(d, rate, s), lo, boundary)
+
+    def f(d):
+        h, dh = _entropy_slope(d)
+        return (1.0 - s) * h - d * s * c, (1.0 - s) * dh - s * c
+
+    # the branch is convex with f(0) = 0 and f(boundary) > 0, so steps from
+    # the boundary fall to the root; it can sit at exponentially small delta
+    # when the rate approaches 1, so the bracket starts far below that
+    root = newton(f, min(2.0 ** -500, boundary / 2), boundary, boundary)
     return BoundPoint(rate, s, root, "graph-limited")
 
 
@@ -128,16 +170,23 @@ def rate_for_delta(delta: float, s: int) -> float:
 
     With R_vg = 1 - h(delta): if delta >= 1 - 2^((R_vg - 1)/s) the optimizer
     saturates at R_vg (the "vg" regime of ``woven_vg_bound``) and the answer
-    is exactly R_vg.  Otherwise it is the root of fhat(delta, R, s) = 0 from a
-    single bisection in R on [1e-9, R_vg]; fhat rises in R and is positive at
-    R_vg there, so the result never exceeds R_vg and ``rate_gap`` is >= 0.
+    is exactly R_vg.  Otherwise it is the root of fhat(delta, R, s) = 0 in R
+    on [1e-9, R_vg]; fhat is convex and rising in R and positive at R_vg
+    there, so Newton steps from R_vg fall to the root, the result never
+    exceeds R_vg and ``rate_gap`` is >= 0.
     """
     if not 0.0 < delta < 0.5 or s < 2:
         raise DomainError(f"need 0 < delta < 0.5 and s >= 2 (delta={delta}, s={s})")
-    r_vg = 1.0 - binary_entropy(delta)
-    if delta >= _delta_boundary(r_vg, s):
+    h = binary_entropy(delta)
+    r_vg = 1.0 - h
+    if delta >= _branch_constants(r_vg, s)[0]:
         return r_vg
-    return bisect(lambda r: fhat(delta, r, s), 1e-9, r_vg)
+
+    def f(r):
+        c = _branch_constants(r, s)[1]
+        return (1.0 - s) * h - delta * s * c, delta * (1.0 + 2.0 ** -c)
+
+    return newton(f, 1e-9, r_vg, r_vg)
 
 
 def rate_gap(delta: float, s: int) -> float:
@@ -196,6 +245,8 @@ def remark_probabilities(weight: int = 1) -> tuple[Fraction, Fraction]:
     the two-partition stack as the code's parity-check matrix.  Returns
     exact rationals (identical case, independent case).
     """
+    from fractions import Fraction
+
     if weight not in (1, 2):
         raise ValueError("vectors have length 2; weight must be 1 or 2")
     vectors = [v for v in ((1, 0), (0, 1), (1, 1)) if sum(v) == weight]
@@ -238,18 +289,19 @@ def emit_curves(s_list, grid_step: float, kind: str) -> list[dict]:
     """Rows for the bound curves; point-level failures become flagged rows."""
     if not 0.0 < grid_step <= 0.1:
         raise DomainError("grid step must be in (0, 0.1]")
+    # the i-th rate is i * step: a running sum drifts by up to 1e-11 over a
+    # fine grid, which moves roots near rate 1 off the printed rate
+    rates = list(takewhile(lambda r: r < 1.0 - 1e-12, (i * grid_step for i in count(1))))
     rows: list[dict] = []
     if kind == "vg":
         # every s walks the same rates, so each entropy root is found once;
         # a failed root is None and woven_vg_bound raises its error again
         grid = []
-        r = grid_step
-        while r < 1.0 - 1e-12:
+        for r in rates:
             try:
                 grid.append((r, vg_delta(r)))
             except (DomainError, BracketError):
                 grid.append((r, None))
-            r += grid_step
         for s in s_list:
             for r, dvg in grid:
                 try:
@@ -261,13 +313,11 @@ def emit_curves(s_list, grid_step: float, kind: str) -> list[dict]:
                                  "regime": f"error:{exc}"})
         return rows
     if kind == "costello":
-        r = grid_step
-        while r < 1.0 - 1e-12:
+        for r in rates:
             try:
                 rows.append({"rate": round(r, 12), "delta": costello_delta(r)})
             except (DomainError, BracketError) as exc:
                 rows.append({"rate": round(r, 12), "delta": f"error:{exc}"})
-            r += grid_step
         return rows
     raise ValueError(f"unknown curve kind {kind!r}")
 

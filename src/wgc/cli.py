@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -196,6 +195,8 @@ def cmd_freedist(args) -> int:
 
 
 def cmd_graph_code(args) -> int:
+    from fractions import Fraction
+
     from . import blockcodes, hypergraphs
     from .gf2 import BinaryMatrix
     g = load_graph(args.graph)

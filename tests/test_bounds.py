@@ -36,14 +36,15 @@ def mp_entropy(x):
     return -x * mpmath.log(x, 2) - (1 - x) * mpmath.log(1 - x, 2)
 
 
-def mp_vg_delta(rate) -> float:
-    root = mpmath.findroot(
-        lambda d: mp_entropy(d) + rate - 1,
-        (mpmath.mpf("1e-30"), mpmath.mpf("0.5")),
-        solver="bisect",
-        tol=mpmath.mpf("1e-40"),
-    )
+def mp_root(f, lo, hi) -> float:
+    """Bisection root of f on [lo, hi] to 1e-40, in 50-digit arithmetic."""
+    root = mpmath.findroot(f, (mpmath.mpf(lo), mpmath.mpf(hi)), solver="bisect",
+                           tol=mpmath.mpf("1e-40"))
     return float(root)
+
+
+def mp_vg_delta(rate) -> float:
+    return mp_root(lambda d: mp_entropy(d) + rate - 1, "1e-30", "0.5")
 
 
 def mp_costello_delta(rate) -> float:
@@ -79,7 +80,7 @@ def test_vg_delta_reference_values():
     assert abs(vg_delta(1.0 / 3.0) - 0.1740) < 1e-3
     assert abs(vg_delta(0.5) - 0.1100) < 1e-3
     for rate in (1.0 / 3.0, 0.5, 0.9):
-        assert abs(vg_delta(rate) - mp_vg_delta(rate)) < 1e-9
+        assert abs(vg_delta(rate) - mp_vg_delta(rate)) < 1e-13
 
 
 def test_vg_delta_low_rate_limit():
@@ -189,13 +190,10 @@ def mp_rate_for_delta(delta, s) -> tuple[float, str]:
     r_vg = 1 - h
     if delta >= 1 - mpmath.mpf(2) ** ((r_vg - 1) / s):
         return float(r_vg), "vg"
-    root = mpmath.findroot(
+    root = mp_root(
         lambda r: (1 - s) * h - delta * s * mpmath.log(2 ** ((1 - r) / s) - 1, 2),
-        (mpmath.mpf("1e-9"), r_vg),
-        solver="bisect",
-        tol=mpmath.mpf("1e-40"),
-    )
-    return float(root), "graph-limited"
+        "1e-9", r_vg)
+    return root, "graph-limited"
 
 
 def test_rate_for_delta_matches_high_precision_root():
@@ -209,12 +207,51 @@ def test_rate_for_delta_matches_high_precision_root():
                 assert rate == 1.0 - binary_entropy(delta)
                 assert rate_gap(delta, s) == 0.0
             else:
-                assert abs(rate - expected) < 1e-10
+                assert abs(rate - expected) < 1e-13
                 assert rate <= 1.0 - binary_entropy(delta)
                 assert rate_gap(delta, s) > 0.0
             # the returned rate still reaches delta
             assert woven_vg_bound(rate, s).delta >= delta - 1e-9
     assert regimes == {"vg", "graph-limited"}
+
+
+def mp_woven_vg_bound(rate, s) -> tuple[float, str]:
+    """(delta, regime) from 50-digit arithmetic: the entropy root at or above
+    the boundary 1 - 2^((R-1)/s), else the root of the interior branch."""
+    dvg = mp_vg_delta(rate)
+    r = mpmath.mpf(rate)
+    boundary = 1 - mpmath.mpf(2) ** ((r - 1) / s)
+    if dvg >= boundary:
+        return dvg, "vg"
+    slope = s * mpmath.log(2 ** ((1 - r) / s) - 1, 2)
+    return mp_root(lambda d: (1 - s) * mp_entropy(d) - d * slope, "1e-30", boundary), \
+        "graph-limited"
+
+
+def test_roots_near_rate_one_match_high_precision():
+    # the roots shrink like (1 - R)^(s/(s-1)) towards R = 1, down to about
+    # 3e-17 here, so only a relative stop keeps their digits
+    regimes = set()
+    for k in range(1, 9):
+        rate = 1.0 - 10.0 ** -k
+        expected = mp_vg_delta(rate)
+        assert abs(vg_delta(rate) - expected) <= 1e-12 * expected
+        for s in (2, 3, 4, 10):
+            expected, regime = mp_woven_vg_bound(rate, s)
+            point = woven_vg_bound(rate, s)
+            regimes.add(regime)
+            assert point.regime == regime
+            assert abs(point.delta - expected) <= 1e-12 * expected
+            want_rate, _ = mp_rate_for_delta(point.delta, s)
+            assert abs(rate_for_delta(point.delta, s) - want_rate) <= 1e-12 * want_rate
+    assert regimes == {"vg", "graph-limited"}
+
+
+def test_woven_vg_bound_monotone_near_rate_one():
+    for s in (2, 3, 4, 10):
+        # the rates fall as j grows, so the guarantee must not fall
+        deltas = [woven_vg_bound(1.0 - j * 1e-7, s).delta for j in range(1, 1001)]
+        assert all(a <= b for a, b in zip(deltas, deltas[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +336,16 @@ def test_emit_curves_vg_monotone():
         deltas = [p["delta"] for p in pts]
         assert all(isinstance(d, float) for d in deltas)
         assert all(a >= b - 1e-12 for a, b in zip(deltas, deltas[1:]))
+
+
+def test_emit_curves_points_sit_at_their_printed_rates():
+    # a running sum of the step drifts by about 1e-13 here, which near rate 1
+    # (delta ~ (1-R)^2 for s = 2) moves a root in its ninth digit
+    rows = emit_curves([2], 1e-4, "vg")
+    assert [row["rate"] for row in rows] == [round(i * 1e-4, 12) for i in range(1, 10000)]
+    for row in rows[-100:]:
+        expected = woven_vg_bound(row["rate"], 2).delta
+        assert abs(row["delta"] - expected) <= 1e-12 * expected
 
 
 def test_emit_curves_costello_value():
