@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb
-from typing import Sequence
+from math import comb
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .gf2 import BinaryMatrix, nullspace_basis, rank
 from .hypergraphs import Hypergraph, sd_girth
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class LinearBlockCode:
@@ -27,6 +28,8 @@ class LinearBlockCode:
 
     @property
     def rate(self) -> Fraction:
+        from fractions import Fraction  # only reports need it, so the import waits
+
         return Fraction(self.k, self.n)
 
     def syndrome(self, word: int) -> int:
@@ -36,8 +39,7 @@ class LinearBlockCode:
         return f"LinearBlockCode(n={self.n}, k={self.k})"
 
 
-@dataclass(frozen=True)
-class BlockStructure:
+class BlockStructure(NamedTuple):
     """Codeword seen as ``c`` sub-blocks of length ``l``."""
 
     l: int
@@ -50,8 +52,7 @@ class BlockStructure:
             raise ValueError(f"block structure {self.l}x{self.c} does not tile length {n}")
 
 
-@dataclass(frozen=True)
-class DistanceEstimate:
+class DistanceEstimate(NamedTuple):
     """Minimum-distance answer with its proof status.
 
     ``value`` is the weight of a codeword found (an upper bound), ``floor`` a
@@ -314,7 +315,7 @@ def product_distance_bound(g: Hypergraph, constituent: LinearBlockCode,
     if g_sd is None:
         raise ValueError(f"no compact subgraph of depth {depth}")
     d_c = min_distance(constituent).value
-    return max(ceil(Fraction(g_sd, g.c)), g.s) * d_c
+    return max(-(-g_sd // g.c), g.s) * d_c
 
 
 def rate_bound(g: Hypergraph, rc: Fraction) -> Fraction:

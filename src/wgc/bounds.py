@@ -14,7 +14,7 @@ root of the exponent ``fhat`` in the rate directly.
 from __future__ import annotations
 
 from itertools import count, product, takewhile
-from math import expm1, log, log1p, log2
+from math import expm1, log, log1p
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -198,16 +198,27 @@ def rate_gap(delta: float, s: int) -> float:
 # free-distance bound
 
 
+def _log2_excess(rate: float) -> float:
+    """log2(2^(1-R) - 1) without cancellation at either end of the rate range.
+
+    2^(1-R) - 1 is 1 + 2 expm1(-R ln 2), whose log1p keeps small R exact, and
+    expm1((1-R) ln 2), whose log keeps R near 1 exact.
+    """
+    if rate < 0.5:
+        return log1p(2.0 * expm1(-rate * LN2)) / LN2
+    return log(expm1((1.0 - rate) * LN2)) / LN2
+
+
 def costello_delta(rate: float) -> float:
     """Closed-form free-distance guarantee -R / log2(2^(1-R) - 1)."""
     if not 0.0 < rate < 1.0:
         raise DomainError(f"rate {rate} outside (0, 1)")
-    return -rate / log2(2.0 ** (1.0 - rate) - 1.0)
+    return -rate / _log2_excess(rate)
 
 
 def costello_exponent(delta: float, rate: float) -> float:
     """Optimized ensemble exponent; zero exactly at costello_delta(rate)."""
-    return -delta * log2(2.0 ** (1.0 - rate) - 1.0) - rate
+    return -delta * _log2_excess(rate) - rate
 
 
 class OutOfModelError(ValueError):
@@ -225,11 +236,11 @@ def mu_gamma_optimizers(delta: float, rate: float, s: int) -> tuple[float, float
         raise DomainError(f"rate {rate} outside (0, 1)")
     if s < 2:
         raise DomainError("need s >= 2")
-    mu_opt = delta / (1.0 - 2.0 ** (rate - 1.0)) - 1.0
+    mu_opt = delta / (-expm1((rate - 1.0) * LN2)) - 1.0
     if mu_opt < 0.0:
         raise OutOfModelError(f"mu_opt = {mu_opt} < 0 at delta={delta}, rate={rate}")
     x = (1.0 + mu_opt * (1.0 - rate)) / (s * (1.0 + mu_opt))
-    gamma = min(1.0, delta / ((1.0 + mu_opt) * (1.0 - 2.0 ** (-x))))
+    gamma = min(1.0, delta / ((1.0 + mu_opt) * (-expm1(-x * LN2))))
     return gamma, mu_opt
 
 

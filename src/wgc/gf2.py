@@ -8,7 +8,7 @@ freely between threads and worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Iterator, Sequence
 
 
@@ -48,15 +48,34 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class BinaryPoly:
-    """Polynomial over GF(2), coefficient of D^i stored in bit i of ``bits``."""
+    """Immutable polynomial over GF(2), coefficient of D^i stored in bit i of ``bits``."""
 
-    bits: int = 0
+    __slots__ = ("bits",)
 
-    def __post_init__(self) -> None:
-        if self.bits < 0:
+    def __init__(self, bits: int = 0):
+        if bits < 0:
             raise ValueError("coefficient payload must be nonnegative")
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BinaryPoly is immutable")
+
+    def __reduce__(self):
+        return BinaryPoly, (self.bits,)
+
+    def __eq__(self, other: object) -> bool:
+        return self.bits == other.bits if isinstance(other, BinaryPoly) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.bits,))
+
+    def __lt__(self, other: "BinaryPoly") -> bool:
+        return self.bits < other.bits if isinstance(other, BinaryPoly) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"BinaryPoly(bits={self.bits!r})"
 
     @classmethod
     def parse(cls, text: str) -> "BinaryPoly":
@@ -322,48 +341,96 @@ def _isomorphisms(adj_a: Sequence[Sequence[int]], adj_b: Sequence[Sequence[int]]
 
     Individualisation-refinement (B. D. McKay, "Practical graph isomorphism",
     1981) on the disjoint union of A and B, where vertex v starts with
-    colours[v] on both sides.  The colouring is refined until equitable, and a
-    branch is cut where a colour class has different sizes on the two sides.
-    Otherwise the first non-singleton cell of A is split: one of its vertices
-    is individualised against each B vertex of that colour.  Each map is
-    yielded once, as a list with vmap[v] = image of v.  Exponential in the
-    worst case, meant for the small graphs handled here.
+    colours[v] on both sides.  The partition is an ordered list of cells in
+    ``lab``, each named by its first position; a cell splits by the number
+    of neighbours its vertices have in a splitter cell, pieces in order of
+    that number, so the names do not depend on vertex numbering.  Every cell
+    starts as a splitter; a split cell's pieces join the queue, all but the
+    largest when the cell itself is not queued, since the partition is
+    already equitable against the whole cell.  A branch is cut as soon as a
+    cell holds different numbers of A and B vertices.  Once the queue is
+    empty the partition is equitable, and the first cell with more than one
+    vertex per side is split: its first A vertex is individualised against
+    each of its B vertices, and only that new cell refines the child.  Each
+    map is yielded once, as a list with vmap[v] = image of v.  Exponential
+    in the worst case, meant for the small graphs handled here.
     """
     n = len(adj_a)
+    size = 2 * n
     union = list(adj_a) + [[n + u for u in nb] for nb in adj_b]
     target = [sorted(nb) for nb in adj_b]
 
-    def refine(col: list[int]) -> list[int]:
-        while True:
-            sigs = [(c, tuple(sorted([col[u] for u in nb]))) for c, nb in zip(col, union)]
-            order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            if len(order) == len(set(col)):
-                return col
-            col = [order[s] for s in sigs]
+    def split(lab: list[int], cell: list[int], ends: list[int], start: int,
+              pieces: list[int]) -> bool:
+        """Name the pieces of cell ``start`` (their first positions); False if one is unbalanced."""
+        for a, b in zip(pieces, pieces[1:] + [ends[start]]):
+            ends[a] = b
+            for v in lab[a:b]:
+                cell[v] = a
+            if 2 * sum(v < n for v in lab[a:b]) != b - a:
+                return False
+        return True
 
-    def search(col: list[int]) -> Iterator[list[int]]:
-        col = refine(col)
-        side_a, side_b = col[:n], col[n:]
-        sorted_a = sorted(side_a)
-        if sorted_a != sorted(side_b):
+    def refine(lab: list[int], cell: list[int], ends: list[int], queue: list[int]) -> bool:
+        while queue:
+            splitter = queue.pop()
+            hits: dict[int, int] = {}
+            for u in lab[splitter:ends[splitter]]:
+                for x in union[u]:
+                    hits[x] = hits.get(x, 0) + 1
+            for start in sorted({cell[x] for x in hits}):
+                end = ends[start]
+                counts = [hits.get(v, 0) for v in lab[start:end]]
+                if min(counts) == max(counts):
+                    continue
+                order = sorted(zip(counts, lab[start:end]))
+                lab[start:end] = [v for _, v in order]
+                pieces = [start + i for i, (k, _) in enumerate(order)
+                          if i == 0 or k != order[i - 1][0]]
+                if not split(lab, cell, ends, start, pieces):
+                    return False
+                if start in queue:
+                    queue.extend(pieces[1:])
+                else:
+                    largest = max(pieces, key=lambda a: ends[a] - a)
+                    queue.extend(a for a in pieces if a != largest)
+        return True
+
+    def search(lab: list[int], cell: list[int], ends: list[int],
+               queue: list[int]) -> Iterator[list[int]]:
+        if not refine(lab, cell, ends, queue):
             return
-        cell = next((c for c, d in zip(sorted_a, sorted_a[1:]) if c == d), None)
-        if cell is None:
-            where = {c: w for w, c in enumerate(side_b)}
-            vmap = [where[c] for c in side_a]
+        start = 0
+        while start < size and ends[start] - start == 2:
+            start = ends[start]
+        if start == size:
+            vmap = [0] * n
+            for a in range(0, size, 2):
+                v, w = sorted(lab[a:a + 2])
+                vmap[v] = w - n
             if all(sorted([vmap[u] for u in nb]) == target[vmap[v]]
                    for v, nb in enumerate(adj_a)):
                 yield vmap
             return
-        v = side_a.index(cell)
-        fresh = max(col) + 1
-        for w, c in enumerate(side_b):
-            if c == cell:
-                child = list(col)
-                child[v] = child[n + w] = fresh
-                yield from search(child)
+        end = ends[start]
+        members = sorted(lab[start:end])
+        v = members[0]
+        for w in members[(end - start) // 2:]:
+            rest = [x for x in members if x != v and x != w]
+            child_cell = list(cell)
+            child_cell[v] = child_cell[w] = start
+            for x in rest:
+                child_cell[x] = start + 2
+            child_ends = list(ends)
+            child_ends[start], child_ends[start + 2] = start + 2, end
+            yield from search(lab[:start] + [v, w] + rest + lab[end:], child_cell, child_ends,
+                              [start])
 
-    return search(list(colours) * 2)
+    lab = sorted(range(size), key=lambda v: colours[v % n])
+    firsts = [i for i in range(size) if i == 0 or colours[lab[i] % n] != colours[lab[i - 1] % n]]
+    cell, ends = [0] * size, [size] * (size + 1)
+    split(lab, cell, ends, 0, firsts)  # both sides start alike, so every cell is balanced
+    return search(lab, cell, ends, firsts)
 
 
 def permutation_equivalent(a: BinaryMatrix, b: BinaryMatrix) -> bool:
@@ -540,7 +607,6 @@ def kernel_basis(h: PolyMatrix) -> PolyMatrix:
         right[i] = 1
         work.append(left + right)
     pivot_row = 0
-    width = m + n
     for col in range(m):
         while True:
             live = [r for r in range(pivot_row, n) if work[r][col]]
@@ -552,16 +618,13 @@ def kernel_basis(h: PolyMatrix) -> PolyMatrix:
                 pivot_row += 1
                 break
             live.sort(key=lambda r: _deg(work[r][col]))
-            base = live[0]
+            wb = work[live[0]]
+            support = [(cc, p) for cc, p in enumerate(wb) if p]
             for r in live[1:]:
-                q, _ = _divmod(work[r][col], work[base][col])
-                while q:
-                    lsb = q & -q
-                    sh = lsb.bit_length() - 1
-                    q ^= lsb
-                    wr, wb = work[r], work[base]
-                    for cc in range(width):
-                        wr[cc] ^= wb[cc] << sh
+                q, _ = _divmod(work[r][col], wb[col])
+                wr = work[r]
+                for cc, p in support:
+                    wr[cc] ^= clmul(q, p)
     rows = [work[r][m:] for r in range(n) if not any(work[r][:m])]
     return PolyMatrix(rows) if rows else PolyMatrix([])
 

@@ -8,36 +8,54 @@ exactly ``c`` hyperedges, so there are ``n * c`` hyperedges in total.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .gf2 import BinaryMatrix
 
 
-@dataclass(frozen=True)
 class Hypergraph:
-    s: int
-    c: int
-    n: int
-    edges: tuple[tuple[int, ...], ...]
+    """Immutable s-partite hypergraph; edge i picks vertex edges[i][p] of partition p."""
 
-    def __post_init__(self) -> None:
-        if self.s < 2 or self.c < 1 or self.n < 1:
+    __slots__ = ("s", "c", "n", "edges")
+
+    def __init__(self, s: int, c: int, n: int, edges: tuple[tuple[int, ...], ...]):
+        if s < 2 or c < 1 or n < 1:
             raise ValueError("need s >= 2, c >= 1, n >= 1")
-        if len(self.edges) != self.n * self.c:
-            raise ValueError(f"expected {self.n * self.c} hyperedges, got {len(self.edges)}")
-        degree = [[0] * self.n for _ in range(self.s)]
-        for e in self.edges:
-            if len(e) != self.s:
+        if len(edges) != n * c:
+            raise ValueError(f"expected {n * c} hyperedges, got {len(edges)}")
+        degree = [[0] * n for _ in range(s)]
+        for e in edges:
+            if len(e) != s:
                 raise ValueError("hyperedge must contain one vertex per partition")
             for p, v in enumerate(e):
-                if not 0 <= v < self.n:
+                if not 0 <= v < n:
                     raise ValueError(f"vertex index {v} out of range")
                 degree[p][v] += 1
-        for p in range(self.s):
-            bad = [v for v in range(self.n) if degree[p][v] != self.c]
+        for p in range(s):
+            bad = [v for v in range(n) if degree[p][v] != c]
             if bad:
-                raise ValueError(f"partition {p} vertices {bad} do not have degree {self.c}")
+                raise ValueError(f"partition {p} vertices {bad} do not have degree {c}")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Hypergraph is immutable")
+
+    def __reduce__(self):
+        return Hypergraph, (self.s, self.c, self.n, self.edges)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        return (self.s, self.c, self.n, self.edges) == (other.s, other.c, other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.s, self.c, self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Hypergraph(s={self.s}, c={self.c}, n={self.n})"
 
     @property
     def num_edges(self) -> int:

@@ -8,8 +8,9 @@ collapses to a two-variable description: convolutional in D, wrapped in Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
+from operator import itemgetter
+from typing import NamedTuple
 
 from .gf2 import (
     BinaryPoly,
@@ -47,7 +48,13 @@ def _edge_positions(g: Hypergraph) -> list[tuple[int, int]]:
 
 
 class WovenConvCode:
-    """Woven graph code: bipartite graph plus a permuted convolutional check row."""
+    """Woven graph code: bipartite graph plus a permuted convolutional check row.
+
+    The artefacts derived from the code are computed on first use and kept:
+    ``z_offsets()``, the expanded generator (``expanded_generator``), the
+    minimal generator (``minimal_generator``) and the encoder's tap list
+    (``encode_stream``).
+    """
 
     def __init__(self, graph: Hypergraph, hc: PolyMatrix, perm: tuple[int, ...]):
         if graph.s != 2:
@@ -63,6 +70,7 @@ class WovenConvCode:
         self.c = graph.c
         self.H_wg = self._assemble()
         self._offsets: tuple[int, ...] | None | str = "unset"
+        self._expanded: PolyMatrix | None = None
         self._minimal: PolyMatrix | None = None
         self._taps: list[tuple[int, int, list[int]]] | None = None
 
@@ -183,8 +191,11 @@ def expanded_generator(code: WovenConvCode) -> PolyMatrix:
     """One-variable generator: the two-variable row wrapped over Z.
 
     Row r places the coefficient of Z^t at column block (r + o3 - t) mod n,
-    keeping the row family aligned with the quasi-cyclic column layout.
+    keeping the row family aligned with the quasi-cyclic column layout.  Built
+    and checked once per code, then kept on it.
     """
+    if code._expanded is not None:
+        return code._expanded
     _, G = two_dim_forms(code)
     offsets = code.z_offsets()
     assert offsets is not None
@@ -203,11 +214,11 @@ def expanded_generator(code: WovenConvCode) -> PolyMatrix:
     syndrome = gen @ code.H_wg.transpose()
     if not syndrome.is_zero():
         raise AssertionError("expanded generator failed the parity check")
+    code._expanded = gen
     return gen
 
 
-@dataclass(frozen=True)
-class GeneratorReport:
+class GeneratorReport(NamedTuple):
     raw: PolyMatrix
     minimal: PolyMatrix
     nu_raw: int
@@ -238,8 +249,7 @@ def generator_report(code: WovenConvCode) -> GeneratorReport:
 # distance bounds
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     product_bound: int
     improved_bound: int | None
     witness_weight: int | None
@@ -262,20 +272,7 @@ def distance_bounds(code: WovenConvCode, *, witness: "WitnessResult | None" = No
     least girth/2 constituents; anything else activates one more constituent
     at full free distance.
     """
-    constituent = ConvCode.from_parity(code.hc)
-    d_block = block_distance_conv(constituent)
-    if d_block < 2:
-        raise ValueError("constituent block distance must be at least 2")
-    d_free_c = free_distance(constituent)
-    g = girth(code.graph)
-    if g is None:
-        raise StructureError("acyclic graph has no product bound")
-    active = max(g // 2, 2)
-    product = active * d_free_c
-    improved: int | None = None
-    if d_block == 2 and code.c == 3 and code.hc.rows == 1:
-        d_sub = min(free_distance(sc) for sc in rate_half_subcodes(constituent))
-        improved = min(active * d_sub, (active + 1) * d_free_c)
+    product, improved = _graph_bounds(code.graph, code.hc)
     return DistanceReport(
         product_bound=product,
         improved_bound=improved,
@@ -285,12 +282,36 @@ def distance_bounds(code: WovenConvCode, *, witness: "WitnessResult | None" = No
     )
 
 
+def _graph_bounds(g: Hypergraph, hc: PolyMatrix) -> tuple[int, int | None]:
+    """(product, improved) bounds of ``distance_bounds``; the permutation plays no part."""
+    constituent = ConvCode.from_parity(hc)
+    d_block = block_distance_conv(constituent)
+    if d_block < 2:
+        raise ValueError("constituent block distance must be at least 2")
+    d_free_c = free_distance(constituent)
+    girth_g = girth(g)
+    if girth_g is None:
+        raise StructureError("acyclic graph has no product bound")
+    active = max(girth_g // 2, 2)
+    improved: int | None = None
+    if d_block == 2 and g.c == 3 and hc.rows == 1:
+        d_sub = min(free_distance(sc) for sc in rate_half_subcodes(constituent))
+        improved = min(active * d_sub, (active + 1) * d_free_c)
+    return active * d_free_c, improved
+
+
 # ---------------------------------------------------------------------------
 # witness search
 
 
-@dataclass(frozen=True)
-class WitnessBudget:
+class _BudgetFields(NamedTuple):
+    max_terms: int = 3
+    max_shift: int = 12
+    search_nodes: int = 200_000
+    search_state_limit: int = 20
+
+
+class WitnessBudget(_BudgetFields):
     """Limits of ``witness_search``.
 
     ``max_terms`` and ``max_shift`` bound the enumeration: rows per
@@ -300,19 +321,17 @@ class WitnessBudget:
     gives up once its two searches expand more than ``search_nodes`` states.
     """
 
-    max_terms: int = 3
-    max_shift: int = 12
-    search_nodes: int = 200_000
-    search_state_limit: int = 20
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, low in (("max_terms", 1), ("max_shift", 0), ("search_nodes", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        return self
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(NamedTuple):
     weight: int
     word: tuple[BinaryPoly, ...]
     exact: bool
@@ -361,7 +380,14 @@ def witness_search(code: WovenConvCode, target: int | None = None,
     Combinations come in ``itertools.combinations`` order (by size, then
     lexicographic); the XOR of each prefix is formed once and only the last
     term varies in the inner loop.  The first word of the lowest positive
-    weight wins, and ``words_enumerated`` counts the words scored.
+    weight wins.
+
+    Since wt(a ^ b) >= |wt(a) - wt(b)|, a prefix XOR ``acc`` whose weight is
+    at least ``best`` above the heaviest word it could still take, or at least
+    ``best`` below the lightest, cannot give a word lighter than ``best``: its
+    inner loop is skipped, which leaves the result unchanged.
+    ``words_enumerated`` counts every combination within the budget, scored
+    or ruled out this way.
     """
     budget = budget or WitnessBudget()
     rows = _family_rows(code)
@@ -369,27 +395,37 @@ def witness_search(code: WovenConvCode, target: int | None = None,
     stride = max((p.bit_length() for row in rows for p in row), default=0) + budget.max_shift
     packed = [sum(p << (j * stride) for j, p in enumerate(row)) for row in rows]
     words = [row << b for row in packed for b in range(budget.max_shift + 1)]
+    size = len(words)
+    weights = [w.bit_count() for w in words]
+    # lightest and heaviest word weight of each tail; the empty tail rules out every acc
+    lightest = [*accumulate(weights[::-1], min)][::-1] + [1 << 60]
+    heaviest = [*accumulate(weights[::-1], max)][::-1] + [-(1 << 60)]
     best_word = 0
     best_w = 1 << 60
     count = 0
 
-    for first in range(0, len(words), budget.max_shift + 1):
+    for first in range(0, size, budget.max_shift + 1):
         base = words[first]
-        w = base.bit_count()
+        w = weights[first]
         count += 1
         if 0 < w < best_w:
             best_w, best_word = w, base
         for extra in range(1, budget.max_terms):
-            for prefix in combinations(range(first + 1, len(words)), extra - 1):
+            for prefix in combinations(range(first + 1, size), extra - 1):
                 acc = base
                 for i in prefix:
                     acc ^= words[i]
-                last = prefix[-1] if prefix else first
-                for i in range(last + 1, len(words)):
-                    w = (acc ^ words[i]).bit_count()
-                    if 0 < w < best_w:
-                        best_w, best_word = w, acc ^ words[i]
-                count += len(words) - last - 1
+                start = (prefix[-1] if prefix else first) + 1
+                count += size - start
+                w = acc.bit_count()
+                if w - heaviest[start] >= best_w or lightest[start] - w >= best_w:
+                    continue
+                scores = list(map(int.bit_count, map(acc.__xor__, words[start:])))
+                w = min(scores)
+                if not w:  # acc equals a word of the tail; that XOR is no codeword
+                    w = min(filter(None, scores), default=best_w)
+                if w < best_w:
+                    best_w, best_word = w, acc ^ words[start + scores.index(w)]
 
     if not best_word:
         raise ValueError("no nonzero codeword found; empty generator family")
@@ -496,8 +532,7 @@ def encode_stream(code: WovenConvCode, info_bits, *, pad: bool = False) -> list[
 _MAX_AUTOMORPHISM_VERTICES = 40
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     perm: tuple[int, ...]
     nu_raw: int
     nu_minimal: int
@@ -509,25 +544,15 @@ class SweepRow:
     flags: str
 
 
-def _sweep_one(args) -> SweepRow:
+def _sweep_one(args) -> tuple:
+    """The columns of one sweep row that depend on the permutation."""
     g, hc, perm, budget = args
     code = build_woven_conv(g, hc, perm)
     rep = generator_report(code)
     res = witness_search(code, budget=budget)
     orbit = orbit_multiplicity(code, res.word)
-    bounds = distance_bounds(code, witness=res)
-    flags = [] if rep.code_dimension == rep.raw.rows else ["rank-deficient"]
-    return SweepRow(
-        perm=perm,
-        nu_raw=rep.nu_raw,
-        nu_minimal=rep.nu_minimal,
-        code_dimension=rep.code_dimension,
-        product_bound=bounds.product_bound,
-        improved_bound=bounds.improved_bound,
-        witness=res.weight,
-        orbit=orbit,
-        flags=";".join(flags),
-    )
+    flag = "" if rep.code_dimension == rep.raw.rows else "rank-deficient"
+    return perm, rep.nu_raw, rep.nu_minimal, rep.code_dimension, res.weight, orbit, flag
 
 
 def permutation_sweep(g: Hypergraph, hc: PolyMatrix,
@@ -535,9 +560,11 @@ def permutation_sweep(g: Hypergraph, hc: PolyMatrix,
                       threads: int = 1) -> list[SweepRow]:
     """All c! check permutations with structure, bounds, and witness columns.
 
-    Permutation pairs whose expanded parity-check matrices match exactly
-    under a graph automorphism are flagged as equivalent; the certification
-    is conservative (unflagged pairs may still be equivalent).
+    The bounds depend only on the graph and the constituent, so they are
+    computed once per sweep.  Permutation pairs whose expanded parity-check
+    matrices match exactly under a graph automorphism are flagged as
+    equivalent; the certification is conservative (unflagged pairs may
+    still be equivalent).
     """
     budget = budget or WitnessBudget()
     perms = sorted(permutations(range(1, g.c + 1)))
@@ -546,22 +573,20 @@ def permutation_sweep(g: Hypergraph, hc: PolyMatrix,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_one, jobs))
+            results = list(pool.map(_sweep_one, jobs))
     else:
-        rows = [_sweep_one(job) for job in jobs]
-    rows.sort(key=lambda r: r.perm)
-    pairs = equivalent_permutation_pairs(g, hc, perms)
+        results = [_sweep_one(job) for job in jobs]
+    product, improved = _graph_bounds(g, hc)
     partner: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for a, b in pairs:
+    for a, b in equivalent_permutation_pairs(g, hc, perms):
         partner.setdefault(a, []).append(b)
         partner.setdefault(b, []).append(a)
-    tagged = []
-    for row in rows:
-        extra = [f"equivalent-to:{','.join(map(str, other))}"
-                 for other in partner.get(row.perm, [])]
-        flags = ";".join(filter(None, [row.flags, *extra]))
-        tagged.append(replace(row, flags=flags))
-    return tagged
+    rows = []
+    for perm, nu_raw, nu_minimal, dimension, weight, orbit, flag in results:
+        extra = [f"equivalent-to:{','.join(map(str, other))}" for other in partner.get(perm, [])]
+        rows.append(SweepRow(perm, nu_raw, nu_minimal, dimension, product, improved, weight,
+                             orbit, ";".join(filter(None, [flag, *extra]))))
+    return rows
 
 
 def equivalent_permutation_pairs(g: Hypergraph, hc: PolyMatrix, perms
@@ -581,8 +606,8 @@ def equivalent_permutation_pairs(g: Hypergraph, hc: PolyMatrix, perms
     holders: dict[tuple, list[tuple[int, ...]]] = {}
     for perm, r in rows.items():
         holders.setdefault(tuple(sorted(r)), []).append(perm)
-    hits = {(pa, pb) for per in autos for pa, r in rows.items()
-            for pb in holders.get(tuple(sorted(tuple(row[j] for j in per) for row in r)), ())}
+    hits = {(pa, pb) for relabel in [itemgetter(*per) for per in autos] for pa, r in rows.items()
+            for pb in holders.get(tuple(sorted(map(relabel, r))), ())}
     return [pair for pair in combinations(perms, 2) if pair in hits]
 
 

@@ -411,6 +411,88 @@ def table_bidirectional_refine(gen: PolyMatrix, cap: int, search_nodes: int):
     return meet_w, (PolyMatrix([u]) @ gen).entries[0], nodes
 
 
+def full_refinement_isomorphisms(adj_a, adj_b, colours):
+    """Individualisation-refinement that re-refines the whole union colouring at every node.
+
+    Colours are relabelled each round by the sorted (colour, neighbour colours)
+    signatures until their number stops growing; yields every colour- and
+    adjacency-preserving map from A onto B once.
+    """
+    n = len(adj_a)
+    union = list(adj_a) + [[n + u for u in nb] for nb in adj_b]
+    target = [sorted(nb) for nb in adj_b]
+
+    def refine(col):
+        while True:
+            sigs = [(c, tuple(sorted([col[u] for u in nb]))) for c, nb in zip(col, union)]
+            order = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            if len(order) == len(set(col)):
+                return col
+            col = [order[s] for s in sigs]
+
+    def search(col):
+        col = refine(col)
+        side_a, side_b = col[:n], col[n:]
+        sorted_a = sorted(side_a)
+        if sorted_a != sorted(side_b):
+            return
+        cell = next((c for c, d in zip(sorted_a, sorted_a[1:]) if c == d), None)
+        if cell is None:
+            where = {c: w for w, c in enumerate(side_b)}
+            vmap = [where[c] for c in side_a]
+            if all(sorted([vmap[u] for u in nb]) == target[vmap[v]]
+                   for v, nb in enumerate(adj_a)):
+                yield vmap
+            return
+        v = side_a.index(cell)
+        fresh = max(col) + 1
+        for w, c in enumerate(side_b):
+            if c == cell:
+                child = list(col)
+                child[v] = child[n + w] = fresh
+                yield from search(child)
+
+    return search(list(colours) * 2)
+
+
+def oracle_edge_automorphisms(g) -> list[list[int]]:
+    """Edge maps of the bipartite graph's automorphisms, from ``full_refinement_isomorphisms``."""
+    n = g.n
+    adj = [[] for _ in range(2 * n)]
+    edge_index = {}
+    for i, (a, b) in enumerate(g.edges):
+        adj[a].append(n + b)
+        adj[n + b].append(a)
+        edge_index.setdefault((a, b), []).append(i)
+    out = []
+    for vmap in full_refinement_isomorphisms(adj, adj, [0] * (2 * n)):
+        image_index = {k: list(v) for k, v in edge_index.items()}
+        per = [0] * g.num_edges
+        for i, (a, b) in enumerate(g.edges):
+            u, w = sorted((vmap[a], vmap[n + b]))
+            per[image_index[(u, w - n)].pop()] = i
+        out.append(per)
+    return out
+
+
+def oracle_equivalent_permutation_pairs(g, hc, perms):
+    """Permutation pairs whose check rows one automorphism maps onto the other's.
+
+    Tries every automorphism of ``oracle_edge_automorphisms`` on every
+    permutation's rows, relabelling each row by a generator expression.
+    """
+    from wgc.woven import build_woven_conv
+
+    rows = {perm: [tuple(p.bits for p in row)
+                   for row in build_woven_conv(g, hc, perm).H_wg.entries] for perm in perms}
+    holders = {}
+    for perm, r in rows.items():
+        holders.setdefault(tuple(sorted(r)), []).append(perm)
+    hits = {(pa, pb) for per in oracle_edge_automorphisms(g) for pa, r in rows.items()
+            for pb in holders.get(tuple(sorted(tuple(row[j] for j in per) for row in r)), ())}
+    return [pair for pair in combinations(perms, 2) if pair in hits]
+
+
 # ---------------------------------------------------------------------------
 # acceptance summary: one pass/fail line per criterion
 

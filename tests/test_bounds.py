@@ -272,6 +272,26 @@ def test_costello_low_rate_limit():
     assert abs(costello_delta(1e-6) - mp_costello_delta(1e-6)) < 1e-9
 
 
+def mp_costello_exponent(delta, rate) -> float:
+    d, r = mpmath.mpf(delta), mpmath.mpf(rate)
+    return float(-d * mpmath.log(2 ** (1 - r) - 1, 2) - r)
+
+
+def mp_mu_opt(delta, rate) -> float:
+    d, r = mpmath.mpf(delta), mpmath.mpf(rate)
+    return float(d / (1 - 2 ** (r - 1)) - 1)
+
+
+@pytest.mark.parametrize("rate", [1e-6, 1e-8, 1e-10, 1 - 1e-8, 1 - 1e-10])
+def test_costello_formulas_keep_their_digits_at_both_ends_of_the_rate_range(rate):
+    # 2^(1-R) - 1 cancels against 1 as R -> 0 and against 0 as R -> 1
+    pairs = [(costello_delta(rate), mp_costello_delta(rate)),
+             (costello_exponent(0.3, rate), mp_costello_exponent(0.3, rate)),
+             (mu_gamma_optimizers(0.6, rate, 2)[1], mp_mu_opt(0.6, rate))]
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_costello_exponent_root_identity():
     for rate in (0.2, 1.0 / 3.0, 0.5, 0.7):
         delta = costello_delta(rate)

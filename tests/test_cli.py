@@ -41,14 +41,17 @@ except SystemExit as exc:
     print("exit", exc.code)
 print(*sorted(set(sys.modules) - bare))
 """
-HEAVY = {"wgc.woven", "wgc.convcodes", "concurrent.futures"}
-# modules a command must not load, where it is more than HEAVY
-UNUSED = {"bounds": HEAVY | {"dataclasses", "fractions"}}
+# no command loads dataclasses, whose import pulls in inspect, ast, dis and tokenize
+HEAVY = {"wgc.woven", "wgc.convcodes", "concurrent.futures", "dataclasses"}
+# modules a command must not load, where they differ from HEAVY
+UNUSED = {"bounds": HEAVY | {"fractions"},
+          "verify": {"wgc.bounds", "concurrent.futures", "dataclasses"}}
 
 
 @pytest.mark.parametrize("argv", [
     ["bounds", "--kind", "vg", "--s", "2", "--step", "0.1"],
     ["mindist", "--matrix", "{matrix}"],
+    ["verify", "heawood"],
 ])
 def test_start_up_imports_only_what_the_command_uses(tmp_path, argv):
     matrix = tmp_path / "h.txt"
@@ -137,3 +140,53 @@ def test_woven_encode_prints_encode_stream_bits(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "pad" in captured.err
+
+
+# expected output of ``wgc verify heawood``, byte for byte
+VERIFY_HEAWOOD = """\
+graph girth                               expected=6            got=6            PASS
+graph code (n,k)                          expected=(21, 8)      got=(21, 8)      PASS
+graph code d_min                          expected=6            got=6            PASS
+wrapped parent = incidence (up to perm)   expected=True         got=True         PASS
+wrapped-parent code (n,k)                 expected=(21, 7)      got=(21, 7)      PASS
+wrapped-parent code d_min                 expected=6            got=6            PASS
+constituent nu                            expected=5            got=5            PASS
+constituent d_free                        expected=6            got=6            PASS
+constituent block distance                expected=2            got=2            PASS
+rate-1/2 subcode min d_free               expected=8            got=8            PASS
+raw constraint length                     expected=70           got=70           PASS
+minimal constraint length                 expected=64           got=64           PASS
+minimal constraint length perm (2, 1, 3)  expected=65           got=65           PASS
+minimal constraint length perm (2, 3, 1)  expected=66           got=66           PASS
+product bound                             expected=18           got=18           PASS
+improved bound                            expected=24           got=24           PASS
+witness weight                            expected=32           got=32           PASS
+witness orbit                             expected=7            got=7            PASS
+witness weight perm (2, 3, 1)             expected=30           got=30           PASS
+19/19 checks passed
+"""
+# expected output of the Heawood sweep over all six permutations, byte for byte
+SWEEP_HEAWOOD = """\
+perm,nu_raw,nu_min,k,product_bound,improved_bound,witness,orbit,flags
+1-2-3,70,65,8,18,24,30,7,rank-deficient
+1-3-2,70,64,7,18,24,32,7,
+2-1-3,70,65,7,18,24,32,7,
+2-3-1,70,66,7,18,24,30,7,equivalent-to:3,1,2
+3-1-2,70,66,7,18,24,30,7,equivalent-to:2,3,1
+3-2-1,70,65,7,18,24,28,7,
+"""
+SWEEP = ["woven", "sweep", "--graph", "builtin:heawood", "--hc-inline", HC]
+
+
+def test_verify_heawood_reproduces_every_check(capsys):
+    assert cli.main(["verify", "heawood"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "19/19 checks passed"
+    assert out == VERIFY_HEAWOOD
+
+
+def test_sweep_rows_do_not_depend_on_the_worker_count(capsys):
+    assert cli.main(["--threads", "1", *SWEEP]) == 0
+    serial = capsys.readouterr().out
+    assert cli.main(["--threads", "2", *SWEEP]) == 0
+    assert capsys.readouterr().out == serial == SWEEP_HEAWOOD

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wgc.blockcodes import LinearBlockCode, build_graph_code, min_distance
+from wgc.blockcodes import (BlockStructure, DistanceEstimate, LinearBlockCode, build_graph_code,
+                            min_distance)
 from wgc.convcodes import ConvCode, free_distance, lightest_codeword
 from wgc.gf2 import (
     BinaryMatrix,
@@ -24,6 +25,7 @@ from wgc.gf2 import (
 from wgc.hypergraphs import Hypergraph, build_heawood, build_utility, random_regular
 from wgc.woven import (
     StructureError,
+    SweepRow,
     WitnessBudget,
     build_woven_conv,
     distance_bounds,
@@ -39,9 +41,17 @@ from wgc.woven import (
     two_dim_forms,
     witness_search,
 )
-from conftest import TABLE_RESULTS, list_witness_enumeration, table_bidirectional_refine
+from conftest import (
+    CONSTITUENT_CHECK_STRINGS,
+    TABLE_RESULTS,
+    list_witness_enumeration,
+    oracle_edge_automorphisms,
+    oracle_equivalent_permutation_pairs,
+    table_bidirectional_refine,
+)
 
 BEST = (1, 3, 2)
+CONSTITUENT = [BinaryPoly.parse(s) for s in CONSTITUENT_CHECK_STRINGS]
 
 
 @pytest.fixture(scope="module")
@@ -406,7 +416,8 @@ def test_witness_refine_pass_returns_lighter_codeword():
 
 def test_algebra_values_pickle_and_parallel_sweep_matches_serial(best_code):
     H, G = two_dim_forms(best_code)
-    for value in (tailbite(best_code.hc, 3), best_code.H_wg, G.entries[0][0], H):
+    for value in (tailbite(best_code.hc, 3), best_code.H_wg, G.entries[0][0], H,
+                  BinaryPoly(0b1011), build_heawood(), WitnessBudget(max_terms=2)):
         clone = pickle.loads(pickle.dumps(value))
         assert type(clone) is type(value)
         assert clone == value
@@ -533,6 +544,41 @@ def test_edge_automorphisms_preserve_shared_vertices(g, count):
         assert sorted(per) == list(range(g.num_edges))
         assert all(meet[per[i]][per[j]] == meet[i][j]
                    for i in range(g.num_edges) for j in range(g.num_edges))
+
+
+@pytest.mark.parametrize("g, hc", [
+    (build_heawood(), CONSTITUENT),
+    (build_utility(), [1, 0b11, 0b101]),
+    (_circulant(5, 1, 2), [1, 1, 0b11]),
+    (_circulant(6, 1, 3), [0b101, 1, 0b101]),
+    (_circulant(8, 1, 3), [0b11, 0b11, 0b101]),
+], ids=["heawood", "utility", "circulant-5", "circulant-6", "circulant-8"])
+def test_automorphisms_and_equivalent_pairs_match_the_full_refinement_oracles(g, hc):
+    assert {tuple(per) for per in _edge_automorphisms(g)} == {
+        tuple(per) for per in oracle_edge_automorphisms(g)}
+    perms = sorted(permutations((1, 2, 3)))
+    hc = PolyMatrix([hc])
+    assert equivalent_permutation_pairs(g, hc, perms) == oracle_equivalent_permutation_pairs(
+        g, hc, perms)
+
+
+def test_values_and_records_are_immutable(best_code):
+    res = witness_search(best_code, budget=WitnessBudget(max_terms=1, max_shift=0))
+    values = [
+        (BinaryPoly(0b1011), "bits"),
+        (build_heawood(), "edges"),
+        (WitnessBudget(), "max_terms"),
+        (res, "weight"),
+        (generator_report(best_code), "nu_minimal"),
+        (distance_bounds(best_code, witness=res), "product_bound"),
+        (SweepRow((1, 2, 3), 70, 65, 8, 18, 24, 30, 7, ""), "flags"),
+        (BlockStructure(4, 3), "l"),
+        (DistanceEstimate(4, 4, True), "value"),
+    ]
+    for value, field in values:
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
 
 
 def test_sweep_bounds_consistent(sweep_rows):
