@@ -3,22 +3,22 @@
 Every root is either closed form or comes from ``newton``, one bracketed
 Newton iteration that stops on a relative step, so a root keeps its digits
 however small it gets as the rate approaches 1.  Each branch function is
-convex or concave on its bracket and starts at the end from which Newton
-steps move monotonically to the root; its constants and domain checks are
-set up once per root.  The entropy and the exponents use ``log1p`` and
-``expm1``, which do not cancel near rate 1.  ``rate_for_delta`` returns the entropy rate
-1 - h(delta) exactly where the ensemble meets it, and otherwise finds the
-root of the exponent ``fhat`` in the rate directly.
+convex or concave on its bracket and starts at an end from which Newton
+steps reach the root; its constants and domain checks are set up once per
+root.  ``emit_curves`` walks each curve in rising rate: the entropy root and
+the graph-limited root both fall as the rate rises, so the root found at one
+rate is a valid upper bracket end, and a near-exact start, at the next.  The
+entropy and the exponents use ``log1p`` and ``expm1``, which do not cancel
+near rate 1.  ``rate_for_delta`` returns the entropy rate 1 - h(delta)
+exactly where the ensemble meets it, and otherwise finds the root of the
+exponent ``fhat`` in the rate directly.
 """
 
 from __future__ import annotations
 
-from itertools import count, product, takewhile
+from itertools import count, takewhile
 from math import expm1, log, log1p
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import NamedTuple
 
 LN2 = log(2.0)
 RTOL = 1e-15  # a root is final once a step moves it by at most this fraction
@@ -84,8 +84,13 @@ def newton(f, lo: float, hi: float, x: float) -> float:
     return x
 
 
-def vg_delta(rate: float) -> float:
-    """Root of h(delta) + R - 1 = 0 in (0, 1/2)."""
+def vg_delta(rate: float, above: float | None = None) -> float:
+    """Root of h(delta) + R - 1 = 0 in (0, 1/2).
+
+    ``above`` is a delta known to lie above the root, such as the root at a
+    lower rate R' (there h(delta) + R - 1 = R - R' > 0); it becomes the upper
+    bracket end and the start.
+    """
     if not 0.0 < rate < 1.0:
         raise DomainError(f"rate {rate} outside (0, 1)")
     gap = 1.0 - rate
@@ -94,8 +99,11 @@ def vg_delta(rate: float) -> float:
         h, dh = _entropy_slope(d)
         return h - gap, dh
 
-    # h is concave and rising, so steps from the low end climb to the root
-    return newton(f, 1e-15, 0.5, 1e-15)
+    if above is None:
+        # h is concave and rising, so steps from the low end climb to the root
+        return newton(f, 1e-15, 0.5, 1e-15)
+    # the first step from above lands just below the root, the rest climb
+    return newton(f, 1e-15, above, above)
 
 
 def _branch_constants(rate: float, s: int) -> tuple[float, float]:
@@ -137,32 +145,40 @@ class BoundPoint(NamedTuple):
     regime: str  # "vg" or "graph-limited"
 
 
-def woven_vg_bound(rate: float, s: int, dvg: float | None = None) -> BoundPoint:
+def woven_vg_bound(rate: float, s: int) -> BoundPoint:
     """Relative-distance guarantee for the random woven ensemble.
 
     When the entropy root sits at or above the optimizer boundary the
     ensemble meets the plain entropy bound (regime "vg"); otherwise the
     guarantee is the root of the interior-optimizer branch, which is
-    strictly smaller ("graph-limited").  ``dvg`` is vg_delta(rate) when
-    the caller has it already.
+    strictly smaller ("graph-limited").  This is the one-rate case of the
+    walk in ``emit_curves``, started from the cold brackets.
     """
+    return BoundPoint(rate, s, *_woven_delta(rate, s))
+
+
+def _woven_delta(rate: float, s: int, dvg: float | None = None,
+                 above: float = 1.0) -> tuple[float, str]:
+    """(delta, regime) of ``woven_vg_bound``; ``dvg`` is vg_delta(rate) when
+    the caller has it, and ``above`` a delta the graph-limited root lies below
+    (in a walk, the previous rate's result)."""
     if s < 2:
         raise DomainError("need s >= 2")
     if dvg is None:
         dvg = vg_delta(rate)
     boundary, c = _branch_constants(rate, s)
     if dvg >= boundary:
-        return BoundPoint(rate, s, dvg, "vg")
+        return dvg, "vg"
 
     def f(d):
         h, dh = _entropy_slope(d)
         return (1.0 - s) * h - d * s * c, (1.0 - s) * dh - s * c
 
-    # the branch is convex with f(0) = 0 and f(boundary) > 0, so steps from
-    # the boundary fall to the root; it can sit at exponentially small delta
-    # when the rate approaches 1, so the bracket starts far below that
-    root = newton(f, min(2.0 ** -500, boundary / 2), boundary, boundary)
-    return BoundPoint(rate, s, root, "graph-limited")
+    # the branch is convex with f(0) = 0 and positive above its root, so
+    # steps from the upper end fall to the root; it can sit at exponentially
+    # small delta when the rate approaches 1, so the bracket starts far below
+    hi = min(above, boundary)
+    return newton(f, min(2.0 ** -500, boundary / 2), hi, hi), "graph-limited"
 
 
 def rate_for_delta(delta: float, s: int) -> float:
@@ -245,103 +261,69 @@ def mu_gamma_optimizers(delta: float, rate: float, s: int) -> tuple[float, float
 
 
 # ---------------------------------------------------------------------------
-# exhaustive check of the identical-matrices remark
-
-
-def remark_probabilities(weight: int = 1) -> tuple[Fraction, Fraction]:
-    """Zero-syndrome probability for a weight-w vector, identical vs independent.
-
-    Exhausts the product space of one (two for the independent ensemble)
-    random 1x2 constituent check rows and a random column permutation, with
-    the two-partition stack as the code's parity-check matrix.  Returns
-    exact rationals (identical case, independent case).
-    """
-    from fractions import Fraction
-
-    if weight not in (1, 2):
-        raise ValueError("vectors have length 2; weight must be 1 or 2")
-    vectors = [v for v in ((1, 0), (0, 1), (1, 1)) if sum(v) == weight]
-    perms = ((0, 1), (1, 0))
-    matrices = list(product((0, 1), repeat=2))
-
-    def zero_syndrome(h1, h2, perm, x) -> bool:
-        s1 = h1[0] * x[0] ^ h1[1] * x[1]
-        h2p = (h2[perm[0]], h2[perm[1]])
-        s2 = h2p[0] * x[0] ^ h2p[1] * x[1]
-        return s1 == 0 and s2 == 0
-
-    identical_hits = identical_total = 0
-    for h1 in matrices:
-        for perm in perms:
-            for x in vectors:
-                identical_total += 1
-                identical_hits += zero_syndrome(h1, h1, perm, x)
-    independent_hits = independent_total = 0
-    for h1 in matrices:
-        for h2 in matrices:
-            for perm in perms:
-                for x in vectors:
-                    independent_total += 1
-                    independent_hits += zero_syndrome(h1, h2, perm, x)
-    return (Fraction(identical_hits, identical_total),
-            Fraction(independent_hits, independent_total))
-
-
-def remark_counterexample() -> tuple[Fraction, Fraction]:
-    """The weight-1 pair (identical, independent); identical is strictly larger."""
-    return remark_probabilities(weight=1)
-
-
-# ---------------------------------------------------------------------------
 # curve emission
 
 
-def emit_curves(s_list, grid_step: float, kind: str) -> list[dict]:
-    """Rows for the bound curves; point-level failures become flagged rows."""
+class Curves(list):
+    """The rows of ``emit_curves`` (dicts), with the CSV line of each in ``lines``."""
+
+    __slots__ = ("lines",)
+
+    def __init__(self, header: str):
+        super().__init__()
+        self.lines = [header]
+
+
+def emit_curves(s_list, grid_step: float, kind: str) -> Curves:
+    """Rows for the bound curves; point-level failures become flagged rows.
+
+    Each row's CSV line is written as its point is found, and every s shares
+    one printed string per rate.  A vg curve is walked in rising rate: the
+    entropy root and the graph-limited root both fall as the rate rises, so
+    the previous rate's root is the upper bracket end and the Newton start of
+    the next (for the entropy root f(prev) = R - R_prev > 0; the branch is
+    positive above its root, and its end is min(prev, boundary)).  A point
+    whose root fails starts the next one from the cold bracket again.
+    """
     if not 0.0 < grid_step <= 0.1:
         raise DomainError("grid step must be in (0, 0.1]")
     # the i-th rate is i * step: a running sum drifts by up to 1e-11 over a
     # fine grid, which moves roots near rate 1 off the printed rate
     rates = list(takewhile(lambda r: r < 1.0 - 1e-12, (i * grid_step for i in count(1))))
-    rows: list[dict] = []
+    shown = [(rv, f"{rv:.10g}") for rv in (round(r, 12) for r in rates)]
     if kind == "vg":
+        rows = Curves("s,rate,delta,regime")
         # every s walks the same rates, so each entropy root is found once;
-        # a failed root is None and woven_vg_bound raises its error again
-        grid = []
+        # a failed root is None and _woven_delta raises its error again
+        dvgs: list[float | None] = []
         for r in rates:
             try:
-                grid.append((r, vg_delta(r)))
-            except (DomainError, BracketError):
-                grid.append((r, None))
+                dvgs.append(vg_delta(r, dvgs[-1] if dvgs else None))
+            except BracketError:
+                dvgs.append(None)
         for s in s_list:
-            for r, dvg in grid:
+            above = 1.0
+            for r, (rv, rate_text), dvg in zip(rates, shown, dvgs):
                 try:
-                    pt = woven_vg_bound(r, s, dvg)
-                    rows.append({"s": s, "rate": round(r, 12), "delta": pt.delta,
-                                 "regime": pt.regime})
+                    above, regime = _woven_delta(r, s, dvg, above)
                 except (DomainError, BracketError) as exc:
-                    rows.append({"s": s, "rate": round(r, 12), "delta": "",
-                                 "regime": f"error:{exc}"})
+                    above = 1.0
+                    rows.append({"s": s, "rate": rv, "delta": "", "regime": f"error:{exc}"})
+                    rows.lines.append(f"{s},{rate_text},,error:{exc}")
+                else:
+                    rows.append({"s": s, "rate": rv, "delta": above, "regime": regime})
+                    rows.lines.append(f"{s},{rate_text},{above:.10g},{regime}")
         return rows
     if kind == "costello":
-        for r in rates:
-            try:
-                rows.append({"rate": round(r, 12), "delta": costello_delta(r)})
-            except (DomainError, BracketError) as exc:
-                rows.append({"rate": round(r, 12), "delta": f"error:{exc}"})
+        rows = Curves("rate,delta")
+        for r, (rv, rate_text) in zip(rates, shown):
+            delta = costello_delta(r)  # closed form, defined on every rate of the grid
+            rows.append({"rate": rv, "delta": delta})
+            rows.lines.append(f"{rate_text},{delta:.10g}")
         return rows
     raise ValueError(f"unknown curve kind {kind!r}")
 
 
-def curves_csv(rows: list[dict]) -> str:
-    if not rows:
-        return "\n"
-    keys = list(rows[0].keys())
-    out = [",".join(keys)]
-    for row in rows:
-        cells = []
-        for k in keys:
-            v = row.get(k, "")
-            cells.append(f"{v:.10g}" if isinstance(v, float) else str(v))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+def curves_csv(rows: Curves) -> str:
+    """The CSV text of ``emit_curves`` rows: a header, then one line per row."""
+    return "\n".join(rows.lines) + "\n" if rows else "\n"

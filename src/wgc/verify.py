@@ -21,7 +21,8 @@ def run_heawood_verification(budget: woven.WitnessBudget | None = None) -> list[
         results.append((name, expected, got, expected == got))
 
     g = hypergraphs.build_heawood()
-    check("graph girth", 6, hypergraphs.girth(g))
+    graph_girth = hypergraphs.girth(g)
+    check("graph girth", 6, graph_girth)
 
     spc = blockcodes.build_graph_code(g, BinaryMatrix.from_strings(["111"]))
     check("graph code (n,k)", (21, 8), (spc.n, spc.k))
@@ -51,9 +52,9 @@ def run_heawood_verification(budget: woven.WitnessBudget | None = None) -> list[
     for perm, expected_nu in (((2, 1, 3), 65), ((2, 3, 1), 66)):
         others[perm] = woven.build_woven_conv(g, CONSTITUENT_CHECK, perm)
         check(f"minimal constraint length perm {perm}", expected_nu,
-              woven.generator_report(others[perm]).nu_minimal)
+              woven.minimal_generator(others[perm]).constraint_length)
 
-    dist = woven.distance_bounds(code)
+    dist = woven.distance_bounds(code, graph_girth=graph_girth)
     check("product bound", 18, dist.product_bound)
     check("improved bound", 24, dist.improved_bound)
 

@@ -262,17 +262,18 @@ class DistanceReport(NamedTuple):
         return all(a <= b for a, b in zip(present, present[1:]))
 
 
-def distance_bounds(code: WovenConvCode, *, witness: "WitnessResult | None" = None
-                    ) -> DistanceReport:
+def distance_bounds(code: WovenConvCode, *, witness: "WitnessResult | None" = None,
+                    graph_girth: int | None = None) -> DistanceReport:
     """Product-type and subcode-improved lower bounds on the free distance.
 
     Bipartite product bound: max(girth/2, 2) times the constituent free
     distance.  The improved bound splits codewords by constituent support:
     fully block-weight-2 words live in the rate-1/2 subcodes and activate at
     least girth/2 constituents; anything else activates one more constituent
-    at full free distance.
+    at full free distance.  ``graph_girth`` is girth(code.graph) when the
+    caller has it already.
     """
-    product, improved = _graph_bounds(code.graph, code.hc)
+    product, improved = _graph_bounds(code.graph, code.hc, graph_girth)
     return DistanceReport(
         product_bound=product,
         improved_bound=improved,
@@ -282,14 +283,16 @@ def distance_bounds(code: WovenConvCode, *, witness: "WitnessResult | None" = No
     )
 
 
-def _graph_bounds(g: Hypergraph, hc: PolyMatrix) -> tuple[int, int | None]:
+def _graph_bounds(g: Hypergraph, hc: PolyMatrix, girth_g: int | None = None
+                  ) -> tuple[int, int | None]:
     """(product, improved) bounds of ``distance_bounds``; the permutation plays no part."""
     constituent = ConvCode.from_parity(hc)
     d_block = block_distance_conv(constituent)
     if d_block < 2:
         raise ValueError("constituent block distance must be at least 2")
     d_free_c = free_distance(constituent)
-    girth_g = girth(g)
+    if girth_g is None:
+        girth_g = girth(g)
     if girth_g is None:
         raise StructureError("acyclic graph has no product bound")
     active = max(girth_g // 2, 2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -491,6 +492,52 @@ def oracle_equivalent_permutation_pairs(g, hc, perms):
     hits = {(pa, pb) for per in oracle_edge_automorphisms(g) for pa, r in rows.items()
             for pb in holders.get(tuple(sorted(tuple(row[j] for j in per) for row in r)), ())}
     return [pair for pair in combinations(perms, 2) if pair in hits]
+
+
+# ---------------------------------------------------------------------------
+# exhaustive check of the identical-matrices remark
+
+
+def remark_probabilities(weight: int = 1) -> tuple[Fraction, Fraction]:
+    """Zero-syndrome probability for a weight-w vector, identical vs independent.
+
+    Exhausts the product space of one (two for the independent ensemble)
+    random 1x2 constituent check rows and a random column permutation, with
+    the two-partition stack as the code's parity-check matrix.  Returns
+    exact rationals (identical case, independent case).
+    """
+    if weight not in (1, 2):
+        raise ValueError("vectors have length 2; weight must be 1 or 2")
+    vectors = [v for v in ((1, 0), (0, 1), (1, 1)) if sum(v) == weight]
+    perms = ((0, 1), (1, 0))
+    matrices = list(product((0, 1), repeat=2))
+
+    def zero_syndrome(h1, h2, perm, x) -> bool:
+        s1 = h1[0] * x[0] ^ h1[1] * x[1]
+        h2p = (h2[perm[0]], h2[perm[1]])
+        s2 = h2p[0] * x[0] ^ h2p[1] * x[1]
+        return s1 == 0 and s2 == 0
+
+    identical_hits = identical_total = 0
+    for h1 in matrices:
+        for perm in perms:
+            for x in vectors:
+                identical_total += 1
+                identical_hits += zero_syndrome(h1, h1, perm, x)
+    independent_hits = independent_total = 0
+    for h1 in matrices:
+        for h2 in matrices:
+            for perm in perms:
+                for x in vectors:
+                    independent_total += 1
+                    independent_hits += zero_syndrome(h1, h2, perm, x)
+    return (Fraction(identical_hits, identical_total),
+            Fraction(independent_hits, independent_total))
+
+
+def remark_counterexample() -> tuple[Fraction, Fraction]:
+    """The weight-1 pair (identical, independent); identical is strictly larger."""
+    return remark_probabilities(weight=1)
 
 
 # ---------------------------------------------------------------------------

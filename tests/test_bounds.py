@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wgc import bounds
 from wgc.bounds import (
     BoundPoint,
     BracketError,
@@ -22,11 +26,10 @@ from wgc.bounds import (
     mu_gamma_optimizers,
     rate_for_delta,
     rate_gap,
-    remark_counterexample,
-    remark_probabilities,
     vg_delta,
     woven_vg_bound,
 )
+from conftest import remark_counterexample, remark_probabilities
 
 mpmath.mp.dps = 50
 
@@ -389,3 +392,91 @@ def test_curves_csv_formatting():
     lines = text.strip().splitlines()
     assert lines[0] == "s,rate,delta,regime"
     assert len(lines) == len(rows) + 1
+
+
+@pytest.mark.parametrize("s_list, step, kind, digest", [
+    ([2, 3, 4, 5], 0.001, "vg",
+     "03243618ad1ade8b949fa711ad573ea26ce2d92ecb31b445f516e14ecfcef19e"),
+    ([2, 3, 4, 5, 6, 10], 1e-4, "vg",
+     "3205b566cd5d80b77b68cfb98e4dda91f19d38b570a10e22feab2cccaca8e327"),
+    ([], 0.001, "costello",
+     "d6a792df8a918f5ba9faa5f900afc10ebabd0ea09fce65a59faa3485b1e5af53"),
+])
+def test_curves_csv_is_pinned(s_list, step, kind, digest):
+    # digests of the CSV as every point was computed from its cold bracket
+    text = curves_csv(emit_curves(s_list, step, kind))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@settings(max_examples=25, deadline=None)
+@given(step=st.floats(1e-4, 0.1), s_list=st.lists(st.integers(2, 12), min_size=1, max_size=3))
+def test_walked_points_match_single_point_bounds(step, s_list):
+    rows = emit_curves(s_list, step, "vg")
+    rates = [i * step for i in range(1, len(rows) // len(s_list) + 1)]
+    assert rates[-1] < 1.0 - 1e-12 <= (len(rates) + 1) * step
+    for row, (s, rate) in zip(rows, ((s, r) for s in s_list for r in rates)):
+        point = woven_vg_bound(rate, s)
+        assert row["s"] == s and row["regime"] == point.regime
+        assert abs(row["delta"] - point.delta) <= 1e-12 * point.delta
+
+
+def counting_newton(monkeypatch, fail_at=None):
+    """Wraps bounds.newton.  Returns the list of its (lo, hi, x) calls and a
+    one-element list counting the evaluations of the functions passed to it;
+    the call numbered ``fail_at`` raises BracketError instead."""
+    real, calls, evaluations = bounds.newton, [], [0]
+
+    def newton(f, lo, hi, x):
+        calls.append((lo, hi, x))
+        if len(calls) - 1 == fail_at:
+            raise BracketError("injected")
+
+        def counted(d):
+            evaluations[0] += 1
+            return f(d)
+
+        return real(counted, lo, hi, x)
+
+    monkeypatch.setattr(bounds, "newton", newton)
+    return calls, evaluations
+
+
+def test_walk_evaluation_count(monkeypatch):
+    # every root from its cold bracket took 20,764 evaluations on this grid
+    calls, evaluations = counting_newton(monkeypatch)
+    emit_curves([2, 3, 4, 5], 0.001, "vg")
+    assert len(calls) == 2676
+    assert evaluations[0] <= 15_000
+
+
+def test_failed_branch_root_is_an_error_row_and_the_next_starts_cold(monkeypatch):
+    step = 0.01
+    clean_calls, _ = counting_newton(monkeypatch)
+    clean = emit_curves([2], step, "vg")
+    regimes = [row["regime"] for row in clean]
+    # a point mid-way along the graph-limited part; the entropy roots come first
+    first = regimes.index("graph-limited")
+    k = (first + len(clean)) // 2
+    call = len(clean) + k - first
+    assert clean_calls[call][1] == clean[k - 1]["delta"]  # warm: the previous root
+
+    calls, _ = counting_newton(monkeypatch, fail_at=call)
+    rows = emit_curves([2], step, "vg")
+    assert rows[k] == {"s": 2, "rate": clean[k]["rate"], "delta": "",
+                       "regime": "error:injected"}
+    assert rows.lines[k + 1] == clean.lines[k + 1].rsplit(",", 2)[0] + ",,error:injected"
+    assert rows.lines[:k + 1] + rows.lines[k + 2:] == clean.lines[:k + 1] + clean.lines[k + 2:]
+    # the next point's upper end is the cold one, its own boundary
+    boundary = bounds._branch_constants((k + 2) * step, 2)[0]
+    assert calls[call + 1][1:] == (boundary, boundary) != clean_calls[call + 1][1:]
+
+
+def test_failed_entropy_root_restarts_the_entropy_walk_cold(monkeypatch):
+    step = 0.01
+    clean = emit_curves([2, 3], step, "vg")
+    calls, _ = counting_newton(monkeypatch, fail_at=40)
+    rows = emit_curves([2, 3], step, "vg")
+    assert calls[40][1] == calls[40][2] < 0.5  # warm
+    assert calls[41] == (1e-15, 0.5, 1e-15)  # cold
+    # the failed rate's root is found again for each s, here without a fault
+    assert rows.lines == clean.lines
