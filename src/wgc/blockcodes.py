@@ -271,23 +271,6 @@ def build_woven_block(g: Hypergraph, constituent: LinearBlockCode,
 # bounds
 
 
-def girth_distance_check(g: Hypergraph, constituent: LinearBlockCode, *,
-                         full_enum_limit: int = 26) -> tuple[int | None, int]:
-    """(predicted, measured) minimum distance for the graph-based code.
-
-    The prediction is the compact-subgraph girth at depth equal to the
-    constituent minimum distance; the measurement enumerates the expanded
-    code.
-    """
-    d_c = min_distance(constituent).value
-    if d_c < 2:
-        raise ValueError("constituent minimum distance must be at least 2")
-    predicted = sd_girth(g, d_c)
-    code = build_graph_code(g, constituent.H)
-    actual = min_distance(code, full_enum_limit=full_enum_limit).value
-    return predicted, actual
-
-
 def product_distance_bound(g: Hypergraph, constituent: LinearBlockCode,
                            structure: BlockStructure,
                            depth: int | None = None) -> int:

@@ -277,6 +277,8 @@ def cmd_woven_witness(args) -> int:
     orbit = woven.orbit_multiplicity(code, res.word)
     print(f"witness_weight={res.weight}")
     print(f"exact={res.exact}")
+    print(f"words_enumerated={res.words_enumerated}")
+    print(f"nodes_expanded={res.nodes_expanded}")
     print(f"orbit={orbit}")
     if args.show_word:
         print("word=" + ",".join(p.to_string() for p in res.word))

@@ -7,7 +7,6 @@ from collections import Counter
 from itertools import combinations
 
 from .gf2 import (
-    BinaryMatrix,
     BinaryPoly,
     PolyMatrix,
     kernel_basis,
@@ -348,36 +347,6 @@ def rate_half_subcodes(code: ConvCode) -> list[ConvCode]:
 
 # ---------------------------------------------------------------------------
 # derived block codes
-
-
-def zt_block_code(code: ConvCode, l: int) -> LinearBlockCode:
-    """Zero-tail terminated block code with l information levels.
-
-    The length is (l + m) c where m is the largest entry degree over the
-    stored matrices, so parity-only constructions keep their natural frame.
-    """
-    if l < 0:
-        raise ValueError("information length must be nonnegative")
-    gen = _generator_of(code)
-    tail = max(gen.memory, code.H.memory if code.H is not None else 0)
-    n = (l + tail) * code.c
-    if l == 0:
-        return LinearBlockCode(BinaryMatrix.identity(n))
-    # every degree is at most tail, so the first l levels never wrap
-    rows = tailbite(gen, l + tail).data[:l * gen.rows]
-    return LinearBlockCode(nullspace_basis(BinaryMatrix(rows, n)))
-
-
-def tb_block_code(code: ConvCode, length: int) -> LinearBlockCode:
-    """Tailbitten block code: parity-check matrix wrapped at ``length`` levels.
-
-    Wrapped checks can become dependent, in which case the code is larger
-    than the span of the wrapped encoder; see tb_encoder_code for that span.
-    """
-    h = code.with_parity().H
-    if h is None:
-        raise ValueError("tailbiting the parity form needs redundancy")
-    return LinearBlockCode(tailbite(h, length))
 
 
 def tb_encoder_code(code: ConvCode, length: int) -> LinearBlockCode:

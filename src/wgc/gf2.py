@@ -132,11 +132,6 @@ class BinaryPoly:
         return self.to_string()
 
 
-def poly_mul(a: BinaryPoly, b: BinaryPoly) -> BinaryPoly:
-    """Carry-less polynomial product over GF(2)."""
-    return a * b
-
-
 def poly_gcd(a: BinaryPoly, b: BinaryPoly) -> BinaryPoly:
     return BinaryPoly(_gcd(a.bits, b.bits))
 
@@ -304,15 +299,6 @@ def _eliminate(m: BinaryMatrix) -> tuple[list[int], list[int]]:
 def rank(m: BinaryMatrix) -> int:
     """GF(2) row rank via elimination (first nonzero pivot in row-major scan)."""
     return len(_eliminate(m)[1])
-
-
-def rref(m: BinaryMatrix) -> BinaryMatrix:
-    """Reduced row echelon form; canonical for the row space under fixed columns."""
-    return BinaryMatrix(_eliminate(m)[0], m.cols)
-
-
-def row_space_equal(a: BinaryMatrix, b: BinaryMatrix) -> bool:
-    return a.cols == b.cols and rref(a) == rref(b)
 
 
 def nullspace_basis(m: BinaryMatrix) -> BinaryMatrix:
@@ -522,18 +508,23 @@ class PolyMatrix:
         )
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Matrix product over GF(2)[D]; only products of two nonzero entries are formed.
+
+        Row i of the result accumulates clmul(A[i][k], B[k][j]) over the
+        nonzero A[i][k] and the nonzero entries of row k of B, so a sparse
+        factor such as a check matrix costs its nonzero entries alone.
+        """
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        a, b = self.bits(), other.bits()
+        support = [[(j, q) for j, q in enumerate(row) if q] for row in other.bits()]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = 0
-                for k in range(self.cols):
-                    acc ^= clmul(a[i][k], b[k][j])
-                row.append(acc)
-            out.append(row)
+        for row in self.bits():
+            acc = [0] * other.cols
+            for p, terms in zip(row, support):
+                if p:
+                    for j, q in terms:
+                        acc[j] ^= clmul(p, q)
+            out.append(acc)
         return PolyMatrix(out)
 
     def is_zero(self) -> bool:
@@ -642,23 +633,35 @@ def row_reduce(g: PolyMatrix) -> PolyMatrix:
     cancels its leading coefficients.  Fixed point: high-order matrix has
     full row rank.
 
-    The high-order rows are eliminated in index order into an echelon keyed
-    by leading bit, each entry carrying the set of rows it combines, so the
-    first dependent row comes with its unique combination of the rows
-    before it.  A replaced row invalidates only the entries of that row and
-    later ones, which are dropped and eliminated again.
+    Each row is one int holding entry j at bit offset j * stride, where
+    stride is the widest entry of the input.  A replacement shifts every
+    member row up to the largest member degree and cancels that degree, so
+    no entry ever grows past the stride: a replacement is one shift-XOR per
+    member row, and the high-order vector of a row of degree d is
+    ``(row >> d) & low``, with bit j * stride of ``low`` set for every
+    column j.  A row's degree only falls, so it is found by stepping down
+    from the last one.
+
+    The high-order vectors are eliminated in row order into an echelon
+    keyed by leading bit, each entry carrying the set of rows it combines,
+    so the first dependent row comes with its unique combination of the
+    rows before it.  A replaced row invalidates only the entries of that row
+    and later ones, which are dropped and eliminated again.
     """
-    rows = [list(r) for r in (g.bits())]
-    ncols = g.cols
-    degs = [0] * len(rows)
+    grid = g.bits()
+    stride = max((p.bit_length() for row in grid for p in row), default=0)
+    low = sum(1 << (j * stride) for j in range(g.cols))
+    rows = [sum(p << (j * stride) for j, p in enumerate(row)) for row in grid]
+    degs = [stride] * len(rows)
     hi = [0] * len(rows)
 
     def refresh(i: int) -> None:
-        d = max((p.bit_length() for p in rows[i]), default=0) - 1
-        if d < 0:
+        row, d = rows[i], degs[i] - 1
+        if not row:
             raise ValueError("rank-deficient input: zero row produced")
-        degs[i] = d
-        hi[i] = sum(((p >> d) & 1) << j for j, p in enumerate(rows[i]))
+        while not (row >> d) & low:
+            d -= 1
+        degs[i], hi[i] = d, (row >> d) & low
 
     for i in range(len(rows)):
         refresh(i)
@@ -681,17 +684,16 @@ def row_reduce(g: PolyMatrix) -> PolyMatrix:
         members = [m for m in range(i + 1) if (combo >> m) & 1]
         dmax = max(degs[m] for m in members)
         target = max(m for m in members if degs[m] == dmax)
-        new = [0] * ncols
+        new = 0
         for m in members:
-            sh = dmax - degs[m]
-            for j in range(ncols):
-                new[j] ^= rows[m][j] << sh
+            new ^= rows[m] << (dmax - degs[m])
         rows[target] = new
         refresh(target)
         for lead in leads[target:]:
             del echelon[lead]
         del leads[target:]
-    return PolyMatrix(rows)
+    mask = (1 << stride) - 1
+    return PolyMatrix([[(row >> (j * stride)) & mask for j in range(g.cols)] for row in rows])
 
 
 def minimal_basic(g: PolyMatrix) -> PolyMatrix:
@@ -714,18 +716,6 @@ def minimal_basic(g: PolyMatrix) -> PolyMatrix:
     if basis.rows != g.rows:
         raise AssertionError("saturated kernel has unexpected rank")
     return row_reduce(basis)
-
-
-def poly_row_space_equal(a: PolyMatrix, b: PolyMatrix) -> bool:
-    """Equality of GF(2)(D) row spaces, certified by stacked-rank checks."""
-    if a.cols != b.cols:
-        return False
-    ra = rank_over_rational_field(a)
-    rb = rank_over_rational_field(b)
-    if ra != rb:
-        return False
-    stacked = PolyMatrix(list(a.entries) + list(b.entries))
-    return rank_over_rational_field(stacked) == ra
 
 
 # ---------------------------------------------------------------------------

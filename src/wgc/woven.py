@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations, permutations
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .gf2 import (
     BinaryPoly,
@@ -388,26 +388,42 @@ def witness_search(code: WovenConvCode, target: int | None = None,
     Since wt(a ^ b) >= |wt(a) - wt(b)|, a prefix XOR ``acc`` whose weight is
     at least ``best`` above the heaviest word it could still take, or at least
     ``best`` below the lightest, cannot give a word lighter than ``best``: its
-    inner loop is skipped, which leaves the result unchanged.
-    ``words_enumerated`` counts every combination within the budget, scored
-    or ruled out this way.
+    inner loop is skipped, which leaves the result unchanged.  The same
+    bound holds per row: every shift of a row has the row's weight, so the
+    inner loop scores the tail one row's shifts at a time, in list order,
+    and skips a row whose weight is at least ``best`` from ``acc``'s.  A row
+    replaces the best word only with a strictly lighter one, so the first
+    word of the lowest weight still wins.  ``words_enumerated`` counts every
+    combination within the budget, scored or ruled out this way.
+
+    ``best`` starts one above the lightest nonzero word of at most two terms
+    (one term when ``max_terms`` is 1), so pruning starts at once.  Each such
+    word is enumerated: a first term has shift zero and every later word of
+    the list may be its second.  The first word of the lowest weight is
+    therefore still lighter than ``best`` when it is reached, and the word,
+    weight and count stay those of the unbounded enumeration.
     """
     budget = budget or WitnessBudget()
     rows = _family_rows(code)
     ncols = code.n * code.c
     stride = max((p.bit_length() for row in rows for p in row), default=0) + budget.max_shift
     packed = [sum(p << (j * stride) for j, p in enumerate(row)) for row in rows]
-    words = [row << b for row in packed for b in range(budget.max_shift + 1)]
+    step = budget.max_shift + 1
+    words = [row << b for row in packed for b in range(step)]
     size = len(words)
     weights = [w.bit_count() for w in words]
     # lightest and heaviest word weight of each tail; the empty tail rules out every acc
     lightest = [*accumulate(weights[::-1], min)][::-1] + [1 << 60]
     heaviest = [*accumulate(weights[::-1], max)][::-1] + [-(1 << 60)]
+    firsts = range(0, size, step)
+    row_weights = weights[::step]  # every shift of a row has the row's weight
+    seconds = words if budget.max_terms > 1 else []
+    pairs = (words[first] ^ w for first in firsts for w in [0, *seconds[first + 1:]])
+    best_w = 1 + min(filter(None, map(int.bit_count, pairs)), default=(1 << 60) - 1)
     best_word = 0
-    best_w = 1 << 60
     count = 0
 
-    for first in range(0, size, budget.max_shift + 1):
+    for first in firsts:
         base = words[first]
         w = weights[first]
         count += 1
@@ -423,12 +439,16 @@ def witness_search(code: WovenConvCode, target: int | None = None,
                 w = acc.bit_count()
                 if w - heaviest[start] >= best_w or lightest[start] - w >= best_w:
                     continue
-                scores = list(map(int.bit_count, map(acc.__xor__, words[start:])))
-                w = min(scores)
-                if not w:  # acc equals a word of the tail; that XOR is no codeword
-                    w = min(filter(None, scores), default=best_w)
-                if w < best_w:
-                    best_w, best_word = w, acc ^ words[start + scores.index(w)]
+                for row in range(start // step, len(rows)):
+                    if abs(w - row_weights[row]) >= best_w:
+                        continue
+                    lo, hi = max(start, row * step), (row + 1) * step
+                    scores = list(map(int.bit_count, map(acc.__xor__, words[lo:hi])))
+                    s = min(scores)
+                    if not s:  # acc equals a word of the tail; that XOR is no codeword
+                        s = min(filter(None, scores), default=best_w)
+                    if s < best_w:
+                        best_w, best_word = s, acc ^ words[lo + scores.index(s)]
 
     if not best_word:
         raise ValueError("no nonzero codeword found; empty generator family")
@@ -600,22 +620,39 @@ def equivalent_permutation_pairs(g: Hypergraph, hc: PolyMatrix, perms
     rows of one permutation equal the rows of another as a multiset, the
     two codes are identical up to coordinate relabelling.  Unflagged pairs
     may still be equivalent through relabellings outside this family.
+
+    A column relabelling plus a row reordering keeps the multiset, over the
+    edge columns of H_wg, of each column's sorted nonzero entries, so only
+    pairs with equal multisets can be flagged.  The automorphisms are listed
+    lazily, and the listing stops once every such pair is flagged; with no
+    such pair none is listed.  The automorphisms form a group, so a pair is
+    flagged by one that maps either member onto the other.
     """
     if 2 * g.n > _MAX_AUTOMORPHISM_VERTICES:
         return []
-    autos = _edge_automorphisms(g)
     rows = {perm: [tuple(p.bits for p in row)
                    for row in build_woven_conv(g, hc, perm).H_wg.entries] for perm in perms}
-    holders: dict[tuple, list[tuple[int, ...]]] = {}
-    for perm, r in rows.items():
-        holders.setdefault(tuple(sorted(r)), []).append(perm)
-    hits = {(pa, pb) for relabel in [itemgetter(*per) for per in autos] for pa, r in rows.items()
-            for pb in holders.get(tuple(sorted(map(relabel, r))), ())}
+    shape = {perm: sorted(tuple(sorted(filter(None, col))) for col in zip(*r))
+             for perm, r in rows.items()}
+    open_pairs = [(pa, pb) for pa, pb in combinations(perms, 2) if shape[pa] == shape[pb]]
+    if not open_pairs:
+        return []
+    members = {perm for pair in open_pairs for perm in pair}
+    held = {perm: sorted(rows[perm]) for perm in members}
+    hits = []
+    for per in _edge_automorphisms(g):
+        relabel = itemgetter(*per)
+        image = {perm: sorted(map(relabel, rows[perm])) for perm in members}
+        hits += [(pa, pb) for pa, pb in open_pairs
+                 if image[pa] == held[pb] or image[pb] == held[pa]]
+        open_pairs = [pair for pair in open_pairs if pair not in hits]
+        if not open_pairs:
+            break
     return [pair for pair in combinations(perms, 2) if pair in hits]
 
 
-def _edge_automorphisms(g: Hypergraph) -> list[list[int]]:
-    """Edge permutations induced by automorphisms of the bipartite graph.
+def _edge_automorphisms(g: Hypergraph) -> Iterator[list[int]]:
+    """Edge permutations induced by automorphisms of the bipartite graph, one at a time.
 
     Automorphisms that swap the two sides are included.  In each list
     per[j] is the edge that the automorphism maps onto edge j.
@@ -627,12 +664,10 @@ def _edge_automorphisms(g: Hypergraph) -> list[list[int]]:
         adj[a].append(n + b)
         adj[n + b].append(a)
         edge_index.setdefault((a, b), []).append(i)
-    out = []
     for vmap in _isomorphisms(adj, adj, [0] * (2 * n)):
         image_index = {k: list(v) for k, v in edge_index.items()}
         per = [0] * g.num_edges
         for i, (a, b) in enumerate(g.edges):
             u, w = sorted((vmap[a], vmap[n + b]))
             per[image_index[(u, w - n)].pop()] = i
-        out.append(per)
-    return out
+        yield per

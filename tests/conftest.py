@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
+from operator import xor
 
 import pytest
 
-from wgc.convcodes import CatastrophicEncoderError
-from wgc.gf2 import BinaryMatrix, BinaryPoly, PolyMatrix, nullspace_basis
+from wgc.blockcodes import LinearBlockCode, build_graph_code, min_distance
+from wgc.convcodes import CatastrophicEncoderError, ConvCode, _generator_of
+from wgc.gf2 import (BinaryMatrix, BinaryPoly, PolyMatrix, _eliminate, clmul, nullspace_basis,
+                     rank_over_rational_field, tailbite)
+from wgc.hypergraphs import Hypergraph, sd_girth
 from wgc.woven import _family_rows
 
 # 14x21 incidence matrix of the built-in bipartite graph, fixed row order:
@@ -116,6 +121,83 @@ def graph_parent_check() -> PolyMatrix:
     from wgc.gf2 import BinaryPoly
 
     return PolyMatrix([[BinaryPoly.parse(s) for s in row] for row in GRAPH_PARENT_CHECK_STRINGS])
+
+
+# ---------------------------------------------------------------------------
+# helpers that only tests use: products, row-space equality, derived block codes
+
+
+def poly_mul(a: BinaryPoly, b: BinaryPoly) -> BinaryPoly:
+    """Carry-less polynomial product over GF(2)."""
+    return a * b
+
+
+def rref(m: BinaryMatrix) -> BinaryMatrix:
+    """Reduced row echelon form; canonical for the row space under fixed columns."""
+    return BinaryMatrix(_eliminate(m)[0], m.cols)
+
+
+def row_space_equal(a: BinaryMatrix, b: BinaryMatrix) -> bool:
+    return a.cols == b.cols and rref(a) == rref(b)
+
+
+def poly_row_space_equal(a: PolyMatrix, b: PolyMatrix) -> bool:
+    """Equality of GF(2)(D) row spaces, certified by stacked-rank checks."""
+    if a.cols != b.cols:
+        return False
+    ra = rank_over_rational_field(a)
+    rb = rank_over_rational_field(b)
+    if ra != rb:
+        return False
+    stacked = PolyMatrix(list(a.entries) + list(b.entries))
+    return rank_over_rational_field(stacked) == ra
+
+
+def zt_block_code(code: ConvCode, l: int) -> LinearBlockCode:
+    """Zero-tail terminated block code with l information levels.
+
+    The length is (l + m) c where m is the largest entry degree over the
+    stored matrices, so parity-only constructions keep their natural frame.
+    """
+    if l < 0:
+        raise ValueError("information length must be nonnegative")
+    gen = _generator_of(code)
+    tail = max(gen.memory, code.H.memory if code.H is not None else 0)
+    n = (l + tail) * code.c
+    if l == 0:
+        return LinearBlockCode(BinaryMatrix.identity(n))
+    # every degree is at most tail, so the first l levels never wrap
+    rows = tailbite(gen, l + tail).data[:l * gen.rows]
+    return LinearBlockCode(nullspace_basis(BinaryMatrix(rows, n)))
+
+
+def tb_block_code(code: ConvCode, length: int) -> LinearBlockCode:
+    """Tailbitten block code: parity-check matrix wrapped at ``length`` levels.
+
+    Wrapped checks can become dependent, in which case the code is larger
+    than the span of the wrapped encoder; see tb_encoder_code for that span.
+    """
+    h = code.with_parity().H
+    if h is None:
+        raise ValueError("tailbiting the parity form needs redundancy")
+    return LinearBlockCode(tailbite(h, length))
+
+
+def girth_distance_check(g: Hypergraph, constituent: LinearBlockCode, *,
+                         full_enum_limit: int = 26) -> tuple[int | None, int]:
+    """(predicted, measured) minimum distance for the graph-based code.
+
+    The prediction is the compact-subgraph girth at depth equal to the
+    constituent minimum distance; the measurement enumerates the expanded
+    code.
+    """
+    d_c = min_distance(constituent).value
+    if d_c < 2:
+        raise ValueError("constituent minimum distance must be at least 2")
+    predicted = sd_girth(g, d_c)
+    code = build_graph_code(g, constituent.H)
+    actual = min_distance(code, full_enum_limit=full_enum_limit).value
+    return predicted, actual
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +343,62 @@ def nullspace_row_reduce(g: PolyMatrix) -> PolyMatrix:
             for j in range(g.cols):
                 new[j] ^= rows[i][j] << (dmax - degs[i])
         rows[target] = new
+
+
+def list_row_reduce(g: PolyMatrix) -> PolyMatrix:
+    """``row_reduce`` on rows kept as lists of entry ints, one XOR per entry.
+
+    The same incremental echelon of the high-order rows, keyed by column
+    bit, with degrees and high-order rows recomputed entry by entry.
+    """
+    rows = [list(r) for r in g.bits()]
+    degs = [0] * len(rows)
+    hi = [0] * len(rows)
+
+    def refresh(i: int) -> None:
+        d = max((p.bit_length() for p in rows[i]), default=0) - 1
+        if d < 0:
+            raise ValueError("rank-deficient input: zero row produced")
+        degs[i] = d
+        hi[i] = sum(((p >> d) & 1) << j for j, p in enumerate(rows[i]))
+
+    for i in range(len(rows)):
+        refresh(i)
+    echelon: dict[int, tuple[int, int]] = {}
+    leads: list[int] = []
+    while len(leads) < len(rows):
+        i = len(leads)
+        vec, combo = hi[i], 1 << i
+        while vec:
+            lead = vec.bit_length() - 1
+            if lead not in echelon:
+                echelon[lead] = (vec, combo)
+                leads.append(lead)
+                break
+            ev, ec = echelon[lead]
+            vec ^= ev
+            combo ^= ec
+        if vec:
+            continue
+        members = [m for m in range(i + 1) if (combo >> m) & 1]
+        dmax = max(degs[m] for m in members)
+        target = max(m for m in members if degs[m] == dmax)
+        new = [0] * g.cols
+        for m in members:
+            for j in range(g.cols):
+                new[j] ^= rows[m][j] << (dmax - degs[m])
+        rows[target] = new
+        refresh(target)
+        for lead in leads[target:]:
+            del echelon[lead]
+        del leads[target:]
+    return PolyMatrix(rows)
+
+
+def dense_poly_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """A B over GF(2)[D], every entry summed over all k, zero products included."""
+    return PolyMatrix([[reduce(xor, map(clmul, row, col), 0) for col in zip(*b.bits())]
+                       for row in a.bits()])
 
 
 class TupleTrellis:

@@ -16,7 +16,6 @@ from wgc.blockcodes import (
     block_distance,
     build_graph_code,
     build_woven_block,
-    girth_distance_check,
     identity_assignment,
     min_distance,
     product_distance_bound,
@@ -24,7 +23,7 @@ from wgc.blockcodes import (
 )
 from wgc.gf2 import BinaryMatrix
 from wgc.hypergraphs import build_heawood, build_three_partite, build_utility
-from conftest import WOVEN_BLOCK_CONSTITUENT_ROWS, dense_min_weight
+from conftest import WOVEN_BLOCK_CONSTITUENT_ROWS, dense_min_weight, girth_distance_check
 
 SPC3 = BinaryMatrix.from_strings(["111"])
 

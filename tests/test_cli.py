@@ -142,6 +142,17 @@ def test_woven_encode_prints_encode_stream_bits(tmp_path, capsys):
     assert captured.err.startswith("error:") and "pad" in captured.err
 
 
+def test_woven_witness_prints_its_search_counters(capsys):
+    assert cli.main(WITNESS) == 0
+    keys, values = zip(*(line.split("=", 1) for line in capsys.readouterr().out.splitlines()))
+    assert keys == ("witness_weight", "exact", "words_enumerated", "nodes_expanded", "orbit")
+    code = woven.build_woven_conv(cli.load_graph("builtin:utility"),
+                                  cli.parse_poly_matrix_inline("1,11,101"))
+    res = woven.witness_search(code)
+    assert values[:4] == (str(res.weight), str(res.exact), str(res.words_enumerated),
+                          str(res.nodes_expanded))
+
+
 # expected output of ``wgc verify heawood``, byte for byte
 VERIFY_HEAWOOD = """\
 graph girth                               expected=6            got=6            PASS

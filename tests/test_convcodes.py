@@ -17,12 +17,10 @@ from wgc.convcodes import (
     free_distance,
     rate_half_subcodes,
     spectrum,
-    tb_block_code,
     tb_encoder_code,
-    zt_block_code,
 )
 from wgc.gf2 import BinaryPoly, PolyMatrix, clmul, poly_gcd, rank
-from conftest import TupleTrellis, table_free_distance
+from conftest import TupleTrellis, table_free_distance, tb_block_code, zt_block_code
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,11 @@ from wgc.gf2 import (
     BinaryMatrix,
     BinaryPoly,
     PolyMatrix,
+    clmul,
     kernel_basis,
     minimal_basic,
     nullspace_basis,
     permutation_equivalent,
-    poly_mul,
-    poly_row_space_equal,
     rank,
     rank_over_rational_field,
     row_reduce,
@@ -30,8 +29,12 @@ from conftest import (
     HEAWOOD_ROWS,
     THREE_PARTITE_ROWS,
     UTILITY_ROWS,
+    dense_poly_matmul,
     dense_rank,
+    list_row_reduce,
     nullspace_row_reduce,
+    poly_mul,
+    poly_row_space_equal,
 )
 
 
@@ -272,7 +275,29 @@ def test_row_reduce_matches_nullspace_reduction_on_heawood_kernels(constituent_c
     for perm in permutations((1, 2, 3)):
         code = build_woven_conv(build_heawood(), constituent_check, perm)
         kernel = kernel_basis(code.H_wg)
-        assert row_reduce(kernel) == nullspace_row_reduce(kernel)
+        assert row_reduce(kernel) == nullspace_row_reduce(kernel) == list_row_reduce(kernel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 40), st.booleans(), st.data())
+def test_packed_row_reduce_matches_the_list_reduction(rows, cols, degree, dependent, data):
+    # entries of degree at most ``degree``; with ``dependent`` the last row is
+    # a GF(2)[D] combination of the others, and both reductions must refuse it
+    entry = st.integers(0, (2 << degree) - 1)
+    grid = [data.draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if dependent and rows > 1:
+        factors = data.draw(st.lists(st.integers(0, 15), min_size=rows - 1, max_size=rows - 1))
+        grid[-1] = [0] * cols
+        for f, row in zip(factors, grid):
+            grid[-1] = [acc ^ clmul(f, p) for acc, p in zip(grid[-1], row)]
+    g = PolyMatrix(grid)
+    if rank_over_rational_field(g) == rows:
+        assert row_reduce(g) == list_row_reduce(g)
+    else:
+        with pytest.raises(ValueError):
+            list_row_reduce(g)
+        with pytest.raises(ValueError):
+            row_reduce(g)
 
 
 def test_minimal_basic_identity_like_row_space():
@@ -305,6 +330,24 @@ def test_binary_matrix_text_round_trip(utility_incidence):
     text = utility_incidence.to_text()
     assert BinaryMatrix.from_text(text) == utility_incidence
     assert text.splitlines()[0] == "6 9"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_sparse_poly_matmul_matches_the_dense_product(m, k, n, data):
+    entry = st.one_of(st.just(0), st.integers(0, 255))
+    a = [data.draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(m)]
+    b = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
+    # zero rows and columns on either side, so whole terms are skipped
+    for grid, size, width in ((a, m, k), (b, k, n)):
+        if data.draw(st.booleans()):
+            grid[data.draw(st.integers(0, size - 1))] = [0] * width
+        if data.draw(st.booleans()):
+            j = data.draw(st.integers(0, width - 1))
+            for row in grid:
+                row[j] = 0
+    ma, mb = PolyMatrix(a), PolyMatrix(b)
+    assert ma @ mb == dense_poly_matmul(ma, mb)
 
 
 def test_poly_matrix_text_round_trip(constituent_check):

@@ -19,7 +19,6 @@ from wgc.gf2 import (
     PolyMatrix,
     clmul,
     nullspace_basis,
-    row_space_equal,
     tailbite,
 )
 from wgc.hypergraphs import Hypergraph, build_heawood, build_utility, random_regular
@@ -27,6 +26,7 @@ from wgc.woven import (
     StructureError,
     SweepRow,
     WitnessBudget,
+    WitnessResult,
     build_woven_conv,
     distance_bounds,
     encode_stream,
@@ -47,6 +47,8 @@ from conftest import (
     list_witness_enumeration,
     oracle_edge_automorphisms,
     oracle_equivalent_permutation_pairs,
+    poly_row_space_equal,
+    row_space_equal,
     table_bidirectional_refine,
 )
 
@@ -254,8 +256,6 @@ def test_minimal_generator_contains_reference_short_row(best_code):
 
 
 def test_minimal_generator_row_space_matches_raw(best_code):
-    from wgc.gf2 import poly_row_space_equal
-
     assert poly_row_space_equal(minimal_generator(best_code), expanded_generator(best_code))
 
 
@@ -324,15 +324,18 @@ def small_woven_codes(draw):
     return build_woven_conv(g, hc, tuple(draw(st.permutations((1, 2, 3)))))
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_woven_codes(), st.integers(1, 4), st.integers(0, 4))
-def test_packed_witness_enumeration_matches_column_lists(code, max_terms, max_shift):
+@settings(max_examples=60, deadline=None)
+@given(small_woven_codes(), st.integers(1, 4).flatmap(
+    lambda t: st.tuples(st.just(t), st.integers(0, 12 if t < 4 else 4))))
+def test_packed_witness_enumeration_matches_column_lists(code, terms_and_shift):
     # a state limit of -1 turns the exact state search off, so the result
-    # is the enumeration's own best word
+    # is the enumeration's own best word; the search's starting bound must
+    # leave every field of it as the unbounded column-list enumeration has it
+    max_terms, max_shift = terms_and_shift
     budget = WitnessBudget(max_terms=max_terms, max_shift=max_shift, search_state_limit=-1)
-    res = witness_search(code, budget=budget)
-    assert not res.exact
-    assert (res.weight, res.word, res.words_enumerated) == list_witness_enumeration(code, budget)
+    weight, word, count = list_witness_enumeration(code, budget)
+    assert witness_search(code, budget=budget) == WitnessResult(
+        weight=weight, word=word, exact=False, nodes_expanded=0, words_enumerated=count)
 
 
 def test_witness_chain_product_improved_witness(best_code):
@@ -537,7 +540,7 @@ def test_sweep_flags_equivalent_reverse_pair(sweep_rows, constituent_check):
 @pytest.mark.parametrize("g, count", [(build_heawood(), 336), (build_utility(), 72)])
 def test_edge_automorphisms_preserve_shared_vertices(g, count):
     # 168 and 36 keep the two sides in place; as many more swap them
-    autos = _edge_automorphisms(g)
+    autos = list(_edge_automorphisms(g))
     assert len({tuple(per) for per in autos}) == len(autos) == count
     meet = [[e[0] == f[0] or e[1] == f[1] for f in g.edges] for e in g.edges]
     for per in autos:
@@ -546,13 +549,22 @@ def test_edge_automorphisms_preserve_shared_vertices(g, count):
                    for i in range(g.num_edges) for j in range(g.num_edges))
 
 
+def _relabel_right(g: Hypergraph, order: list[int]) -> Hypergraph:
+    """The same graph with right vertex b renamed order[b]; each vertex keeps its slot order."""
+    return Hypergraph(2, g.c, g.n, tuple((a, order[b]) for a, b in g.edges))
+
+
 @pytest.mark.parametrize("g, hc", [
     (build_heawood(), CONSTITUENT),
     (build_utility(), [1, 0b11, 0b101]),
     (_circulant(5, 1, 2), [1, 1, 0b11]),
     (_circulant(6, 1, 3), [0b101, 1, 0b101]),
     (_circulant(8, 1, 3), [0b11, 0b11, 0b101]),
-], ids=["heawood", "utility", "circulant-5", "circulant-6", "circulant-8"])
+    (_relabel_right(build_heawood(), [3, 6, 0, 5, 1, 4, 2]), CONSTITUENT),
+    (build_heawood(), [0b11, 0, 0b11]),
+    (build_utility(), [0, 1, 1]),
+], ids=["heawood", "utility", "circulant-5", "circulant-6", "circulant-8",
+        "heawood-relabelled", "heawood-zero-entry", "utility-zero-entry"])
 def test_automorphisms_and_equivalent_pairs_match_the_full_refinement_oracles(g, hc):
     assert {tuple(per) for per in _edge_automorphisms(g)} == {
         tuple(per) for per in oracle_edge_automorphisms(g)}
