@@ -251,7 +251,7 @@ def cmd_woven_build(args) -> int:
     code = _woven_code(args)
     rep = woven.generator_report(code)
     emit(args, code.H_wg.to_text())
-    print(f"nu_raw={rep.nu_raw}", file=sys.stderr)
+    print(f"nu_raw={'n/a' if rep.nu_raw is None else rep.nu_raw}", file=sys.stderr)
     print(f"nu_minimal={rep.nu_minimal}", file=sys.stderr)
     print(f"dimension={rep.code_dimension}", file=sys.stderr)
     return 0
@@ -294,8 +294,9 @@ def cmd_woven_sweep(args) -> int:
     lines = ["perm,nu_raw,nu_min,k,product_bound,improved_bound,witness,orbit,flags"]
     for r in rows:
         perm = "-".join(map(str, r.perm))
+        nu_raw = "n/a" if r.nu_raw is None else r.nu_raw
         lines.append(
-            f"{perm},{r.nu_raw},{r.nu_minimal},{r.code_dimension},{r.product_bound},"
+            f"{perm},{nu_raw},{r.nu_minimal},{r.code_dimension},{r.product_bound},"
             f"{r.improved_bound},{r.witness},{r.orbit},{r.flags}")
     emit(args, "\n".join(lines) + "\n")
     return 0

@@ -694,150 +694,3 @@ def row_reduce(g: PolyMatrix) -> PolyMatrix:
         del leads[target:]
     mask = (1 << stride) - 1
     return PolyMatrix([[(row >> (j * stride)) & mask for j in range(g.cols)] for row in rows])
-
-
-def minimal_basic(g: PolyMatrix) -> PolyMatrix:
-    """Minimal-basic generator matrix of the rational row space of G.
-
-    The row module is first saturated (replaced by every polynomial vector
-    of the GF(2)(D) row space) via a kernel-basis computation, then reduced
-    until the high-order coefficient matrix has full rank.  The overall
-    constraint length of the result never exceeds that of the input.
-    """
-    if g.rows == 0:
-        return g
-    checks = kernel_basis(g)
-    if g.cols - checks.rows != g.rows:
-        raise ValueError("generator matrix is rank deficient over GF(2)(D)")
-    if checks.rows == 0:
-        return PolyMatrix([[1 if i == j else 0 for j in range(g.cols)]
-                           for i in range(g.rows)])
-    basis = kernel_basis(checks)
-    if basis.rows != g.rows:
-        raise AssertionError("saturated kernel has unexpected rank")
-    return row_reduce(basis)
-
-
-# ---------------------------------------------------------------------------
-# bivariate polynomials (second formal variable wraps over a ring of levels)
-
-
-class BivariatePoly:
-    """Finite sum of terms p(D) * Z^k, stored as {k: bits(p)}."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, int] | None = None):
-        cleaned = {k: v for k, v in (terms or {}).items() if v}
-        object.__setattr__(self, "terms", dict(sorted(cleaned.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BivariatePoly is immutable")
-
-    def __reduce__(self):
-        return BivariatePoly, (self.terms,)
-
-    @classmethod
-    def mono(cls, poly: BinaryPoly | int, z: int = 0) -> "BivariatePoly":
-        bits = poly.bits if isinstance(poly, BinaryPoly) else poly
-        return cls({z: bits})
-
-    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) ^ v
-        return BivariatePoly(out)
-
-    def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out: dict[int, int] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) ^ clmul(v1, v2)
-        return BivariatePoly(out)
-
-    def reduce_z(self, length: int) -> "BivariatePoly":
-        """Reduce modulo Z^length - 1."""
-        out: dict[int, int] = {}
-        for k, v in self.terms.items():
-            kk = k % length
-            out[kk] = out.get(kk, 0) ^ v
-        return BivariatePoly(out)
-
-    def subs_z_one(self) -> BinaryPoly:
-        acc = 0
-        for v in self.terms.values():
-            acc ^= v
-        return BinaryPoly(acc)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BivariatePoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.terms.items()))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for k, v in self.terms.items():
-            p = BinaryPoly(v).to_string()
-            bits.append(f"({p})Z^{k}" if k else f"({p})")
-        return " + ".join(bits)
-
-
-class BivariatePolyMatrix:
-    """Matrix with BivariatePoly entries."""
-
-    __slots__ = ("entries", "rows", "cols")
-
-    def __init__(self, entries: Iterable[Iterable[BivariatePoly]]):
-        grid = tuple(tuple(row) for row in entries)
-        object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", len(grid[0]) if grid else 0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BivariatePolyMatrix is immutable")
-
-    def __reduce__(self):
-        return BivariatePolyMatrix, (self.entries,)
-
-    def __matmul__(self, other: "BivariatePolyMatrix") -> "BivariatePolyMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = BivariatePoly()
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return BivariatePolyMatrix(out)
-
-    def transpose(self) -> "BivariatePolyMatrix":
-        return BivariatePolyMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def reduce_z(self, length: int) -> "BivariatePolyMatrix":
-        return BivariatePolyMatrix(
-            [[e.reduce_z(length) for e in row] for row in self.entries]
-        )
-
-    def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
-
-    def subs_z_one(self) -> PolyMatrix:
-        return PolyMatrix([[e.subs_z_one() for e in row] for row in self.entries])
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BivariatePolyMatrix) and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"BivariatePolyMatrix({self.rows}x{self.cols})"

@@ -2,8 +2,10 @@
 
 The construction places one parity row per left vertex (the constituent
 checks in column order) and one per right vertex (the same checks permuted
-and routed along the graph).  On circulant bipartite graphs the whole code
-collapses to a two-variable description: convolutional in D, wrapped in Z.
+and routed along the graph).  On circulant bipartite graphs the code also
+has a raw generator built from the pairwise products of the check
+polynomials: one row per left vertex, each row the one before it rotated by a
+column block.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from typing import Iterator, NamedTuple
 
 from .gf2 import (
     BinaryPoly,
-    BivariatePoly,
-    BivariatePolyMatrix,
     PolyMatrix,
     _isomorphisms,
     clmul,
@@ -51,7 +51,7 @@ class WovenConvCode:
     """Woven graph code: bipartite graph plus a permuted convolutional check row.
 
     The artefacts derived from the code are computed on first use and kept:
-    ``z_offsets()``, the expanded generator (``expanded_generator``), the
+    the raw wrapped pairwise-product generator (``expanded_generator``), the
     minimal generator (``minimal_generator``) and the encoder's tap list
     (``encode_stream``).
     """
@@ -69,7 +69,6 @@ class WovenConvCode:
         self.n = graph.n
         self.c = graph.c
         self.H_wg = self._assemble()
-        self._offsets: tuple[int, ...] | None | str = "unset"
         self._expanded: PolyMatrix | None = None
         self._minimal: PolyMatrix | None = None
         self._taps: list[tuple[int, int, list[int]]] | None = None
@@ -107,35 +106,20 @@ class WovenConvCode:
     def z_offsets(self) -> tuple[int, ...] | None:
         """Per-slot left-block offsets when the graph is circulant, else None.
 
-        Requires edge j to belong to left vertex j // c, every right vertex
-        to see each slot exactly once, and the slot offsets to be the same
-        for every right vertex.
+        Requires edge j to belong to left vertex j // c, in slot j mod c, and
+        every edge of a slot to join a left vertex u to the right vertex u - o
+        mod n for one offset o per slot; each right vertex then sees each slot
+        exactly once.
         """
-        if self._offsets != "unset":
-            return self._offsets  # type: ignore[return-value]
         g = self.graph
-        result: tuple[int, ...] | None
-        pos = _edge_positions(g)
         if any(e[0] != i // g.c for i, e in enumerate(g.edges)):
-            result = None
-        else:
-            offsets: list[set[int]] = [set() for _ in range(g.c)]
-            ok = True
-            for v in range(g.n):
-                slots_seen = set()
-                for e in g.incident_edges(1, v):
-                    left, slot = pos[e]
-                    slots_seen.add(slot)
-                    offsets[slot].add((left - v) % g.n)
-                if slots_seen != set(range(g.c)):
-                    ok = False
-                    break
-            if ok and all(len(o) == 1 for o in offsets):
-                result = tuple(o.pop() for o in offsets)
-            else:
-                result = None
-        self._offsets = result
-        return result
+            return None
+        offsets: list[set[int]] = [set() for _ in range(g.c)]
+        for i, (left, right) in enumerate(g.edges):
+            offsets[i % g.c].add((left - right) % g.n)
+        if any(len(o) != 1 for o in offsets):
+            return None
+        return tuple(o.pop() for o in offsets)
 
     def __repr__(self) -> str:
         return f"WovenConvCode(n={self.n}, c={self.c}, perm={self.perm})"
@@ -148,17 +132,23 @@ def build_woven_conv(g: Hypergraph, hc: PolyMatrix,
 
 
 # ---------------------------------------------------------------------------
-# two-variable forms
+# generators
 
 
-def two_dim_forms(code: WovenConvCode) -> tuple[BivariatePolyMatrix, BivariatePolyMatrix]:
-    """Check and generator matrices in the two formal variables D and Z.
+def expanded_generator(code: WovenConvCode) -> PolyMatrix:
+    """Raw generator of a circulant code: the pairwise products of its checks, wrapped.
 
-    Only defined on circulant bipartite graphs with a single check row and
-    degree 3.  The generator entries are the six pairwise products of check
-    polynomials arranged so the product with the check transpose vanishes
-    identically.
+    Defined on circulant bipartite graphs of degree 3, with slot offsets
+    0, o2, o3 and one check row h1 h2 h3, permuted to t1 t2 t3.  Row 0 is the
+    XOR of six (column j, Z-exponent z, product) terms: (0, o2, h3 t2),
+    (0, o3, h2 t3), (1, 0, h3 t1), (1, o3, h1 t3), (2, 0, h2 t1) and
+    (2, o2, h1 t2); every product meets its twin in each check row of H_wg.
+    Row r XORs each product into column ((r + o3 - z) mod n) * 3 + j, so it is
+    row 0 rotated by r column blocks.  Built and checked against H_wg once per
+    code, then kept on it.
     """
+    if code._expanded is not None:
+        return code._expanded
     offsets = code.z_offsets()
     if offsets is None:
         raise StructureError("graph is not circulant; no two-variable form")
@@ -166,49 +156,17 @@ def two_dim_forms(code: WovenConvCode) -> tuple[BivariatePolyMatrix, BivariatePo
         raise StructureError("two-variable form implemented for one check row, degree 3")
     if offsets[0] != 0:
         raise StructureError("expected the first slot to have offset zero")
-    h = list(code.hc.entries[0])
-    t = code.t_polys()[0]
-    o2, o3 = offsets[1], offsets[2]
-    H = BivariatePolyMatrix([
-        [BivariatePoly.mono(h[0]), BivariatePoly.mono(h[1]), BivariatePoly.mono(h[2])],
-        [BivariatePoly.mono(t[0]), BivariatePoly.mono(t[1], o2), BivariatePoly.mono(t[2], o3)],
-    ])
-    pa, pb = h[2] * t[0], h[1] * t[0]
-    pc, pd = h[1] * t[2], h[0] * t[2]
-    pe, pf = h[2] * t[1], h[0] * t[1]
-    G = BivariatePolyMatrix([[
-        BivariatePoly.mono(pe, o2) + BivariatePoly.mono(pc, o3),
-        BivariatePoly.mono(pa) + BivariatePoly.mono(pd, o3),
-        BivariatePoly.mono(pb) + BivariatePoly.mono(pf, o2),
-    ]])
-    product = (G @ H.transpose()).reduce_z(code.n)
-    if not product.is_zero():
-        raise AssertionError("two-variable generator failed the orthogonality check")
-    return H, G
-
-
-def expanded_generator(code: WovenConvCode) -> PolyMatrix:
-    """One-variable generator: the two-variable row wrapped over Z.
-
-    Row r places the coefficient of Z^t at column block (r + o3 - t) mod n,
-    keeping the row family aligned with the quasi-cyclic column layout.  Built
-    and checked once per code, then kept on it.
-    """
-    if code._expanded is not None:
-        return code._expanded
-    _, G = two_dim_forms(code)
-    offsets = code.z_offsets()
-    assert offsets is not None
-    o3 = offsets[2]
-    n, c = code.n, code.c
-    zero = BinaryPoly(0)
+    h1, h2, h3 = code.hc.entries[0]
+    t1, t2, t3 = code.t_polys()[0]
+    _, o2, o3 = offsets
+    terms = [(0, o2, h3 * t2), (0, o3, h2 * t3), (1, 0, h3 * t1),
+             (1, o3, h1 * t3), (2, 0, h2 * t1), (2, o2, h1 * t2)]
+    n = code.n
     rows = []
     for r in range(n):
-        row = [zero] * (n * c)
-        for j, entry in enumerate(G.entries[0]):
-            for z_exp, bits in entry.terms.items():
-                blk = (r + o3 - z_exp) % n
-                row[blk * c + j] = row[blk * c + j] + BinaryPoly(bits)
+        row = [0] * (3 * n)
+        for j, z, product in terms:
+            row[(r + o3 - z) % n * 3 + j] ^= product.bits
         rows.append(row)
     gen = PolyMatrix(rows)
     syndrome = gen @ code.H_wg.transpose()
@@ -219,9 +177,9 @@ def expanded_generator(code: WovenConvCode) -> PolyMatrix:
 
 
 class GeneratorReport(NamedTuple):
-    raw: PolyMatrix
+    raw: PolyMatrix | None
     minimal: PolyMatrix
-    nu_raw: int
+    nu_raw: int | None
     nu_minimal: int
     code_dimension: int
 
@@ -234,12 +192,16 @@ def minimal_generator(code: WovenConvCode) -> PolyMatrix:
 
 
 def generator_report(code: WovenConvCode) -> GeneratorReport:
-    raw = expanded_generator(code)
+    """Raw and minimal generators; the raw one is None where the graph is not circulant."""
+    try:
+        raw = expanded_generator(code)
+    except StructureError:
+        raw = None
     minimal = minimal_generator(code)
     return GeneratorReport(
         raw=raw,
         minimal=minimal,
-        nu_raw=raw.constraint_length,
+        nu_raw=None if raw is None else raw.constraint_length,
         nu_minimal=minimal.constraint_length,
         code_dimension=minimal.rows,
     )
@@ -557,7 +519,7 @@ _MAX_AUTOMORPHISM_VERTICES = 40
 
 class SweepRow(NamedTuple):
     perm: tuple[int, ...]
-    nu_raw: int
+    nu_raw: int | None
     nu_minimal: int
     code_dimension: int
     product_bound: int
@@ -574,7 +536,7 @@ def _sweep_one(args) -> tuple:
     rep = generator_report(code)
     res = witness_search(code, budget=budget)
     orbit = orbit_multiplicity(code, res.word)
-    flag = "" if rep.code_dimension == rep.raw.rows else "rank-deficient"
+    flag = "" if rep.code_dimension == code.n else "rank-deficient"
     return perm, rep.nu_raw, rep.nu_minimal, rep.code_dimension, res.weight, orbit, flag
 
 

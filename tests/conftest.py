@@ -127,6 +127,11 @@ def graph_parent_check() -> PolyMatrix:
 # helpers that only tests use: products, row-space equality, derived block codes
 
 
+def relabel_right(g: Hypergraph, order: list[int]) -> Hypergraph:
+    """The same graph with right vertex b renamed order[b]; each vertex keeps its slot order."""
+    return Hypergraph(2, g.c, g.n, tuple((a, order[b]) for a, b in g.edges))
+
+
 def poly_mul(a: BinaryPoly, b: BinaryPoly) -> BinaryPoly:
     """Carry-less polynomial product over GF(2)."""
     return a * b

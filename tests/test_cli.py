@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from wgc import cli, woven
-from wgc.hypergraphs import build_heawood
-from conftest import WOVEN_BLOCK_CONSTITUENT_ROWS
+from wgc.hypergraphs import build_heawood, build_utility
+from conftest import WOVEN_BLOCK_CONSTITUENT_ROWS, relabel_right
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HC = "11001,110111,101111"
@@ -140,6 +140,27 @@ def test_woven_encode_prints_encode_stream_bits(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "pad" in captured.err
+
+
+def test_woven_build_and_sweep_report_no_raw_generator_off_the_circulant_labelling(
+        tmp_path, capsys):
+    # renaming the right vertices permutes the rows of H_wg only: the code and its
+    # minimal generator stay, but the raw generator needs the circulant labelling
+    heawood = tmp_path / "heawood.txt"
+    heawood.write_text(relabel_right(build_heawood(), [3, 6, 0, 5, 1, 4, 2]).to_text())
+    argv = ["woven", "build", "--graph", str(heawood), "--hc-inline", HC, "--perm", "1,3,2"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "14 21"
+    assert captured.err.splitlines() == ["nu_raw=n/a", "nu_minimal=64", "dimension=7"]
+
+    utility = tmp_path / "utility.txt"
+    utility.write_text(relabel_right(build_utility(), [0, 2, 1]).to_text())
+    assert cli.main(["--threads", "1", "woven", "sweep", "--graph", str(utility),
+                     "--hc-inline", "1,11,101"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 6
+    assert {row[1] for row in rows} == {"n/a"}
 
 
 def test_woven_witness_prints_its_search_counters(capsys):

@@ -15,7 +15,6 @@ from wgc.gf2 import (
     PolyMatrix,
     clmul,
     kernel_basis,
-    minimal_basic,
     nullspace_basis,
     permutation_equivalent,
     rank,
@@ -298,28 +297,6 @@ def test_packed_row_reduce_matches_the_list_reduction(rows, cols, degree, depend
             list_row_reduce(g)
         with pytest.raises(ValueError):
             row_reduce(g)
-
-
-def test_minimal_basic_identity_like_row_space():
-    # full-rank square input spans everything; the reduced form has length 0
-    g = PolyMatrix([[0b11, 0b11], [0b1, 0b10]])
-    reduced = minimal_basic(g)
-    assert reduced.constraint_length == 0
-    assert poly_row_space_equal(reduced, g)
-
-
-def test_minimal_basic_preserves_row_space_and_never_grows(constituent_generator):
-    reduced = minimal_basic(constituent_generator)
-    assert poly_row_space_equal(reduced, constituent_generator)
-    assert reduced.constraint_length <= constituent_generator.constraint_length
-    again = minimal_basic(reduced)
-    assert again.constraint_length == reduced.constraint_length
-
-
-def test_minimal_basic_rejects_rank_deficient():
-    g = PolyMatrix([[0b1, 0b10], [0b10, 0b100]])
-    with pytest.raises(ValueError):
-        minimal_basic(g)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from wgc.gf2 import (
     BinaryMatrix,
     BinaryPoly,
     PolyMatrix,
-    clmul,
     nullspace_basis,
     tailbite,
 )
@@ -38,16 +37,18 @@ from wgc.woven import (
     permutation_sweep,
     _edge_automorphisms,
     _is_codeword,
-    two_dim_forms,
     witness_search,
 )
 from conftest import (
     CONSTITUENT_CHECK_STRINGS,
     TABLE_RESULTS,
+    coeffs,
+    convolve_mod2,
     list_witness_enumeration,
     oracle_edge_automorphisms,
     oracle_equivalent_permutation_pairs,
     poly_row_space_equal,
+    relabel_right,
     row_space_equal,
     table_bidirectional_refine,
 )
@@ -59,6 +60,11 @@ CONSTITUENT = [BinaryPoly.parse(s) for s in CONSTITUENT_CHECK_STRINGS]
 @pytest.fixture(scope="module")
 def best_code(constituent_check):
     return build_woven_conv(build_heawood(), constituent_check, BEST)
+
+
+def _circulant(n: int, a: int, b: int) -> Hypergraph:
+    edges = [(r, (r - o) % n) for r in range(n) for o in (0, a, b)]
+    return Hypergraph(2, 3, n, tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -120,59 +126,61 @@ def test_rejects_bad_perm(constituent_check):
 
 
 # ---------------------------------------------------------------------------
-# two-variable forms
+# two-variable forms: the slot offsets in Z and the permuted check row in D
 
 
-def naive_bivariate_product(H_rows, G_row, length):
-    """Independent dict-based check of sum_j G_j(D,Z) H_ij(D,Z) mod Z^length - 1."""
-    out = []
-    for hrow in H_rows:
-        acc: dict[int, int] = {}
-        for (g_terms, h_terms) in zip(G_row, hrow):
-            for zg, pg in g_terms.items():
-                for zh, ph in h_terms.items():
-                    k = (zg + zh) % length
-                    acc[k] = acc.get(k, 0) ^ clmul(pg, ph)
-        out.append({k: v for k, v in acc.items() if v})
-    return out
+def oracle_syndrome(gen_row, h_row) -> list[int]:
+    """Coefficients of sum_j gen_j h_j over GF(2)[D], by schoolbook products."""
+    acc: list[int] = []
+    for g, h in zip(gen_row, h_row):
+        product = convolve_mod2(coeffs(g), coeffs(h))
+        acc += [0] * (len(product) - len(acc))
+        for i, bit in enumerate(product):
+            acc[i] ^= bit
+    return acc
 
 
 def test_two_dim_orthogonality_via_independent_oracle(best_code):
-    H, G = two_dim_forms(best_code)
-    h_rows = [[dict(e.terms) for e in row] for row in H.entries]
-    g_row = [dict(e.terms) for e in G.entries[0]]
-    assert naive_bivariate_product(h_rows, g_row, best_code.n) == [{}, {}]
-    assert (G @ H.transpose()).reduce_z(best_code.n).is_zero()
+    gen = expanded_generator(best_code)
+    for g_row in gen.entries:
+        for h_row in best_code.H_wg.entries:
+            assert not any(oracle_syndrome(g_row, h_row))
 
 
 def test_two_dim_check_shape(best_code, constituent_check):
-    H, _ = two_dim_forms(best_code)
+    # the check pair is h1 h2 h3 over t1, t2 Z^1, t3 Z^3 with t = (h1, h3, h2):
+    # right row r carries t_j at column block (r + offset_j) mod 7 and nothing else
     h = constituent_check.entries[0]
-    assert H.entries[0][0].terms == {0: h[0].bits}
-    assert H.entries[1][0].terms == {0: h[0].bits}          # t1 = h1
-    assert H.entries[1][1].terms == {1: h[2].bits}          # t2 = h3, offset 1
-    assert H.entries[1][2].terms == {3: h[1].bits}          # t3 = h2, offset 3
+    offsets = best_code.z_offsets()
+    t = best_code.t_polys()[0]
+    assert offsets == (0, 1, 3)
+    assert t == [h[0], h[2], h[1]]
+    for r in range(7):
+        want = [BinaryPoly(0)] * 21
+        for j, o in enumerate(offsets):
+            want[3 * ((r + o) % 7) + j] = t[j]
+        assert list(best_code.H_wg.entries[7 + r]) == want
 
 
 def test_two_dim_constant_check_reduces_to_parent(graph_parent_check):
+    # with D-free checks H_wg is the wrapped parent of the graph code: parent
+    # entry Z^e in row i, column j puts a 1 at row 7i + r, column 3((r + e) mod 7) + j
     code = build_woven_conv(build_heawood(), PolyMatrix([[1, 1, 1]]), (1, 2, 3))
-    H, _ = two_dim_forms(code)
-    # the D-free check pair in Z matches the wrapped parent of the graph code
     parent_bits = graph_parent_check.bits()
+    assert code.t_polys() == [[BinaryPoly(1)] * 3]
+    assert parent_bits == [[1, 1, 1], [1 << o for o in code.z_offsets()]]
     for i in range(2):
-        for j in range(3):
-            terms = H.entries[i][j].terms
-            expected = parent_bits[i][j]
-            z_poly = 0
-            for z, bits in terms.items():
-                assert bits == 1
-                z_poly |= 1 << z
-            assert z_poly == expected
+        for r in range(7):
+            want = [0] * 21
+            for j, z_poly in enumerate(parent_bits[i]):
+                want[3 * ((r + z_poly.bit_length() - 1) % 7) + j] = 1
+            assert [p.bits for p in code.H_wg.entries[7 * i + r]] == want
 
 
 def test_two_dim_z_one_column_sums(best_code):
-    H, _ = two_dim_forms(best_code)
-    collapsed = H.subs_z_one()
+    # Z = 1 sums each half of H_wg: column j gives the check entries of slot j mod 3
+    h = best_code.hc.entries[0]
+    t = best_code.t_polys()[0]
     for j in range(21):
         acc0 = BinaryPoly(0)
         acc1 = BinaryPoly(0)
@@ -180,7 +188,7 @@ def test_two_dim_z_one_column_sums(best_code):
             acc0 = acc0 + best_code.H_wg.entries[r][j]
         for r in range(7, 14):
             acc1 = acc1 + best_code.H_wg.entries[r][j]
-        assert (acc0, acc1) == (collapsed.entries[0][j % 3], collapsed.entries[1][j % 3])
+        assert (acc0, acc1) == (h[j % 3], t[j % 3])
 
 
 def test_two_dim_rejects_non_circulant(constituent_check):
@@ -188,13 +196,39 @@ def test_two_dim_rejects_non_circulant(constituent_check):
     g = build_heawood()
     edges = list(g.edges)
     edges[1], edges[4] = edges[4], edges[1]
-    from wgc.hypergraphs import Hypergraph
-
     scrambled = Hypergraph(2, 3, 7, tuple(edges))
     code = build_woven_conv(scrambled, constituent_check, BEST)
     assert code.z_offsets() is None
-    with pytest.raises(StructureError):
-        two_dim_forms(code)
+    with pytest.raises(StructureError, match="graph is not circulant"):
+        expanded_generator(code)
+
+
+@pytest.mark.parametrize("g, hc, message", [
+    (build_heawood(), [[1, 0b11, 0b101], [0b11, 1, 1]], "one check row, degree 3"),
+    (Hypergraph(2, 3, 7, tuple((r, (r - o) % 7) for r in range(7) for o in (1, 2, 4))),
+     [[1, 0b11, 0b101]], "first slot to have offset zero"),
+], ids=["two-check-rows", "first-offset-nonzero"])
+def test_expanded_generator_rejects_other_structures(g, hc, message):
+    with pytest.raises(StructureError, match=message):
+        expanded_generator(build_woven_conv(g, PolyMatrix(hc), (1, 2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 15).flatmap(lambda n: st.tuples(st.just(n), st.permutations(range(1, n)))),
+       st.lists(st.integers(0, 31), min_size=3, max_size=3), st.permutations((1, 2, 3)))
+def test_expanded_generator_on_circulants(n_and_order, hc, perm):
+    # offsets (0, a, b); row r is row 0 rotated by r column blocks; every row is a codeword
+    n, order = n_and_order
+    a, b = order[:2]
+    code = build_woven_conv(_circulant(n, a, b), PolyMatrix([hc]), perm)
+    assert code.z_offsets() == (0, a, b)
+    gen = expanded_generator(code)
+    assert (gen.rows, gen.cols) == (n, 3 * n)
+    row0 = list(gen.entries[0])
+    for r, row in enumerate(gen.entries):
+        assert list(row) == row0[3 * (n - r):] + row0[:3 * (n - r)]
+        for h_row in code.H_wg.entries:
+            assert not any(oracle_syndrome(row, h_row))
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +236,6 @@ def test_two_dim_rejects_non_circulant(constituent_check):
 
 
 def test_expanded_generator_row_content(best_code, constituent_check):
-    from conftest import coeffs, convolve_mod2
-
     gen = expanded_generator(best_code)
     assert gen.rows == 7 and gen.cols == 21
     h1, h2, h3 = constituent_check.entries[0]
@@ -302,11 +334,6 @@ def test_witness_enumeration_counts_every_scored_word(constituent_check):
     for perm in permutations((1, 2, 3)):
         res = witness_search(build_woven_conv(g, constituent_check, perm))
         assert res.words_enumerated == (104_015 if perm == (1, 2, 3) else 85_099)
-
-
-def _circulant(n: int, a: int, b: int) -> Hypergraph:
-    edges = [(r, (r - o) % n) for r in range(n) for o in (0, a, b)]
-    return Hypergraph(2, 3, n, tuple(edges))
 
 
 @st.composite
@@ -418,8 +445,8 @@ def test_witness_refine_pass_returns_lighter_codeword():
 
 
 def test_algebra_values_pickle_and_parallel_sweep_matches_serial(best_code):
-    H, G = two_dim_forms(best_code)
-    for value in (tailbite(best_code.hc, 3), best_code.H_wg, G.entries[0][0], H,
+    gen = expanded_generator(best_code)
+    for value in (tailbite(best_code.hc, 3), best_code.H_wg, gen.entries[0][0], gen,
                   BinaryPoly(0b1011), build_heawood(), WitnessBudget(max_terms=2)):
         clone = pickle.loads(pickle.dumps(value))
         assert type(clone) is type(value)
@@ -549,18 +576,13 @@ def test_edge_automorphisms_preserve_shared_vertices(g, count):
                    for i in range(g.num_edges) for j in range(g.num_edges))
 
 
-def _relabel_right(g: Hypergraph, order: list[int]) -> Hypergraph:
-    """The same graph with right vertex b renamed order[b]; each vertex keeps its slot order."""
-    return Hypergraph(2, g.c, g.n, tuple((a, order[b]) for a, b in g.edges))
-
-
 @pytest.mark.parametrize("g, hc", [
     (build_heawood(), CONSTITUENT),
     (build_utility(), [1, 0b11, 0b101]),
     (_circulant(5, 1, 2), [1, 1, 0b11]),
     (_circulant(6, 1, 3), [0b101, 1, 0b101]),
     (_circulant(8, 1, 3), [0b11, 0b11, 0b101]),
-    (_relabel_right(build_heawood(), [3, 6, 0, 5, 1, 4, 2]), CONSTITUENT),
+    (relabel_right(build_heawood(), [3, 6, 0, 5, 1, 4, 2]), CONSTITUENT),
     (build_heawood(), [0b11, 0, 0b11]),
     (build_utility(), [0, 1, 1]),
 ], ids=["heawood", "utility", "circulant-5", "circulant-6", "circulant-8",
