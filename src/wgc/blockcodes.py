@@ -67,18 +67,6 @@ class DistanceEstimate(NamedTuple):
         return self.value
 
 
-def _codeword_iter(basis: Sequence[int]):
-    """All nonzero codewords by Gray-code XOR of basis rows."""
-    word = 0
-    prev = 0
-    for m in range(1, 1 << len(basis)):
-        g = m ^ (m >> 1)
-        diff = g ^ prev
-        prev = g
-        word ^= basis[(diff & -diff).bit_length() - 1]
-        yield word
-
-
 def _information_sets(gen: BinaryMatrix) -> list[tuple[list[int], int]]:
     """Systematic generators on disjoint pivot columns, as (rows, rank) pairs.
 
@@ -169,27 +157,23 @@ def min_distance(code: LinearBlockCode, *, full_enum_limit: int = 26) -> Distanc
     return DistanceEstimate(best, best, True)
 
 
-def block_distance(code: LinearBlockCode, bs: BlockStructure, *,
-                   full_enum_limit: int = 26) -> int:
-    """Minimum number of nonzero length-l sub-blocks over nonzero codewords."""
+def block_distance(code: LinearBlockCode, bs: BlockStructure) -> int:
+    """Minimum number of nonzero length-l sub-blocks over nonzero codewords.
+
+    A nonzero codeword lives on a set of sub-blocks exactly when the H
+    columns of those sub-blocks are dependent, so the answer is the least
+    number of sub-blocks whose columns have rank below their count.
+    """
     bs.check(code.n)
     if code.k <= 0:
         raise ValueError("zero-dimension code has no block distance")
-    if code.k > full_enum_limit:
-        raise ValueError(f"dimension {code.k} exceeds the enumeration budget")
-    basis = list(code.generator_matrix().data)
-    mask = (1 << bs.l) - 1
-    best = bs.c + 1
-    for w in _codeword_iter(basis):
-        blocks = 0
-        v = w
-        while v:
-            if v & mask:
-                blocks += 1
-            v >>= bs.l
-        if 0 < blocks < best:
-            best = blocks
-    return best
+    cols = code.H.transpose().data
+    for size in range(1, bs.c + 1):
+        for subset in combinations(range(bs.c), size):
+            sub = [col for b in subset for col in cols[b * bs.l:(b + 1) * bs.l]]
+            if rank(BinaryMatrix(sub, code.H.rows)) < size * bs.l:
+                return size
+    raise AssertionError("unreachable: the full support carries every codeword")
 
 
 # ---------------------------------------------------------------------------

@@ -264,35 +264,26 @@ def mu_gamma_optimizers(delta: float, rate: float, s: int) -> tuple[float, float
 # curve emission
 
 
-class Curves(list):
-    """The rows of ``emit_curves`` (dicts), with the CSV line of each in ``lines``."""
+def emit_curves(s_list, grid_step: float, kind: str) -> list[str]:
+    """CSV lines of the bound curves, header first; failed points become error rows.
 
-    __slots__ = ("lines",)
-
-    def __init__(self, header: str):
-        super().__init__()
-        self.lines = [header]
-
-
-def emit_curves(s_list, grid_step: float, kind: str) -> Curves:
-    """Rows for the bound curves; point-level failures become flagged rows.
-
-    Each row's CSV line is written as its point is found, and every s shares
-    one printed string per rate.  A vg curve is walked in rising rate: the
-    entropy root and the graph-limited root both fall as the rate rises, so
-    the previous rate's root is the upper bracket end and the Newton start of
-    the next (for the entropy root f(prev) = R - R_prev > 0; the branch is
-    positive above its root, and its end is min(prev, boundary)).  A point
-    whose root fails starts the next one from the cold bracket again.
+    With no point to print the list is empty.  Each line is written as its
+    point is found, and every s shares one printed string per rate.  A vg
+    curve is walked in rising rate: the entropy root and the graph-limited
+    root both fall as the rate rises, so the previous rate's root is the
+    upper bracket end and the Newton start of the next (for the entropy root
+    f(prev) = R - R_prev > 0; the branch is positive above its root, and its
+    end is min(prev, boundary)).  A point whose root fails starts the next one
+    from the cold bracket again.
     """
     if not 0.0 < grid_step <= 0.1:
         raise DomainError("grid step must be in (0, 0.1]")
     # the i-th rate is i * step: a running sum drifts by up to 1e-11 over a
     # fine grid, which moves roots near rate 1 off the printed rate
     rates = list(takewhile(lambda r: r < 1.0 - 1e-12, (i * grid_step for i in count(1))))
-    shown = [(rv, f"{rv:.10g}") for rv in (round(r, 12) for r in rates)]
+    shown = [f"{round(r, 12):.10g}" for r in rates]
     if kind == "vg":
-        rows = Curves("s,rate,delta,regime")
+        lines = ["s,rate,delta,regime"]
         # every s walks the same rates, so each entropy root is found once;
         # a failed root is None and _woven_delta raises its error again
         dvgs: list[float | None] = []
@@ -303,27 +294,24 @@ def emit_curves(s_list, grid_step: float, kind: str) -> Curves:
                 dvgs.append(None)
         for s in s_list:
             above = 1.0
-            for r, (rv, rate_text), dvg in zip(rates, shown, dvgs):
+            for r, rate_text, dvg in zip(rates, shown, dvgs):
                 try:
                     above, regime = _woven_delta(r, s, dvg, above)
                 except (DomainError, BracketError) as exc:
                     above = 1.0
-                    rows.append({"s": s, "rate": rv, "delta": "", "regime": f"error:{exc}"})
-                    rows.lines.append(f"{s},{rate_text},,error:{exc}")
+                    lines.append(f"{s},{rate_text},,error:{exc}")
                 else:
-                    rows.append({"s": s, "rate": rv, "delta": above, "regime": regime})
-                    rows.lines.append(f"{s},{rate_text},{above:.10g},{regime}")
-        return rows
+                    lines.append(f"{s},{rate_text},{above:.10g},{regime}")
+        return lines if s_list else []
     if kind == "costello":
-        rows = Curves("rate,delta")
-        for r, (rv, rate_text) in zip(rates, shown):
+        lines = ["rate,delta"]
+        for r, rate_text in zip(rates, shown):
             delta = costello_delta(r)  # closed form, defined on every rate of the grid
-            rows.append({"rate": rv, "delta": delta})
-            rows.lines.append(f"{rate_text},{delta:.10g}")
-        return rows
+            lines.append(f"{rate_text},{delta:.10g}")
+        return lines
     raise ValueError(f"unknown curve kind {kind!r}")
 
 
-def curves_csv(rows: Curves) -> str:
-    """The CSV text of ``emit_curves`` rows: a header, then one line per row."""
-    return "\n".join(rows.lines) + "\n" if rows else "\n"
+def curves_csv(lines: list[str]) -> str:
+    """The CSV text of ``emit_curves`` lines; a lone newline when there are none."""
+    return "\n".join(lines) + "\n"

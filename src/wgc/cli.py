@@ -315,8 +315,7 @@ def cmd_woven_encode(args) -> int:
 def cmd_bounds(args) -> int:
     from . import bounds
     s_list = [int(x) for x in args.s.split(",")] if args.s else [2]
-    rows = bounds.emit_curves(s_list, args.step, args.kind)
-    emit(args, bounds.curves_csv(rows))
+    emit(args, bounds.curves_csv(bounds.emit_curves(s_list, args.step, args.kind)))
     return 0
 
 

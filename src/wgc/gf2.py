@@ -419,22 +419,39 @@ def _isomorphisms(adj_a: Sequence[Sequence[int]], adj_b: Sequence[Sequence[int]]
     return search(lab, cell, ends, firsts)
 
 
-def permutation_equivalent(a: BinaryMatrix, b: BinaryMatrix) -> bool:
+def _entries(m: BinaryMatrix | PolyMatrix) -> list[tuple[int, int, int]]:
+    """The nonzero entries of a matrix as (value, row, column), in order of value."""
+    grid = m.bits() if isinstance(m, PolyMatrix) else [
+        [r >> j & 1 for j in range(m.cols)] for r in m.data]
+    return sorted((v, i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v)
+
+
+def permutation_equivalent(a: BinaryMatrix | PolyMatrix, b: BinaryMatrix | PolyMatrix) -> bool:
     """True when A equals B after some row and column permutation.
 
-    Searches for an isomorphism of the row/column incidence graphs, with
-    rows and columns coloured apart; the first one found settles it.
+    Entries are GF(2)[D] polynomials; a BinaryMatrix is read as its 0/1
+    entries.  Each matrix becomes a graph with a node per row, per column and
+    per nonzero entry, the entry adjacent to its row and its column and
+    coloured by its value; the entries are numbered in order of value on both
+    sides, so one colouring serves A and B.  An isomorphism of the two graphs
+    is a row and column permutation carrying every entry of A onto an equal
+    entry of B; the first one found settles it.
     """
-    if (a.rows, a.cols) != (b.rows, b.cols):
+    ea, eb = _entries(a), _entries(b)
+    if (a.rows, a.cols) != (b.rows, b.cols) or [v for v, _, _ in ea] != [v for v, _, _ in eb]:
         return False
+    rows, cols = a.rows, a.cols
 
-    def graph(m: BinaryMatrix) -> list[list[int]]:
-        cols = m.transpose().data
-        return ([[m.rows + j for j in range(m.cols) if r >> j & 1] for r in m.data]
-                + [[i for i in range(m.rows) if c >> i & 1] for c in cols])
+    def graph(entries: list[tuple[int, int, int]]) -> list[list[int]]:
+        adj: list[list[int]] = [[] for _ in range(rows + cols)]
+        for node, (_, i, j) in enumerate(entries, rows + cols):
+            adj[i].append(node)
+            adj[rows + j].append(node)
+            adj.append([i, rows + j])
+        return adj
 
-    colours = [0] * a.rows + [1] * a.cols
-    return next(_isomorphisms(graph(a), graph(b), colours), None) is not None
+    colours = [-2] * rows + [-1] * cols + [v for v, _, _ in ea]
+    return next(_isomorphisms(graph(ea), graph(eb), colours), None) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,13 @@ column block.
 from __future__ import annotations
 
 from itertools import accumulate, combinations, permutations
-from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .gf2 import (
     BinaryPoly,
     PolyMatrix,
-    _isomorphisms,
-    clmul,
     kernel_basis,
+    permutation_equivalent,
     row_reduce,
 )
 from .convcodes import (ConvCode, block_distance_conv, free_distance, lightest_codeword,
@@ -437,27 +435,21 @@ def orbit_multiplicity(code: WovenConvCode, word: tuple[BinaryPoly, ...]) -> int
     vec = [p.bits for p in word]
     if len(vec) != code.n * code.c:
         raise ValueError("word length does not match the code")
-    if not _is_codeword(code, vec):
+
+    def in_code(v: list[int]) -> bool:
+        return (code.H_wg @ PolyMatrix([[p] for p in v])).is_zero()
+
+    if not in_code(vec):
         raise ValueError("input is not a codeword")
     seen = set()
     c = code.c
     cur = vec
     for _ in range(code.n):
         cur = cur[-c:] + cur[:-c]
-        if not _is_codeword(code, cur):
+        if not in_code(cur):
             raise AssertionError("cyclic shift left the code; graph not circulant?")
         seen.add(tuple(cur))
     return len(seen)
-
-
-def _is_codeword(code: WovenConvCode, vec: list[int]) -> bool:
-    for row in code.H_wg.entries:
-        acc = 0
-        for p, v in zip(row, vec):
-            acc ^= clmul(p.bits, v)
-        if acc:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +505,7 @@ def encode_stream(code: WovenConvCode, info_bits, *, pad: bool = False) -> list[
 # permutation sweep
 
 # equivalence flags are skipped above this many graph vertices, where the
-# automorphism search would no longer be small
+# permutation search would no longer be small
 _MAX_AUTOMORPHISM_VERTICES = 40
 
 
@@ -546,10 +538,9 @@ def permutation_sweep(g: Hypergraph, hc: PolyMatrix,
     """All c! check permutations with structure, bounds, and witness columns.
 
     The bounds depend only on the graph and the constituent, so they are
-    computed once per sweep.  Permutation pairs whose expanded parity-check
-    matrices match exactly under a graph automorphism are flagged as
-    equivalent; the certification is conservative (unflagged pairs may
-    still be equivalent).
+    computed once per sweep.  Permutation pairs whose H_wg match under a row
+    and column permutation are flagged as equivalent; the certification is
+    conservative (unflagged pairs may still be equivalent).
     """
     budget = budget or WitnessBudget()
     perms = sorted(permutations(range(1, g.c + 1)))
@@ -576,60 +567,14 @@ def permutation_sweep(g: Hypergraph, hc: PolyMatrix,
 
 def equivalent_permutation_pairs(g: Hypergraph, hc: PolyMatrix, perms
                                  ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Permutation pairs certified equivalent by a graph automorphism.
+    """Permutation pairs whose H_wg are equal up to a row and column permutation.
 
-    An automorphism permutes the edge columns; when the relabelled check
-    rows of one permutation equal the rows of another as a multiset, the
-    two codes are identical up to coordinate relabelling.  Unflagged pairs
-    may still be equivalent through relabellings outside this family.
-
-    A column relabelling plus a row reordering keeps the multiset, over the
-    edge columns of H_wg, of each column's sorted nonzero entries, so only
-    pairs with equal multisets can be flagged.  The automorphisms are listed
-    lazily, and the listing stops once every such pair is flagged; with no
-    such pair none is listed.  The automorphisms form a group, so a pair is
-    flagged by one that maps either member onto the other.
+    Such a pair gives the same code up to coordinate relabelling.  Unflagged
+    pairs may still be equivalent, since different check matrices can span
+    the same code.
     """
     if 2 * g.n > _MAX_AUTOMORPHISM_VERTICES:
         return []
-    rows = {perm: [tuple(p.bits for p in row)
-                   for row in build_woven_conv(g, hc, perm).H_wg.entries] for perm in perms}
-    shape = {perm: sorted(tuple(sorted(filter(None, col))) for col in zip(*r))
-             for perm, r in rows.items()}
-    open_pairs = [(pa, pb) for pa, pb in combinations(perms, 2) if shape[pa] == shape[pb]]
-    if not open_pairs:
-        return []
-    members = {perm for pair in open_pairs for perm in pair}
-    held = {perm: sorted(rows[perm]) for perm in members}
-    hits = []
-    for per in _edge_automorphisms(g):
-        relabel = itemgetter(*per)
-        image = {perm: sorted(map(relabel, rows[perm])) for perm in members}
-        hits += [(pa, pb) for pa, pb in open_pairs
-                 if image[pa] == held[pb] or image[pb] == held[pa]]
-        open_pairs = [pair for pair in open_pairs if pair not in hits]
-        if not open_pairs:
-            break
-    return [pair for pair in combinations(perms, 2) if pair in hits]
-
-
-def _edge_automorphisms(g: Hypergraph) -> Iterator[list[int]]:
-    """Edge permutations induced by automorphisms of the bipartite graph, one at a time.
-
-    Automorphisms that swap the two sides are included.  In each list
-    per[j] is the edge that the automorphism maps onto edge j.
-    """
-    n = g.n
-    adj: list[list[int]] = [[] for _ in range(2 * n)]
-    edge_index: dict[tuple[int, int], list[int]] = {}
-    for i, (a, b) in enumerate(g.edges):
-        adj[a].append(n + b)
-        adj[n + b].append(a)
-        edge_index.setdefault((a, b), []).append(i)
-    for vmap in _isomorphisms(adj, adj, [0] * (2 * n)):
-        image_index = {k: list(v) for k, v in edge_index.items()}
-        per = [0] * g.num_edges
-        for i, (a, b) in enumerate(g.edges):
-            u, w = sorted((vmap[a], vmap[n + b]))
-            per[image_index[(u, w - n)].pop()] = i
-        yield per
+    checks = {perm: build_woven_conv(g, hc, perm).H_wg for perm in perms}
+    return [(a, b) for a, b in combinations(perms, 2)
+            if permutation_equivalent(checks[a], checks[b])]

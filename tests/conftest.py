@@ -283,6 +283,23 @@ def dense_min_weight(rows: list[str]) -> int:
     return best
 
 
+def gray_block_distance(rows: list[str], l: int) -> int:
+    """Fewest nonzero length-l sub-blocks over the nonzero codewords, exhaustively.
+
+    Every nonzero combination of the independent nullspace is visited once by
+    a Gray-code walk, with bit j of a word holding column j.
+    """
+    basis = [sum(b << j for j, b in enumerate(vec)) for vec in dense_nullspace(rows)]
+    assert 0 < len(basis) <= 20, "oracle meant for small dimensions"
+    mask = (1 << l) - 1
+    best = len(rows[0])
+    word = 0
+    for m in range(1, 1 << len(basis)):
+        word ^= basis[(m & -m).bit_length() - 1]
+        best = min(best, sum(1 for s in range(0, len(rows[0]), l) if word >> s & mask))
+    return best
+
+
 def convolve_mod2(a: list[int], b: list[int]) -> list[int]:
     """Schoolbook polynomial product over GF(2), coefficient lists."""
     if not a or not b:
@@ -299,6 +316,17 @@ def convolve_mod2(a: list[int], b: list[int]) -> list[int]:
 
 def coeffs(poly) -> list[int]:
     return [poly.coeff(i) for i in range(poly.bits.bit_length())]
+
+
+def oracle_syndrome(gen_row, h_row) -> list[int]:
+    """Coefficients of sum_j gen_j h_j over GF(2)[D], by schoolbook products."""
+    acc: list[int] = []
+    for g, h in zip(gen_row, h_row):
+        product = convolve_mod2(coeffs(g), coeffs(h))
+        acc += [0] * (len(product) - len(acc))
+        for i, bit in enumerate(product):
+            acc[i] ^= bit
+    return acc
 
 
 def list_witness_enumeration(code, budget) -> tuple[int, tuple, int]:

@@ -23,7 +23,8 @@ from wgc.blockcodes import (
 )
 from wgc.gf2 import BinaryMatrix
 from wgc.hypergraphs import build_heawood, build_three_partite, build_utility
-from conftest import WOVEN_BLOCK_CONSTITUENT_ROWS, dense_min_weight, girth_distance_check
+from conftest import (WOVEN_BLOCK_CONSTITUENT_ROWS, dense_min_weight, girth_distance_check,
+                      gray_block_distance)
 
 SPC3 = BinaryMatrix.from_strings(["111"])
 
@@ -170,6 +171,24 @@ def test_block_distance_constituent_matches_enumeration_oracle():
         if 0 < blocks < best:
             best = blocks
     assert block_distance(code, BlockStructure(4, 3)) == best == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_block_distance_matches_gray_code_enumeration(l, c, data):
+    rows = data.draw(st.lists(st.text("01", min_size=l * c, max_size=l * c),
+                              min_size=1, max_size=5))
+    code = LinearBlockCode(BinaryMatrix.from_strings(rows))
+    assume(code.k > 0)
+    assert block_distance(code, BlockStructure(l, c)) == gray_block_distance(rows, l)
+
+
+def test_block_distance_beyond_enumeration_range():
+    # k = 30; every sub-block holds the columns e0 and e1, so one sub-block
+    # carries no codeword and any two carry one
+    code = LinearBlockCode(BinaryMatrix.from_strings(["10" * 16, "01" * 16]))
+    assert code.k == 30
+    assert block_distance(code, BlockStructure(2, 16)) == 2
 
 
 def test_constituent_reference_distance():

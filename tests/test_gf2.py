@@ -354,23 +354,37 @@ def test_canonical_form_separates_different_matrices():
 
 @st.composite
 def matrix_pairs(draw):
-    """A 0/1 matrix up to 3x4 and either a shuffled copy or an independent draw."""
+    """Entry grids up to 3x4, A and either a shuffled copy of A or an independent draw.
+
+    Entries are 0/1 or polynomials 0..3; each side is also drawn as a matrix,
+    a BinaryMatrix being possible only for 0/1 entries.
+    """
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    entries = st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows)
-    a = BinaryMatrix(draw(entries), cols)
+    top = draw(st.sampled_from([1, 3]))
+    grids = st.lists(st.lists(st.integers(0, top), min_size=cols, max_size=cols),
+                     min_size=rows, max_size=rows)
+    a = draw(grids)
     if draw(st.booleans()):
-        return a, a.permuted(draw(st.permutations(range(rows))),
-                             draw(st.permutations(range(cols))))
-    return a, BinaryMatrix(draw(entries), cols)
+        rp, cp = draw(st.permutations(range(rows))), draw(st.permutations(range(cols)))
+        b = [[a[i][j] for j in cp] for i in rp]
+    else:
+        b = draw(grids)
+
+    def matrix(grid):
+        if top == 1 and draw(st.booleans()):
+            return BinaryMatrix([sum(v << j for j, v in enumerate(row)) for row in grid], cols)
+        return PolyMatrix(grid)
+
+    return a, b, matrix(a), matrix(b)
 
 
 @settings(max_examples=300, deadline=None)
 @given(matrix_pairs())
 def test_permutation_equivalent_matches_brute_force(pair):
-    a, b = pair
-    brute = any(a.permuted(rp, cp) == b for rp in permutations(range(a.rows))
-                for cp in permutations(range(a.cols)))
-    assert permutation_equivalent(a, b) == brute
+    a, b, ma, mb = pair
+    brute = any([[a[i][j] for j in cp] for i in rp] == b for rp in permutations(range(len(a)))
+                for cp in permutations(range(len(a[0]))))
+    assert permutation_equivalent(ma, mb) == brute
 
 
 def test_matrix_is_immutable(heawood_incidence):

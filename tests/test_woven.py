@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -35,8 +35,6 @@ from wgc.woven import (
     minimal_generator,
     orbit_multiplicity,
     permutation_sweep,
-    _edge_automorphisms,
-    _is_codeword,
     witness_search,
 )
 from conftest import (
@@ -45,8 +43,8 @@ from conftest import (
     coeffs,
     convolve_mod2,
     list_witness_enumeration,
-    oracle_edge_automorphisms,
     oracle_equivalent_permutation_pairs,
+    oracle_syndrome,
     poly_row_space_equal,
     relabel_right,
     row_space_equal,
@@ -127,17 +125,6 @@ def test_rejects_bad_perm(constituent_check):
 
 # ---------------------------------------------------------------------------
 # two-variable forms: the slot offsets in Z and the permuted check row in D
-
-
-def oracle_syndrome(gen_row, h_row) -> list[int]:
-    """Coefficients of sum_j gen_j h_j over GF(2)[D], by schoolbook products."""
-    acc: list[int] = []
-    for g, h in zip(gen_row, h_row):
-        product = convolve_mod2(coeffs(g), coeffs(h))
-        acc += [0] * (len(product) - len(acc))
-        for i, bit in enumerate(product):
-            acc[i] ^= bit
-    return acc
 
 
 def test_two_dim_orthogonality_via_independent_oracle(best_code):
@@ -416,9 +403,8 @@ def test_exact_pass_matches_table_search(seed, n, hc, perm, cap, nodes):
     weight, word, expanded = got
     assert (weight, expanded, word == ()) == (expected[0], expected[2], expected[1] == ())
     if word:
-        vec = [p.bits for p in word]
-        assert _is_codeword(code, vec)
-        assert sum(v.bit_count() for v in vec) == weight < cap
+        assert not any(any(oracle_syndrome(word, h_row)) for h_row in code.H_wg.entries)
+        assert sum(p.weight for p in word) == weight < cap
 
 
 def test_witness_exact_on_degree_zero_specialization():
@@ -438,9 +424,8 @@ def test_witness_refine_pass_returns_lighter_codeword():
     res = witness_search(code, budget=WitnessBudget(max_terms=1, max_shift=0))
     assert res.weight == 6
     assert res.exact
-    vec = [p.bits for p in res.word]
-    assert _is_codeword(code, vec)
-    assert sum(v.bit_count() for v in vec) == res.weight
+    assert not any(any(oracle_syndrome(res.word, h_row)) for h_row in code.H_wg.entries)
+    assert sum(p.weight for p in res.word) == res.weight
     assert res.word == tuple(BinaryPoly(b) for b in (0, 0, 0, 0, 0b11, 1, 0b101, 0, 1))
 
 
@@ -564,18 +549,6 @@ def test_sweep_flags_equivalent_reverse_pair(sweep_rows, constituent_check):
     assert "equivalent-to:2,3,1" in by_perm[(3, 1, 2)].flags
 
 
-@pytest.mark.parametrize("g, count", [(build_heawood(), 336), (build_utility(), 72)])
-def test_edge_automorphisms_preserve_shared_vertices(g, count):
-    # 168 and 36 keep the two sides in place; as many more swap them
-    autos = list(_edge_automorphisms(g))
-    assert len({tuple(per) for per in autos}) == len(autos) == count
-    meet = [[e[0] == f[0] or e[1] == f[1] for f in g.edges] for e in g.edges]
-    for per in autos:
-        assert sorted(per) == list(range(g.num_edges))
-        assert all(meet[per[i]][per[j]] == meet[i][j]
-                   for i in range(g.num_edges) for j in range(g.num_edges))
-
-
 @pytest.mark.parametrize("g, hc", [
     (build_heawood(), CONSTITUENT),
     (build_utility(), [1, 0b11, 0b101]),
@@ -588,12 +561,36 @@ def test_edge_automorphisms_preserve_shared_vertices(g, count):
 ], ids=["heawood", "utility", "circulant-5", "circulant-6", "circulant-8",
         "heawood-relabelled", "heawood-zero-entry", "utility-zero-entry"])
 def test_automorphisms_and_equivalent_pairs_match_the_full_refinement_oracles(g, hc):
-    assert {tuple(per) for per in _edge_automorphisms(g)} == {
-        tuple(per) for per in oracle_edge_automorphisms(g)}
     perms = sorted(permutations((1, 2, 3)))
     hc = PolyMatrix([hc])
     assert equivalent_permutation_pairs(g, hc, perms) == oracle_equivalent_permutation_pairs(
         g, hc, perms)
+
+
+def test_multigraph_pairs_with_identical_checks_are_flagged():
+    # offsets (0, 0, 2) give each left vertex two parallel edges; swapping the
+    # first and third checks, or the last two, leaves H_wg unchanged
+    g, hc = _circulant(5, 0, 2), PolyMatrix([[1, 0b11, 1]])
+    perms = sorted(permutations((1, 2, 3)))
+    expected = {((1, 2, 3), (3, 2, 1)), ((1, 3, 2), (3, 1, 2))}
+    assert expected <= set(equivalent_permutation_pairs(g, hc, perms))
+    flags = {row.perm: row.flags.split(";") for row in permutation_sweep(g, hc)}
+    for a, b in expected:
+        assert f"equivalent-to:{','.join(map(str, b))}" in flags[a]
+        assert f"equivalent-to:{','.join(map(str, a))}" in flags[b]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6), st.integers(0, 5), st.integers(0, 5),
+       st.lists(st.integers(0, 7), min_size=3, max_size=3))
+def test_permutations_with_equal_checks_are_flagged(n, a, b, hc):
+    g, hc = _circulant(n, a % n, b % n), PolyMatrix([hc])
+    perms = sorted(permutations((1, 2, 3)))
+    checks = {perm: build_woven_conv(g, hc, perm).H_wg for perm in perms}
+    pairs = equivalent_permutation_pairs(g, hc, perms)
+    for pair in combinations(perms, 2):
+        if checks[pair[0]] == checks[pair[1]]:
+            assert pair in pairs
 
 
 def test_values_and_records_are_immutable(best_code):
