@@ -305,10 +305,10 @@ def cmd_woven_sweep(args) -> int:
 def cmd_woven_encode(args) -> int:
     from . import woven
     code = _woven_code(args)
-    raw = Path(args.infile).read_text()
-    bits = [int(ch) for ch in raw if ch in "01"]
+    raw = Path(args.infile).read_bytes()
+    bits = raw.translate(woven._TO_BITS, bytes(b for b in range(256) if b not in b"01"))
     out = woven.encode_stream(code, bits, pad=args.pad)
-    emit(args, "".join(map(str, out)) + "\n")
+    emit(args, bytes(out).translate(woven._TO_DIGITS).decode() + "\n")
     return 0
 
 

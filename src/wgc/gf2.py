@@ -115,10 +115,6 @@ class BinaryPoly:
     def __mod__(self, other: "BinaryPoly") -> "BinaryPoly":
         return divmod(self, other)[1]
 
-    def shift(self, k: int) -> "BinaryPoly":
-        """Multiply by D^k."""
-        return BinaryPoly(self.bits << k)
-
     def coeff(self, i: int) -> int:
         return (self.bits >> i) & 1
 

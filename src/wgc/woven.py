@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .gf2 import (
     BinaryPoly,
     PolyMatrix,
+    clmul,
     kernel_basis,
     permutation_equivalent,
     row_reduce,
@@ -50,8 +51,8 @@ class WovenConvCode:
 
     The artefacts derived from the code are computed on first use and kept:
     the raw wrapped pairwise-product generator (``expanded_generator``), the
-    minimal generator (``minimal_generator``) and the encoder's tap list
-    (``encode_stream``).
+    minimal generator (``minimal_generator``) and the encoder's plan, row 0 of
+    the raw generator by column block (``encode_stream``).
     """
 
     def __init__(self, graph: Hypergraph, hc: PolyMatrix, perm: tuple[int, ...]):
@@ -69,7 +70,7 @@ class WovenConvCode:
         self.H_wg = self._assemble()
         self._expanded: PolyMatrix | None = None
         self._minimal: PolyMatrix | None = None
-        self._taps: list[tuple[int, int, list[int]]] | None = None
+        self._plan: list[tuple[int, list[tuple[int, int]]]] | None = None
 
     # t-row polynomials: column slot j of the left blocks carries check j on
     # the left and check perm[j] on the right
@@ -141,7 +142,7 @@ def expanded_generator(code: WovenConvCode) -> PolyMatrix:
     XOR of six (column j, Z-exponent z, product) terms: (0, o2, h3 t2),
     (0, o3, h2 t3), (1, 0, h3 t1), (1, o3, h1 t3), (2, 0, h2 t1) and
     (2, o2, h1 t2); every product meets its twin in each check row of H_wg.
-    Row r XORs each product into column ((r + o3 - z) mod n) * 3 + j, so it is
+    Row 0 XORs each product into column ((o3 - z) mod n) * 3 + j, and row r is
     row 0 rotated by r column blocks.  Built and checked against H_wg once per
     code, then kept on it.
     """
@@ -149,9 +150,9 @@ def expanded_generator(code: WovenConvCode) -> PolyMatrix:
         return code._expanded
     offsets = code.z_offsets()
     if offsets is None:
-        raise StructureError("graph is not circulant; no two-variable form")
+        raise StructureError("graph is not circulant; no raw generator")
     if code.hc.rows != 1 or code.c != 3:
-        raise StructureError("two-variable form implemented for one check row, degree 3")
+        raise StructureError("raw generator implemented for one check row, degree 3")
     if offsets[0] != 0:
         raise StructureError("expected the first slot to have offset zero")
     h1, h2, h3 = code.hc.entries[0]
@@ -160,13 +161,10 @@ def expanded_generator(code: WovenConvCode) -> PolyMatrix:
     terms = [(0, o2, h3 * t2), (0, o3, h2 * t3), (1, 0, h3 * t1),
              (1, o3, h1 * t3), (2, 0, h2 * t1), (2, o2, h1 * t2)]
     n = code.n
-    rows = []
-    for r in range(n):
-        row = [0] * (3 * n)
-        for j, z, product in terms:
-            row[(r + o3 - z) % n * 3 + j] ^= product.bits
-        rows.append(row)
-    gen = PolyMatrix(rows)
+    row0 = [0] * (3 * n)
+    for j, z, product in terms:
+        row0[(o3 - z) % n * 3 + j] ^= product.bits
+    gen = PolyMatrix([row0[3 * (n - r):] + row0[:3 * (n - r)] for r in range(n)])
     syndrome = gen @ code.H_wg.transpose()
     if not syndrome.is_zero():
         raise AssertionError("expanded generator failed the parity check")
@@ -455,6 +453,9 @@ def orbit_multiplicity(code: WovenConvCode, word: tuple[BinaryPoly, ...]) -> int
 # ---------------------------------------------------------------------------
 # streaming encoder
 
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_TO_BITS = bytes.maketrans(b"01", b"\0\1")
+
 
 def encode_stream(code: WovenConvCode, info_bits, *, pad: bool = False) -> list[int]:
     """Encode a frame; info enters n bits per time instant, wrapped at frame end.
@@ -462,11 +463,11 @@ def encode_stream(code: WovenConvCode, info_bits, *, pad: bool = False) -> list[
     The frame is tail-bitten at its level count L: the output is the info row
     times tailbite(expanded_generator(code), L, -1), so a frame of n*L info
     bits gives n*c*L code bits with zero syndrome against tailbite(H_wg, L).
-    The product runs on packed columns: input row i is one L-bit int u_i
-    (bit lvl holds info bit lvl*n + i), and output column j is the XOR of
-    u_i rotated right by t mod L over the taps D^t of generator entry (i, j).
-    A frame costs one rotation per distinct (row, degree) pair and one XOR
-    per tap, each on L-bit ints; the tap list is built once per code.
+    The frame is one n*L-bit int, info bit lvl*n + i on top, and D^t a left
+    shift by t*n folded at n*L bits.  Generator row r is row 0 rotated by r
+    column blocks, so row 0's entry P at column b*c + j adds to output slot j
+    P (D^t spread to bit t*n) times the frame with each level rotated by b,
+    carry-less: one rotation per distinct b, one shift-XOR per tap of row 0.
     """
     try:
         frame = bytearray(list(info_bits))
@@ -474,31 +475,34 @@ def encode_stream(code: WovenConvCode, info_bits, *, pad: bool = False) -> list[
         frame = b"?"  # not an int in 0..255, so not a bit either
     if frame.translate(None, b"\0\1"):
         raise ValueError("info bits must be 0 or 1")
-    n, ncols = code.n, code.n * code.c
+    n, c = code.n, code.c
     if len(frame) % n and not pad:
         raise ValueError(f"info length {len(frame)} is not a multiple of {n}; "
                          "pass pad=True to zero-pad")
     frame += bytes(-len(frame) % n)
     if not frame:
         raise ValueError("empty frame")
-    levels = len(frame) // n
-    if code._taps is None:
-        code._taps = [(i, t, cols) for i, row in enumerate(expanded_generator(code).bits())
-                      for t in range(max(p.bit_length() for p in row))
-                      if (cols := [j for j, p in enumerate(row) if p >> t & 1])]
-    text = frame.translate(bytes.maketrans(b"\0\1", b"01"))
-    rows = [int(text[i::n][::-1], 2) for i in range(n)]
-    mask = (1 << levels) - 1
-    out_cols = [0] * ncols
-    for i, t, cols in code._taps:
-        s, u = t % levels, rows[i]
-        rotated = (u >> s | u << (levels - s)) & mask
-        for j in cols:
-            out_cols[j] ^= rotated
-    out = bytearray(levels * ncols)
-    for j, col in enumerate(out_cols):
-        out[j::ncols] = format(col, f"0{levels}b").encode()[::-1]
-    return list(out.translate(bytes.maketrans(b"01", b"\0\1")))
+    if code._plan is None:
+        row0 = expanded_generator(code).bits()[0]
+        code._plan = [(b, [(j, sum((p >> t & 1) << (t * n) for t in range(p.bit_length())))
+                           for j in range(c) if (p := row0[b * c + j])])
+                      for b in range(n) if any(row0[b * c:(b + 1) * c])]
+    size = len(frame)
+    full = (1 << size) - 1
+    rep = full // ((1 << n) - 1)  # bit 0 of every level
+    u = int(frame.translate(_TO_DIGITS), 2)
+    acc = [0] * c
+    for b, taps in code._plan:
+        low = ((1 << (n - b)) - 1) * rep
+        rotated = u >> b & low | u << (n - b) & (full ^ low)
+        for j, spread in taps:
+            acc[j] ^= clmul(spread, rotated)
+    out = bytearray(size * c)
+    for j, col in enumerate(acc):
+        while col >> size:
+            col = col & full ^ col >> size
+        out[j::c] = format(col, f"0{size}b").encode()
+    return list(out.translate(_TO_BITS))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
+from itertools import chain, combinations, permutations, product
 from operator import xor
 
 import pytest
@@ -628,7 +628,11 @@ def full_refinement_isomorphisms(adj_a, adj_b, colours):
 
 
 def oracle_edge_automorphisms(g) -> list[list[int]]:
-    """Edge maps of the bipartite graph's automorphisms, from ``full_refinement_isomorphisms``."""
+    """Edge maps of the bipartite graph's automorphisms, from ``full_refinement_isomorphisms``.
+
+    A vertex map sends each group of parallel edges onto a group of the same
+    size; every bijection between the two groups gives its own edge map.
+    """
     n = g.n
     adj = [[] for _ in range(2 * n)]
     edge_index = {}
@@ -638,12 +642,16 @@ def oracle_edge_automorphisms(g) -> list[list[int]]:
         edge_index.setdefault((a, b), []).append(i)
     out = []
     for vmap in full_refinement_isomorphisms(adj, adj, [0] * (2 * n)):
-        image_index = {k: list(v) for k, v in edge_index.items()}
-        per = [0] * g.num_edges
-        for i, (a, b) in enumerate(g.edges):
+        groups = []
+        for (a, b), sources in edge_index.items():
             u, w = sorted((vmap[a], vmap[n + b]))
-            per[image_index[(u, w - n)].pop()] = i
-        out.append(per)
+            images = edge_index[(u, w - n)]
+            groups.append([list(zip(images, order)) for order in permutations(sources)])
+        for choice in product(*groups):
+            per = [0] * g.num_edges
+            for image, source in chain.from_iterable(choice):
+                per[image] = source
+            out.append(per)
     return out
 
 

@@ -124,7 +124,7 @@ def test_rejects_bad_perm(constituent_check):
 
 
 # ---------------------------------------------------------------------------
-# two-variable forms: the slot offsets in Z and the permuted check row in D
+# circulant structure: the slot offsets in Z and the permuted check row in D
 
 
 def test_two_dim_orthogonality_via_independent_oracle(best_code):
@@ -479,19 +479,56 @@ def test_encoder_all_zero(best_code):
     assert set(encode_stream(best_code, [0] * 14)) == {0}
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_encoder_equals_wrapped_generator_product(best_code, data):
-    # levels up to 40 cover frames longer than the generator memory of 10
-    levels = data.draw(st.integers(1, 40))
-    info = data.draw(st.lists(st.integers(0, 1), min_size=7 * levels, max_size=7 * levels))
+def _wrapped_product(code, info, levels):
+    """The info row times tailbite(expanded_generator(code), levels, -1), packed."""
     want = 0
-    for row, bit in zip(tailbite(expanded_generator(best_code), levels, -1).data, info):
+    for row, bit in zip(tailbite(expanded_generator(code), levels, -1).data, info):
         if bit:
             want ^= row
-    out = encode_stream(best_code, info)
-    assert len(out) == 21 * levels
-    assert sum(b << i for i, b in enumerate(out)) == want
+    return want
+
+
+@st.composite
+def raw_generator_codes(draw):
+    """Heawood under every permutation, utility, and circulants with parallel edges."""
+    kind = draw(st.sampled_from(["heawood", "utility", "circulant"]))
+    if kind == "heawood":
+        g, hc = build_heawood(), CONSTITUENT
+    else:
+        hc = draw(st.lists(st.integers(0, 31), min_size=3, max_size=3))
+        if kind == "utility":
+            g = build_utility()
+        else:
+            n = draw(st.integers(1, 8))
+            g = _circulant(n, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+    perm = draw(st.sampled_from(sorted(permutations((1, 2, 3)))))
+    return build_woven_conv(g, PolyMatrix([hc]), perm)
+
+
+@settings(max_examples=120, deadline=None)
+@given(raw_generator_codes(), st.data())
+def test_encoder_equals_wrapped_generator_product(code, data):
+    # levels up to 40 cover frames more than twice the generator memory (10 on Heawood)
+    assert 2 * expanded_generator(code).memory < 40
+    levels = data.draw(st.integers(1, 40))
+    info = data.draw(st.lists(st.integers(0, 1), min_size=code.n * levels,
+                              max_size=code.n * levels))
+    out = encode_stream(code, info)
+    assert len(out) == code.n * code.c * levels
+    assert sum(b << i for i, b in enumerate(out)) == _wrapped_product(code, info, levels)
+
+
+def test_encoder_keeps_each_codes_plan(constituent_check):
+    # every code encodes a frame before any encodes its second, the last in reverse order
+    codes = [build_woven_conv(build_heawood(), constituent_check, perm)
+             for perm in sorted(permutations((1, 2, 3)))]
+    codes.append(build_woven_conv(build_utility(), PolyMatrix([[1, 0b11, 0b101]]), (1, 3, 2)))
+    rng = random.Random(5)
+    for levels, order in ((3, codes), (21, codes[::-1])):
+        for code in order:
+            info = [rng.randrange(2) for _ in range(code.n * levels)]
+            out = encode_stream(code, info)
+            assert sum(b << i for i, b in enumerate(out)) == _wrapped_product(code, info, levels)
 
 
 @pytest.mark.parametrize("bad", [2, 48, 255, 256, -1, 0.5, "1", None])  # 48 is ASCII "0"
@@ -558,8 +595,9 @@ def test_sweep_flags_equivalent_reverse_pair(sweep_rows, constituent_check):
     (relabel_right(build_heawood(), [3, 6, 0, 5, 1, 4, 2]), CONSTITUENT),
     (build_heawood(), [0b11, 0, 0b11]),
     (build_utility(), [0, 1, 1]),
+    (_circulant(5, 0, 2), [1, 0b11, 1]),
 ], ids=["heawood", "utility", "circulant-5", "circulant-6", "circulant-8",
-        "heawood-relabelled", "heawood-zero-entry", "utility-zero-entry"])
+        "heawood-relabelled", "heawood-zero-entry", "utility-zero-entry", "multigraph-5"])
 def test_automorphisms_and_equivalent_pairs_match_the_full_refinement_oracles(g, hc):
     perms = sorted(permutations((1, 2, 3)))
     hc = PolyMatrix([hc])
