@@ -465,9 +465,9 @@ def encode_stream(code: WovenConvCode, info_bits, *, pad: bool = False) -> list[
     bits gives n*c*L code bits with zero syndrome against tailbite(H_wg, L).
     The frame is one n*L-bit int, info bit lvl*n + i on top, and D^t a left
     shift by t*n folded at n*L bits.  Generator row r is row 0 rotated by r
-    column blocks, so row 0's entry P at column b*c + j adds to output slot j
-    P (D^t spread to bit t*n) times the frame with each level rotated by b,
-    carry-less: one rotation per distinct b, one shift-XOR per tap of row 0.
+    column blocks, so row 0's entry P at column b*c + j XORs into output
+    slot j the carry-less product of P, D^t spread to bit t*n, and the frame
+    with each level rotated by b: one rotation per b, a shift-XOR per tap.
     """
     try:
         frame = bytearray(list(info_bits))
