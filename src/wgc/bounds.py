@@ -4,21 +4,21 @@ Every root is either closed form or comes from ``newton``, one bracketed
 Newton iteration that stops on a relative step, so a root keeps its digits
 however small it gets as the rate approaches 1.  Each branch function is
 convex or concave on its bracket and starts at an end from which Newton
-steps reach the root; its constants and domain checks are set up once per
-root.  ``emit_curves`` walks each curve in rising rate: the entropy root and
-the graph-limited root both fall as the rate rises, so the root found at one
-rate is a valid upper bracket end, and a near-exact start, at the next.  The
-entropy and the exponents use ``log1p`` and ``expm1``, which do not cancel
-near rate 1.  ``rate_for_delta`` returns the entropy rate 1 - h(delta)
-exactly where the ensemble meets it, and otherwise finds the root of the
-exponent ``fhat`` in the rate directly.
+steps reach the root.  ``emit_curves`` walks each curve in rising rate and
+predicts each root from the last ones of its walk (``_walk_root``): a Newton
+step from the guess is accepted without a further evaluation once its proven
+error bound is at most RTOL of the root, and otherwise ``newton`` runs from
+the previous root.  The entropy and the exponents use ``log1p`` and
+``expm1``, which do not cancel near rate 1.  ``rate_for_delta`` returns the
+entropy rate 1 - h(delta) exactly where the ensemble meets it, and otherwise
+finds the root of the exponent ``fhat`` in the rate directly.
 """
 
 from __future__ import annotations
 
 from itertools import count, takewhile
 from math import expm1, log, log1p
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 LN2 = log(2.0)
 RTOL = 1e-15  # a root is final once a step moves it by at most this fraction
@@ -32,10 +32,10 @@ class BracketError(RuntimeError):
     """Root bracket does not straddle a sign change."""
 
 
-def _entropy_slope(x: float) -> tuple[float, float]:
-    """(h(x), h'(x)) for 0 < x < 1, in bits; log1p keeps small x exact."""
+def _entropy_terms(x: float) -> tuple[float, float, float]:
+    """(h(x), h'(x), h''(x)) for 0 < x < 1, in bits; log1p keeps small x exact."""
     lx, l1x = log(x), log1p(-x)
-    return -(x * lx + (1.0 - x) * l1x) / LN2, (l1x - lx) / LN2
+    return -(x * lx + (1.0 - x) * l1x) / LN2, (l1x - lx) / LN2, -1.0 / (x * (1.0 - x) * LN2)
 
 
 def binary_entropy(x: float) -> float:
@@ -44,11 +44,11 @@ def binary_entropy(x: float) -> float:
         raise DomainError(f"entropy argument {x} outside [0, 1]")
     if x in (0.0, 1.0):
         return 0.0
-    return _entropy_slope(x)[0]
+    return _entropy_terms(x)[0]
 
 
 def newton(f, lo: float, hi: float, x: float) -> float:
-    """Root of f on [lo, hi] by Newton steps from the end x; f(x) is (f(x), f'(x)).
+    """Root of f on [lo, hi] by Newton steps from the end x; f(x) starts (f(x), f'(x)).
 
     Each evaluation shrinks the bracket to the side that keeps the sign
     change, and a step that would leave it (or a flat slope) goes to its
@@ -63,7 +63,7 @@ def newton(f, lo: float, hi: float, x: float) -> float:
         return hi
     if (flo < 0) == (fhi < 0):
         raise BracketError(f"no sign change on [{lo}, {hi}] (f: {flo}, {fhi})")
-    fx, dfx = ends[x]
+    fx, dfx = ends[x][:2]
     for _ in range(200):
         if fx == 0.0:
             return x
@@ -80,41 +80,69 @@ def newton(f, lo: float, hi: float, x: float) -> float:
         x = nxt
         if done:
             return x
-        fx, dfx = f(x)
+        fx, dfx = f(x)[:2]
     return x
 
 
-def vg_delta(rate: float, above: float | None = None) -> float:
+def _walk_root(f, lo: float, hi: float, x: float, roots: Sequence[float]) -> float:
+    """Next root of a walk on a uniform rate grid whose roots so far are ``roots``.
+
+    f(d) is (f, f', f''), with f'' of one sign and |f''| ~ 1/(d(1-d)).  The
+    predictor, the corrector and its error bound are those of ``emit_curves``;
+    ``newton`` on [lo, hi] from x is the fallback.
+    """
+    if len(roots) >= 3:
+        a, b, c = roots[-3:]
+        d = 4.0 * (c + a) - 6.0 * b - roots[-4] if len(roots) > 3 else 3.0 * (c - b) + a
+        for _ in range(2):
+            if not 0.0 < d < hi:
+                break
+            fd, dfd, ddfd = f(d)
+            step = -fd / dfd if dfd else hi
+            near = d - 2.0 * abs(step)  # |f''| is largest at the end nearer 0
+            if near <= 0.0:
+                break
+            curv = abs(ddfd) * d * (1.0 - d) / (near * (1.0 - near))
+            slope = abs(dfd) - 2.0 * abs(step) * curv
+            d += step
+            if curv * step * step <= 2.0 * RTOL * d * slope:
+                return d
+    return newton(f, lo, hi, x)
+
+
+def vg_delta(rate: float, roots: Sequence[float] = ()) -> float:
     """Root of h(delta) + R - 1 = 0 in (0, 1/2).
 
-    ``above`` is a delta known to lie above the root, such as the root at a
-    lower rate R' (there h(delta) + R - 1 = R - R' > 0); it becomes the upper
-    bracket end and the start.
+    ``roots`` are the roots at the lower rates R' of a walk, the latest last
+    and so the upper bracket end (h(delta) + R - 1 = R - R' > 0 there).
     """
     if not 0.0 < rate < 1.0:
         raise DomainError(f"rate {rate} outside (0, 1)")
     gap = 1.0 - rate
 
     def f(d):
-        h, dh = _entropy_slope(d)
-        return h - gap, dh
+        h, dh, ddh = _entropy_terms(d)
+        return h - gap, dh, ddh
 
-    if above is None:
-        # h is concave and rising, so steps from the low end climb to the root
-        return newton(f, 1e-15, 0.5, 1e-15)
-    # the first step from above lands just below the root, the rest climb
-    return newton(f, 1e-15, above, above)
+    # h is concave and rising: steps from the low end climb to the root, and
+    # the first step from a warm upper end lands just below it
+    hi = roots[-1] if roots else 0.5
+    return _walk_root(f, 1e-15, hi, hi if roots else 1e-15, roots)
 
 
-def _branch_constants(rate: float, s: int) -> tuple[float, float]:
-    """(boundary, c): 1 - 2^((R-1)/s) and log2(2^((1-R)/s) - 1), via expm1."""
-    x = LN2 * (1.0 - rate) / s
-    return -expm1(-x), log(expm1(x)) / LN2
+def _boundary(rate: float, s: int) -> float:
+    """1 - 2^((R-1)/s), where the optimizer saturates, via expm1."""
+    return -expm1(-(LN2 * (1.0 - rate) / s))
+
+
+def _branch_slope(rate: float, s: int) -> float:
+    """c = log2(2^((1-R)/s) - 1), via expm1."""
+    return log(expm1(LN2 * (1.0 - rate) / s)) / LN2
 
 
 def gamma_opt_block(delta: float, rate: float, s: int) -> float:
     """Optimizing fraction of active constituents: min(1, delta / boundary)."""
-    return min(1.0, delta / _branch_constants(rate, s)[0])
+    return min(1.0, delta / _boundary(rate, s))
 
 
 def fhat(delta: float, rate: float, s: int) -> float:
@@ -131,11 +159,10 @@ def fhat(delta: float, rate: float, s: int) -> float:
         raise DomainError(f"rate {rate} outside (0, 1)")
     if s < 2:
         raise DomainError("need s >= 2")
-    boundary, c = _branch_constants(rate, s)
-    h = _entropy_slope(delta)[0]
-    if delta >= boundary:
+    h = _entropy_terms(delta)[0]
+    if delta >= _boundary(rate, s):
         return h - (1.0 - rate)
-    return (1.0 - s) * h - delta * s * c
+    return (1.0 - s) * h - delta * s * _branch_slope(rate, s)
 
 
 class BoundPoint(NamedTuple):
@@ -158,27 +185,28 @@ def woven_vg_bound(rate: float, s: int) -> BoundPoint:
 
 
 def _woven_delta(rate: float, s: int, dvg: float | None = None,
-                 above: float = 1.0) -> tuple[float, str]:
+                 roots: Sequence[float] = ()) -> tuple[float, str]:
     """(delta, regime) of ``woven_vg_bound``; ``dvg`` is vg_delta(rate) when
-    the caller has it, and ``above`` a delta the graph-limited root lies below
-    (in a walk, the previous rate's result)."""
+    the caller has it, and ``roots`` the deltas of this s at the rates below
+    on a uniform grid, the latest last, which the graph-limited root lies below."""
     if s < 2:
         raise DomainError("need s >= 2")
     if dvg is None:
         dvg = vg_delta(rate)
-    boundary, c = _branch_constants(rate, s)
+    boundary = _boundary(rate, s)
     if dvg >= boundary:
         return dvg, "vg"
+    c = _branch_slope(rate, s)
 
     def f(d):
-        h, dh = _entropy_slope(d)
-        return (1.0 - s) * h - d * s * c, (1.0 - s) * dh - s * c
+        h, dh, ddh = _entropy_terms(d)
+        return (1.0 - s) * h - d * s * c, (1.0 - s) * dh - s * c, (1.0 - s) * ddh
 
     # the branch is convex with f(0) = 0 and positive above its root, so
     # steps from the upper end fall to the root; it can sit at exponentially
     # small delta when the rate approaches 1, so the bracket starts far below
-    hi = min(above, boundary)
-    return newton(f, min(2.0 ** -500, boundary / 2), hi, hi), "graph-limited"
+    hi = min(roots[-1], boundary) if roots else boundary
+    return _walk_root(f, min(2.0 ** -500, boundary / 2), hi, hi, roots), "graph-limited"
 
 
 def rate_for_delta(delta: float, s: int) -> float:
@@ -195,11 +223,11 @@ def rate_for_delta(delta: float, s: int) -> float:
         raise DomainError(f"need 0 < delta < 0.5 and s >= 2 (delta={delta}, s={s})")
     h = binary_entropy(delta)
     r_vg = 1.0 - h
-    if delta >= _branch_constants(r_vg, s)[0]:
+    if delta >= _boundary(r_vg, s):
         return r_vg
 
     def f(r):
-        c = _branch_constants(r, s)[1]
+        c = _branch_slope(r, s)
         return (1.0 - s) * h - delta * s * c, delta * (1.0 + 2.0 ** -c)
 
     return newton(f, 1e-9, r_vg, r_vg)
@@ -267,14 +295,16 @@ def mu_gamma_optimizers(delta: float, rate: float, s: int) -> tuple[float, float
 def emit_curves(s_list, grid_step: float, kind: str) -> list[str]:
     """CSV lines of the bound curves, header first; failed points become error rows.
 
-    With no point to print the list is empty.  Each line is written as its
-    point is found, and every s shares one printed string per rate.  A vg
-    curve is walked in rising rate: the entropy root and the graph-limited
-    root both fall as the rate rises, so the previous rate's root is the
-    upper bracket end and the Newton start of the next (for the entropy root
-    f(prev) = R - R_prev > 0; the branch is positive above its root, and its
-    end is min(prev, boundary)).  A point whose root fails starts the next one
-    from the cold bracket again.
+    With no point to print the list is empty; an s below 2 is a DomainError.
+    Each line is written as its point is found, and every s shares one printed
+    string per rate.  A vg curve is walked in rising rate (``_walk_root``):
+    each entropy root, and each delta of one s, is the cubic extrapolation of
+    the last four of its walk (quadratic from three), and a Newton step from
+    it is accepted once |f''|max / (2 |f'|min) step^2, with |f''| taken at the
+    end of [d - 2|step|, d + 2|step|] nearer 0, is at most RTOL * delta.  The
+    first three points of a walk, a guess outside (0, min(previous root,
+    boundary)) and two steps short of the bound fall back to ``newton`` from
+    the previous root; after a failed root, an error row, the walk starts cold.
     """
     if not 0.0 < grid_step <= 0.1:
         raise DomainError("grid step must be in (0, 0.1]")
@@ -283,25 +313,29 @@ def emit_curves(s_list, grid_step: float, kind: str) -> list[str]:
     rates = list(takewhile(lambda r: r < 1.0 - 1e-12, (i * grid_step for i in count(1))))
     shown = [f"{round(r, 12):.10g}" for r in rates]
     if kind == "vg":
+        if any(s < 2 for s in s_list):
+            raise DomainError("need s >= 2")
         lines = ["s,rate,delta,regime"]
         # every s walks the same rates, so each entropy root is found once;
         # a failed root is None and _woven_delta raises its error again
-        dvgs: list[float | None] = []
+        dvgs, walk = [], []
         for r in rates:
             try:
-                dvgs.append(vg_delta(r, dvgs[-1] if dvgs else None))
+                walk.append(vg_delta(r, walk))
             except BracketError:
-                dvgs.append(None)
+                walk = []
+            dvgs.append(walk[-1] if walk else None)
         for s in s_list:
-            above = 1.0
+            walk = []
             for r, rate_text, dvg in zip(rates, shown, dvgs):
                 try:
-                    above, regime = _woven_delta(r, s, dvg, above)
-                except (DomainError, BracketError) as exc:
-                    above = 1.0
+                    delta, regime = _woven_delta(r, s, dvg, walk)
+                except BracketError as exc:
+                    walk = []
                     lines.append(f"{s},{rate_text},,error:{exc}")
                 else:
-                    lines.append(f"{s},{rate_text},{above:.10g},{regime}")
+                    walk.append(delta)
+                    lines.append(f"{s},{rate_text},{delta:.10g},{regime}")
         return lines if s_list else []
     if kind == "costello":
         lines = ["rate,delta"]

@@ -170,13 +170,53 @@ def test_bound_never_exceeds_entropy_root():
             rate += 0.05
 
 
-def test_root_certificates_on_grid():
+def mp_branch(rate, s, regime):
+    """The function whose root is the delta of ``regime``, in 50-digit arithmetic."""
+    r = mpmath.mpf(rate)
+    if regime == "vg":
+        return lambda d: mp_entropy(d) + r - 1
+    slope = s * mpmath.log(2 ** ((1 - r) / s) - 1, 2)
+    return lambda d: (1 - s) * mp_entropy(d) - d * slope
+
+
+def walked_points(monkeypatch, s_list, step):
+    """(rate, s, delta, regime) of every point ``emit_curves`` prints, with the
+    delta unrounded; the walk predicts most of these roots."""
+    real, points = bounds._woven_delta, []
+
+    def woven_delta(rate, s, *args):
+        points.append((rate, s, *real(rate, s, *args)))
+        return points[-1][2:]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_woven_delta", woven_delta)
+        rows = parsed(emit_curves(s_list, step, "vg"))
+    assert [(f"{d:.10g}", regime) for _, _, d, regime in points] == \
+        [(row["delta"], row["regime"]) for row in rows]
+    return points
+
+
+def test_root_certificates_on_grid(monkeypatch):
     for s in (2, 3, 4, 10):
         rate = 0.01
         while rate < 1.0 - 1e-9:
             point = woven_vg_bound(rate, s)
             assert abs(fhat(point.delta, rate, s)) < 1e-9
             rate += 0.01
+    # each walked root, down to about 1e-8 on the fine grid, lies within 1e-14
+    # of a sign change of its branch, checked in 50-digit arithmetic
+    fine = walked_points(monkeypatch, [2, 3, 4, 5], 1e-4)
+    points = walked_points(monkeypatch, [2, 3, 4, 5], 0.001) + \
+        [p for i in range(1, 5) for p in fine[i * 9999 - 200:i * 9999]]
+    assert len(points) == 4 * 999 + 4 * 200
+    regimes = set()
+    for rate, s, delta, regime in points:
+        f = mp_branch(rate, s, regime)
+        d = mpmath.mpf(delta)
+        assert f(d * (1 - mpmath.mpf("1e-14"))) < 0 < f(d * (1 + mpmath.mpf("1e-14"))), \
+            (rate, s, delta, regime)
+        regimes.add(regime)
+    assert regimes == {"vg", "graph-limited"}
 
 
 def test_rate_gap_monotone_in_s():
@@ -433,38 +473,41 @@ def test_walked_points_match_single_point_bounds(step, s_list):
         assert printed_within(row["delta"], point.delta, 1e-12)
 
 
-def counting_newton(monkeypatch, fail_at=None):
-    """Wraps bounds.newton.  Returns the list of its (lo, hi, x) calls and a
-    one-element list counting the evaluations of the functions passed to it;
-    the call numbered ``fail_at`` raises BracketError instead."""
-    real, calls, evaluations = bounds.newton, [], [0]
+def counting_walk(monkeypatch, fail_at=None):
+    """Wraps bounds._walk_root.  Returns the list of its (lo, hi, x, history
+    length) calls; the call numbered ``fail_at`` raises BracketError instead."""
+    real, calls = bounds._walk_root, []
 
-    def newton(f, lo, hi, x):
-        calls.append((lo, hi, x))
+    def walk_root(f, lo, hi, x, roots):
+        calls.append((lo, hi, x, len(roots)))
         if len(calls) - 1 == fail_at:
             raise BracketError("injected")
+        return real(f, lo, hi, x, roots)
 
-        def counted(d):
-            evaluations[0] += 1
-            return f(d)
-
-        return real(counted, lo, hi, x)
-
-    monkeypatch.setattr(bounds, "newton", newton)
-    return calls, evaluations
+    monkeypatch.setattr(bounds, "_walk_root", walk_root)
+    return calls
 
 
 def test_walk_evaluation_count(monkeypatch):
-    # every root from its cold bracket took 20,764 evaluations on this grid
-    calls, evaluations = counting_newton(monkeypatch)
+    # every root from its cold bracket took 20,764 entropy evaluations on this
+    # grid, and a bracketed Newton walk from the previous root 14,006; the
+    # predictor-corrector walk takes 3,140, one for most of its 2,676 roots
+    real, evaluations = bounds._entropy_terms, [0]
+
+    def entropy_terms(x):
+        evaluations[0] += 1
+        return real(x)
+
+    monkeypatch.setattr(bounds, "_entropy_terms", entropy_terms)
+    calls = counting_walk(monkeypatch)
     emit_curves([2, 3, 4, 5], 0.001, "vg")
     assert len(calls) == 2676
-    assert evaluations[0] <= 15_000
+    assert evaluations[0] <= 3_200
 
 
 def test_failed_branch_root_is_an_error_row_and_the_next_starts_cold(monkeypatch):
     step = 0.01
-    clean_calls, _ = counting_newton(monkeypatch)
+    clean_calls = counting_walk(monkeypatch)
     clean = emit_curves([2], step, "vg")
     clean_rows = parsed(clean)
     regimes = [row["regime"] for row in clean_rows]
@@ -472,25 +515,29 @@ def test_failed_branch_root_is_an_error_row_and_the_next_starts_cold(monkeypatch
     first = regimes.index("graph-limited")
     k = (first + len(clean_rows)) // 2
     call = len(clean_rows) + k - first
-    assert f"{clean_calls[call][1]:.10g}" == clean_rows[k - 1]["delta"]  # warm: the previous root
+    # warm and predicted: below the previous root, from the last roots of the walk
+    assert f"{clean_calls[call][1]:.10g}" == clean_rows[k - 1]["delta"]
+    assert clean_calls[call][3] == clean_calls[call + 1][3] - 1 == k
 
-    calls, _ = counting_newton(monkeypatch, fail_at=call)
+    calls = counting_walk(monkeypatch, fail_at=call)
     rows = emit_curves([2], step, "vg")
     assert parsed(rows)[k] == {"s": "2", "rate": clean_rows[k]["rate"], "delta": "",
                                "regime": "error:injected"}
     assert rows[k + 1] == clean[k + 1].rsplit(",", 2)[0] + ",,error:injected"
     assert rows[:k + 1] + rows[k + 2:] == clean[:k + 1] + clean[k + 2:]
-    # the next point's upper end is the cold one, its own boundary
-    boundary = bounds._branch_constants((k + 2) * step, 2)[0]
-    assert calls[call + 1][1:] == (boundary, boundary) != clean_calls[call + 1][1:]
+    # the next point starts cold: its upper end is its own boundary, and no
+    # root before the failure is extrapolated
+    boundary = bounds._boundary((k + 2) * step, 2)
+    assert calls[call + 1][1:] == (boundary, boundary, 0) != clean_calls[call + 1][1:]
 
 
 def test_failed_entropy_root_restarts_the_entropy_walk_cold(monkeypatch):
     step = 0.01
     clean = emit_curves([2, 3], step, "vg")
-    calls, _ = counting_newton(monkeypatch, fail_at=40)
+    calls = counting_walk(monkeypatch, fail_at=40)
     rows = emit_curves([2, 3], step, "vg")
-    assert calls[40][1] == calls[40][2] < 0.5  # warm
-    assert calls[41] == (1e-15, 0.5, 1e-15)  # cold
+    assert calls[40][1] == calls[40][2] < 0.5 and calls[40][3] == 40  # warm, predicted
+    assert calls[41] == (1e-15, 0.5, 1e-15, 0)  # cold, with no history
+    assert calls[42][3] == 1
     # the failed rate's root is found again for each s, here without a fault
     assert rows == clean

@@ -97,6 +97,13 @@ def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("s", ["1", "0", "-3", "2,1"])
+def test_bounds_rejects_s_below_two_before_walking(capsys, s):
+    assert cli.main(["bounds", "--kind", "vg", "--s", s, "--step", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: need s >= 2\n"
+
+
 @pytest.mark.parametrize("l", ["-1", "0", "4"])
 def test_blockdist_rejects_a_block_length_that_does_not_tile(tmp_path, capsys, l):
     matrix = tmp_path / "h.txt"
