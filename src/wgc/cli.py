@@ -163,8 +163,8 @@ def cmd_blockdist(args) -> int:
     from . import blockcodes, convcodes
     from .gf2 import PolyMatrix
     if args.parity:
-        code = convcodes.ConvCode.from_parity(PolyMatrix.from_text(Path(args.parity).read_text()))
-        print(f"block_distance={convcodes.block_distance_conv(code)}")
+        h = PolyMatrix.from_text(Path(args.parity).read_text())
+        print(f"block_distance={convcodes.block_distance_conv(h)}")
         return 0
     if not args.matrix or args.l is None:
         raise CliError("need --parity (polynomial) or --matrix with --l")
@@ -179,18 +179,18 @@ def cmd_blockdist(args) -> int:
 
 def cmd_freedist(args) -> int:
     from . import convcodes
-    from .gf2 import PolyMatrix
-    if args.gen or args.gen_inline:
-        gm = (PolyMatrix.from_text(Path(args.gen).read_text()) if args.gen
-              else parse_poly_matrix_inline(args.gen_inline))
-        code = convcodes.ConvCode.from_generator(gm)
-    elif args.parity or args.parity_inline:
-        hm = (PolyMatrix.from_text(Path(args.parity).read_text()) if args.parity
-              else parse_poly_matrix_inline(args.parity_inline))
-        code = convcodes.ConvCode.from_parity(hm)
+    from .gf2 import minimal_kernel
+    has_gen = args.gen or args.gen_inline
+    has_parity = args.parity or args.parity_inline
+    if has_gen and has_parity:
+        raise CliError("give either a generator or a parity-check matrix, not both")
+    if has_gen:
+        gen = load_poly_matrix(args, "gen", "gen_inline")
+    elif has_parity:
+        gen = minimal_kernel(load_poly_matrix(args, "parity", "parity_inline"))
     else:
         raise CliError("need a generator or parity-check matrix")
-    print(f"free_distance={convcodes.free_distance(code)}")
+    print(f"free_distance={convcodes.free_distance(gen)}")
     return 0
 
 
@@ -259,10 +259,10 @@ def cmd_woven_build(args) -> int:
 
 def cmd_woven_bounds(args) -> int:
     from . import woven
-    code = _woven_code(args)
-    rep = woven.distance_bounds(code)
-    print(f"product_bound={rep.product_bound}")
-    print(f"improved_bound={rep.improved_bound}")
+    code = _woven_code(args)  # checks the graph, the check row and --perm
+    product, improved = woven.distance_bounds(code.graph, code.hc)
+    print(f"product_bound={product}")
+    print(f"improved_bound={improved}")
     return 0
 
 
@@ -314,6 +314,8 @@ def cmd_woven_encode(args) -> int:
 
 def cmd_bounds(args) -> int:
     from . import bounds
+    if args.kind == "costello" and args.s is not None:
+        raise CliError("--s applies to --kind vg only")
     s_list = [int(x) for x in args.s.split(",")] if args.s else [2]
     emit(args, bounds.curves_csv(bounds.emit_curves(s_list, args.step, args.kind)))
     return 0
@@ -324,7 +326,7 @@ def cmd_verify(args) -> int:
         raise CliError("only the heawood reproduction is built in")
     from .verify import run_heawood_verification
 
-    results = run_heawood_verification(budget=make_budget(args))
+    results = run_heawood_verification()
     width = max(len(name) for name, _, _, _ in results)
     failures = 0
     for name, expected, got, ok in results:
@@ -458,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a built-in end-to-end reproduction")
     p.add_argument("what", choices=("heawood",))
-    add_budget(p)
     p.set_defaults(func=cmd_verify)
 
     return top

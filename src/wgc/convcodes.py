@@ -1,4 +1,10 @@
-"""Convolutional codes in polynomial form: distances, subcodes, derived block codes."""
+"""Convolutional codes in polynomial form: distances, subcodes, derived block codes.
+
+A code is the matrix a function reads: ``free_distance``, ``spectrum`` and
+``tb_encoder_code`` take a generator G(D), ``block_distance_conv`` and
+``rate_half_subcodes`` a parity-check matrix H(D).  ``gf2.minimal_kernel``
+converts either form into the other.
+"""
 
 from __future__ import annotations
 
@@ -9,11 +15,9 @@ from itertools import combinations
 from .gf2 import (
     BinaryPoly,
     PolyMatrix,
-    kernel_basis,
     nullspace_basis,
     poly_gcd,
     rank_over_rational_field,
-    row_reduce,
     tailbite,
 )
 from .blockcodes import LinearBlockCode
@@ -21,68 +25,6 @@ from .blockcodes import LinearBlockCode
 
 class CatastrophicEncoderError(ValueError):
     """A zero-weight loop through nonzero states was found."""
-
-
-class ConvCode:
-    """Rate b/c convolutional code with generator and/or parity polynomial form."""
-
-    __slots__ = ("G", "H", "b", "c")
-
-    def __init__(self, G: PolyMatrix | None = None, H: PolyMatrix | None = None):
-        if G is None and H is None:
-            raise ValueError("need a generator or a parity-check matrix")
-        if G is not None and H is not None:
-            if G.cols != H.cols:
-                raise ValueError("generator and parity-check column counts differ")
-            if not (G @ H.transpose()).is_zero():
-                raise ValueError("generator and parity-check are not orthogonal")
-        self.G = G
-        self.H = H
-        self.c = G.cols if G is not None else H.cols
-        self.b = G.rows if G is not None else self.c - H.rows
-
-    @classmethod
-    def from_generator(cls, G: PolyMatrix) -> "ConvCode":
-        return cls(G=G)
-
-    @classmethod
-    def from_parity(cls, H: PolyMatrix) -> "ConvCode":
-        return cls(H=H)
-
-    @property
-    def memory(self) -> int:
-        """Largest entry degree of the generator (parity form if no generator)."""
-        return self.G.memory if self.G is not None else self.H.memory
-
-    @property
-    def nu(self) -> int:
-        """Overall constraint length: sum of generator row degrees."""
-        if self.G is None:
-            raise ValueError("overall constraint length needs the generator form")
-        return self.G.constraint_length
-
-    def with_generator(self) -> "ConvCode":
-        """Same code with a generator derived from the parity-check matrix."""
-        if self.G is not None:
-            return self
-        basis = kernel_basis(self.H)
-        if basis.rows == 0:
-            raise ValueError("parity-check matrix has a trivial nullspace")
-        return ConvCode(G=row_reduce(basis), H=self.H)
-
-    def with_parity(self) -> "ConvCode":
-        """Same code with a parity-check matrix derived from the generator.
-
-        The check module {h : G h^T = 0} is exactly the polynomial kernel
-        of G, reduced to a minimal-basic form.
-        """
-        if self.H is not None:
-            return self
-        checks = kernel_basis(self.G)
-        return ConvCode(G=self.G, H=row_reduce(checks) if checks.rows else None)
-
-    def __repr__(self) -> str:
-        return f"ConvCode(b={self.b}, c={self.c}, memory={self.memory})"
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +165,6 @@ def lightest_codeword(G: PolyMatrix, cap: int, max_nodes: int
     return total[meet], enc.encode(inputs), nodes + bnodes
 
 
-def _generator_of(code: ConvCode) -> PolyMatrix:
-    return code.with_generator().G
-
-
 def _zero_weight_order(enc: _Encoder) -> list[int]:
     """Nonzero states in a topological order of the zero-weight branches between them.
 
@@ -250,16 +188,18 @@ def _zero_weight_order(enc: _Encoder) -> list[int]:
     return order
 
 
-def free_distance(code: ConvCode, *, max_constraint: int = 24) -> int:
-    """Exact free distance by lowest-weight search over the encoder state graph.
+def free_distance(gen: PolyMatrix, *, max_constraint: int = 24) -> int:
+    """Exact free distance of the generator's code, by lowest-weight search over its encoder.
 
     The zero state is start and goal but never an interior vertex, so the
-    result is the weight of the lightest nonzero diverge/remerge loop.
-    Generator rows dependent over GF(2)(D) (some nonzero input encodes to
-    zero) raise ValueError first; zero-weight loops through nonzero states
-    then abort with CatastrophicEncoderError before the search.
+    result is the weight of the lightest nonzero diverge/remerge loop.  A
+    generator without rows, or with rows dependent over GF(2)(D) (some
+    nonzero input encodes to zero), raises ValueError first; zero-weight
+    loops through nonzero states then abort with CatastrophicEncoderError
+    before the search.
     """
-    gen = _generator_of(code)
+    if not gen.rows:
+        raise ValueError("empty generator: the code has no nonzero codeword")
     if rank_over_rational_field(gen) < gen.rows:
         raise ValueError("a nonzero input encodes to zero: "
                          "the generator rows are dependent over GF(2)(D)")
@@ -271,16 +211,16 @@ def free_distance(code: ConvCode, *, max_constraint: int = 24) -> int:
     return _lightest_paths(enc, stop_at_zero=True)[0][0]
 
 
-def spectrum(code: ConvCode, depth: int, *, max_constraint: int = 24) -> dict[int, int]:
+def spectrum(gen: PolyMatrix, depth: int, *, max_constraint: int = 24) -> dict[int, int]:
     """Counts of first-event paths by weight, from the free distance up.
 
     Paths diverge from the zero state once and remerge once.  Zero-weight
     transitions between nonzero states are required to be acyclic, which is
     the non-catastrophic condition checked up front.
     """
-    d_free = free_distance(code, max_constraint=max_constraint)
+    d_free = free_distance(gen, max_constraint=max_constraint)
     w_max = d_free + depth
-    enc = _Encoder(_generator_of(code))
+    enc = _Encoder(gen)
     order = _zero_weight_order(enc)
 
     # counts[s][w] = number of partial paths reaching state s with weight w;
@@ -304,35 +244,33 @@ def spectrum(code: ConvCode, depth: int, *, max_constraint: int = 24) -> dict[in
 # block distance over the rational field
 
 
-def block_distance_conv(code: ConvCode) -> int:
-    """Smallest coordinate support carrying a nonzero codeword.
+def block_distance_conv(h: PolyMatrix) -> int:
+    """Smallest coordinate support carrying a nonzero codeword of the code h checks.
 
     A nonzero codeword lives on support S exactly when the parity columns
     indexed by S are rank deficient over GF(2)(D).
     """
-    h = code.with_parity().H
-    if h is None:
+    if not h.rows:
         raise ValueError("code has no redundancy; block distance undefined")
     cols = h.transpose().entries
-    for size in range(1, code.c + 1):
-        for subset in combinations(range(code.c), size):
+    for size in range(1, h.cols + 1):
+        for subset in combinations(range(h.cols), size):
             sub = PolyMatrix([cols[j] for j in subset]).transpose()
             if rank_over_rational_field(sub) < size:
                 return size
     raise AssertionError("unreachable: full support always carries codewords")
 
 
-def rate_half_subcodes(code: ConvCode) -> list[ConvCode]:
-    """The three rate-1/2 subcodes of a c=3, single-check code.
+def rate_half_subcodes(h: PolyMatrix) -> list[PolyMatrix]:
+    """Generators of the three rate-1/2 subcodes of a c=3, single-check code.
 
     For each coordinate pair {i, j} the codewords supported there are the
-    multiples of (h_j, h_i) divided by the pair gcd; the returned codes are
-    embedded so their codewords satisfy the parent parity-check matrix.
+    multiples of (h_j, h_i) divided by the pair gcd; each generator is
+    embedded in the three coordinates, so its codewords satisfy h.
     """
-    if code.c != 3:
+    if h.cols != 3:
         raise ValueError("rate-1/2 subcode extraction needs c = 3")
-    h = code.with_parity().H
-    if h is None or h.rows != 1:
+    if h.rows != 1:
         raise ValueError("need a single-row parity-check matrix")
     hp = h.entries[0]
     out = []
@@ -341,7 +279,7 @@ def rate_half_subcodes(code: ConvCode) -> list[ConvCode]:
         row = [BinaryPoly(0)] * 3
         row[i] = hp[j] // g
         row[j] = hp[i] // g
-        out.append(ConvCode(G=PolyMatrix([row]), H=h))
+        out.append(PolyMatrix([row]))
     return out
 
 
@@ -349,8 +287,6 @@ def rate_half_subcodes(code: ConvCode) -> list[ConvCode]:
 # derived block codes
 
 
-def tb_encoder_code(code: ConvCode, length: int) -> LinearBlockCode:
+def tb_encoder_code(gen: PolyMatrix, length: int) -> LinearBlockCode:
     """Block code spanned by the wrapped generator rows (dimension b * length)."""
-    gen = _generator_of(code)
-    wrapped = tailbite(gen, length, -1)
-    return LinearBlockCode(nullspace_basis(wrapped))
+    return LinearBlockCode(nullspace_basis(tailbite(gen, length, -1)))

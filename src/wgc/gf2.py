@@ -190,14 +190,7 @@ class BinaryMatrix:
     def identity(cls, n: int) -> "BinaryMatrix":
         return cls((1 << i for i in range(n)), n)
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "BinaryMatrix":
-        return cls((0,) * rows, cols)
-
     # -- basic queries -----------------------------------------------------
-
-    def bit(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
 
     def row_weights(self) -> list[int]:
         return [r.bit_count() for r in self.data]
@@ -213,11 +206,6 @@ class BinaryMatrix:
                 out[lsb.bit_length() - 1] |= 1 << i
                 r ^= lsb
         return BinaryMatrix(out, self.rows)
-
-    def stack(self, other: "BinaryMatrix") -> "BinaryMatrix":
-        if other.cols != self.cols:
-            raise ValueError("column mismatch")
-        return BinaryMatrix(self.data + other.data, self.cols)
 
     def mul_vec(self, v: int) -> int:
         """Syndrome M v^T as an int with bit i = parity of row i AND v."""
@@ -707,3 +695,13 @@ def row_reduce(g: PolyMatrix) -> PolyMatrix:
         del leads[target:]
     mask = (1 << stride) - 1
     return PolyMatrix([[(row >> (j * stride)) & mask for j in range(g.cols)] for row in rows])
+
+
+def minimal_kernel(m: PolyMatrix) -> PolyMatrix:
+    """Minimal-basic basis of {v : M v^T = 0}, the one generator <-> parity-check conversion.
+
+    A parity-check matrix H gives a generator of its code, and a generator
+    G gives a parity-check matrix of its code; either has no rows when the
+    kernel is trivial.
+    """
+    return row_reduce(kernel_basis(m))

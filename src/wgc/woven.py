@@ -5,7 +5,8 @@ checks in column order) and one per right vertex (the same checks permuted
 and routed along the graph).  On circulant bipartite graphs the code also
 has a raw generator built from the pairwise products of the check
 polynomials: one row per left vertex, each row the one before it rotated by a
-column block.
+column block.  The minimal generator is ``gf2.minimal_kernel`` of H_wg, and
+the distance bounds read only the graph and the constituent check row.
 """
 
 from __future__ import annotations
@@ -13,16 +14,8 @@ from __future__ import annotations
 from itertools import accumulate, combinations, permutations
 from typing import NamedTuple
 
-from .gf2 import (
-    BinaryPoly,
-    PolyMatrix,
-    clmul,
-    kernel_basis,
-    permutation_equivalent,
-    row_reduce,
-)
-from .convcodes import (ConvCode, block_distance_conv, free_distance, lightest_codeword,
-                        rate_half_subcodes)
+from .gf2 import BinaryPoly, PolyMatrix, clmul, minimal_kernel, permutation_equivalent
+from .convcodes import block_distance_conv, free_distance, lightest_codeword, rate_half_subcodes
 from .hypergraphs import Hypergraph, girth
 
 
@@ -181,9 +174,9 @@ class GeneratorReport(NamedTuple):
 
 
 def minimal_generator(code: WovenConvCode) -> PolyMatrix:
-    """Minimal-basic generator of the full code, from the parity kernel."""
+    """Minimal-basic generator of the full code: ``minimal_kernel`` of H_wg, kept on the code."""
     if code._minimal is None:
-        code._minimal = row_reduce(kernel_basis(code.H_wg))
+        code._minimal = minimal_kernel(code.H_wg)
     return code._minimal
 
 
@@ -207,56 +200,31 @@ def generator_report(code: WovenConvCode) -> GeneratorReport:
 # distance bounds
 
 
-class DistanceReport(NamedTuple):
-    product_bound: int
-    improved_bound: int | None
-    witness_weight: int | None
-    witness: tuple[BinaryPoly, ...] | None
-    exhaustive: bool
-
-    def chain_ok(self) -> bool:
-        vals = [self.product_bound, self.improved_bound, self.witness_weight]
-        present = [v for v in vals if v is not None]
-        return all(a <= b for a, b in zip(present, present[1:]))
-
-
-def distance_bounds(code: WovenConvCode, *, witness: "WitnessResult | None" = None,
-                    graph_girth: int | None = None) -> DistanceReport:
-    """Product-type and subcode-improved lower bounds on the free distance.
+def distance_bounds(g: Hypergraph, hc: PolyMatrix, graph_girth: int | None = None
+                    ) -> tuple[int, int | None]:
+    """(product, improved) lower bounds on the free distance of the woven codes of g and hc.
 
     Bipartite product bound: max(girth/2, 2) times the constituent free
     distance.  The improved bound splits codewords by constituent support:
     fully block-weight-2 words live in the rate-1/2 subcodes and activate at
     least girth/2 constituents; anything else activates one more constituent
-    at full free distance.  ``graph_girth`` is girth(code.graph) when the
+    at full free distance.  The improved bound is None unless the
+    constituent has block distance 2, c = 3 and one check row.  The check
+    permutation plays no part, and ``graph_girth`` is girth(g) when the
     caller has it already.
     """
-    product, improved = _graph_bounds(code.graph, code.hc, graph_girth)
-    return DistanceReport(
-        product_bound=product,
-        improved_bound=improved,
-        witness_weight=witness.weight if witness else None,
-        witness=witness.word if witness else None,
-        exhaustive=witness.exact if witness else False,
-    )
-
-
-def _graph_bounds(g: Hypergraph, hc: PolyMatrix, girth_g: int | None = None
-                  ) -> tuple[int, int | None]:
-    """(product, improved) bounds of ``distance_bounds``; the permutation plays no part."""
-    constituent = ConvCode.from_parity(hc)
-    d_block = block_distance_conv(constituent)
+    d_block = block_distance_conv(hc)
     if d_block < 2:
         raise ValueError("constituent block distance must be at least 2")
-    d_free_c = free_distance(constituent)
-    if girth_g is None:
-        girth_g = girth(g)
-    if girth_g is None:
+    d_free_c = free_distance(minimal_kernel(hc))
+    if graph_girth is None:
+        graph_girth = girth(g)
+    if graph_girth is None:
         raise StructureError("acyclic graph has no product bound")
-    active = max(girth_g // 2, 2)
+    active = max(graph_girth // 2, 2)
     improved: int | None = None
     if d_block == 2 and g.c == 3 and hc.rows == 1:
-        d_sub = min(free_distance(sc) for sc in rate_half_subcodes(constituent))
+        d_sub = min(free_distance(sc) for sc in rate_half_subcodes(hc))
         improved = min(active * d_sub, (active + 1) * d_free_c)
     return active * d_free_c, improved
 
@@ -556,7 +524,7 @@ def permutation_sweep(g: Hypergraph, hc: PolyMatrix,
             results = list(pool.map(_sweep_one, jobs))
     else:
         results = [_sweep_one(job) for job in jobs]
-    product, improved = _graph_bounds(g, hc)
+    product, improved = distance_bounds(g, hc)
     partner: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for a, b in equivalent_permutation_pairs(g, hc, perms):
         partner.setdefault(a, []).append(b)

@@ -11,7 +11,7 @@ from operator import xor
 import pytest
 
 from wgc.blockcodes import LinearBlockCode, build_graph_code, min_distance
-from wgc.convcodes import CatastrophicEncoderError, ConvCode, _generator_of
+from wgc.convcodes import CatastrophicEncoderError
 from wgc.gf2 import (BinaryMatrix, BinaryPoly, PolyMatrix, _eliminate, clmul, nullspace_basis,
                      rank_over_rational_field, tailbite)
 from wgc.hypergraphs import Hypergraph, sd_girth
@@ -158,17 +158,17 @@ def poly_row_space_equal(a: PolyMatrix, b: PolyMatrix) -> bool:
     return rank_over_rational_field(stacked) == ra
 
 
-def zt_block_code(code: ConvCode, l: int) -> LinearBlockCode:
+def zt_block_code(gen: PolyMatrix, l: int, tail: int = 0) -> LinearBlockCode:
     """Zero-tail terminated block code with l information levels.
 
-    The length is (l + m) c where m is the largest entry degree over the
-    stored matrices, so parity-only constructions keep their natural frame.
+    The length is (l + tail) c, where tail defaults to the largest entry
+    degree of the generator; a code given by its parity-check matrix passes
+    that matrix's memory when it is larger, to keep its natural frame.
     """
     if l < 0:
         raise ValueError("information length must be nonnegative")
-    gen = _generator_of(code)
-    tail = max(gen.memory, code.H.memory if code.H is not None else 0)
-    n = (l + tail) * code.c
+    tail = max(gen.memory, tail)
+    n = (l + tail) * gen.cols
     if l == 0:
         return LinearBlockCode(BinaryMatrix.identity(n))
     # every degree is at most tail, so the first l levels never wrap
@@ -176,15 +176,12 @@ def zt_block_code(code: ConvCode, l: int) -> LinearBlockCode:
     return LinearBlockCode(nullspace_basis(BinaryMatrix(rows, n)))
 
 
-def tb_block_code(code: ConvCode, length: int) -> LinearBlockCode:
+def tb_block_code(h: PolyMatrix, length: int) -> LinearBlockCode:
     """Tailbitten block code: parity-check matrix wrapped at ``length`` levels.
 
     Wrapped checks can become dependent, in which case the code is larger
     than the span of the wrapped encoder; see tb_encoder_code for that span.
     """
-    h = code.with_parity().H
-    if h is None:
-        raise ValueError("tailbiting the parity form needs redundancy")
     return LinearBlockCode(tailbite(h, length))
 
 

@@ -97,6 +97,51 @@ def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.fixture
+def hc_file(tmp_path):
+    path = tmp_path / "hc.txt"
+    path.write_text("1 3\n11001\n110111\n101111\n")  # HC in the polynomial text format
+    return path
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["freedist", "--parity-inline", HC, "--gen-inline", "11,1"],
+     "give either a generator or a parity-check matrix, not both"),
+    (["freedist", "--parity", "{hc}", "--gen-inline", "11,1"],
+     "give either a generator or a parity-check matrix, not both"),
+    (["freedist", "--gen", "{hc}", "--gen-inline", "11,1"],
+     "give either a file or an inline matrix, not both"),
+    (["freedist", "--parity", "{hc}", "--parity-inline", HC],
+     "give either a file or an inline matrix, not both"),
+    (["bounds", "--kind", "costello", "--s", "1"], "--s applies to --kind vg only"),
+])
+def test_conflicting_inputs_are_one_error_line(hc_file, capsys, argv, message):
+    assert cli.main([arg.format(hc=hc_file) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--max-shift", "--nodes"])
+def test_verify_takes_no_search_budget(capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "heawood", flag, "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["freedist", "--parity-inline", HC], "free_distance=6\n"),
+    (["freedist", "--parity", "{hc}"], "free_distance=6\n"),
+    (["freedist", "--gen-inline", "101,001,111;0111,1,101"], "free_distance=6\n"),
+    (["blockdist", "--parity", "{hc}"], "block_distance=2\n"),
+    (["woven", "bounds", "--graph", "builtin:heawood", "--hc-inline", HC, "--perm", "1,3,2"],
+     "product_bound=18\nimproved_bound=24\n"),
+])
+def test_constituent_and_bound_commands_print_the_reference_values(hc_file, capsys, argv, out):
+    assert cli.main([arg.format(hc=hc_file) for arg in argv]) == 0
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("s", ["1", "0", "-3", "2,1"])
 def test_bounds_rejects_s_below_two_before_walking(capsys, s):
     assert cli.main(["bounds", "--kind", "vg", "--s", s, "--step", "0.1"]) == 1

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from wgc.blockcodes import min_distance
 from wgc.convcodes import (
     CatastrophicEncoderError,
-    ConvCode,
     block_distance_conv,
     free_distance,
     rate_half_subcodes,
     spectrum,
     tb_encoder_code,
 )
-from wgc.gf2 import BinaryPoly, PolyMatrix, clmul, poly_gcd, rank
+from wgc.gf2 import BinaryPoly, PolyMatrix, clmul, minimal_kernel, poly_gcd, rank
 from conftest import TupleTrellis, table_free_distance, tb_block_code, zt_block_code
 
 
@@ -81,58 +80,62 @@ def path_count_spectrum_oracle(G: PolyMatrix, w_max: int, t_max: int) -> dict[in
     return counts
 
 
-def reference_codes(constituent_generator, constituent_check, graph_parent_check):
-    pair = ConvCode(G=constituent_generator, H=constituent_check)
-    parent = ConvCode.from_parity(graph_parent_check)
-    return pair, parent
-
-
 # ---------------------------------------------------------------------------
 # the reference pair
 
 
 def test_reference_pair_is_orthogonal(constituent_generator, constituent_check):
-    code = ConvCode(G=constituent_generator, H=constituent_check)
-    assert (code.b, code.c) == (2, 3)
-    assert code.memory == 3
-    assert code.nu == 5
+    g, h = constituent_generator, constituent_check
+    assert (g.rows, g.cols, h.rows) == (2, 3, 1)
+    assert g.memory == 3
+    assert g.constraint_length == 5
+    assert (g @ h.transpose()).is_zero()
+    # the minimal generator of the check row has the same constraint length
+    assert minimal_kernel(h).constraint_length == 5
 
 
 def test_reference_pair_free_distance(constituent_generator, constituent_check):
-    code = ConvCode(G=constituent_generator, H=constituent_check)
-    assert free_distance(code) == 6
+    assert free_distance(constituent_generator) == 6
+    assert free_distance(minimal_kernel(constituent_check)) == 6
 
 
 def test_reference_block_distance(constituent_check):
-    assert block_distance_conv(ConvCode.from_parity(constituent_check)) == 2
+    assert block_distance_conv(constituent_check) == 2
 
 
 def test_block_distance_trivial_cases():
-    assert block_distance_conv(ConvCode.from_parity(PolyMatrix([[1, 1]]))) == 2
-    with_zero_col = ConvCode.from_parity(PolyMatrix([[1, 0b10, 0]]))
-    assert block_distance_conv(with_zero_col) == 1
+    assert block_distance_conv(PolyMatrix([[1, 1]])) == 2
+    assert block_distance_conv(PolyMatrix([[1, 0b10, 0]])) == 1
+    # an invertible generator leaves no check row
+    with pytest.raises(ValueError, match="no redundancy"):
+        block_distance_conv(minimal_kernel(PolyMatrix([[1, 0], [0, 1]])))
 
 
 def test_parity_to_generator_roundtrip(graph_parent_check):
-    code = ConvCode.from_parity(graph_parent_check).with_generator()
-    assert code.G.rows == 1
-    assert [p.to_string() for p in code.G.entries[0]] == ["011", "111", "1"]
-    assert (code.G @ graph_parent_check.transpose()).is_zero()
+    gen = minimal_kernel(graph_parent_check)
+    assert gen.rows == 1
+    assert [p.to_string() for p in gen.entries[0]] == ["011", "111", "1"]
+    assert (gen @ graph_parent_check.transpose()).is_zero()
 
 
 def test_generator_to_parity_roundtrip(constituent_generator):
-    code = ConvCode.from_generator(constituent_generator).with_parity()
-    assert code.H.rows == 1
-    assert (constituent_generator @ code.H.transpose()).is_zero()
+    h = minimal_kernel(constituent_generator)
+    assert h.rows == 1
+    assert (constituent_generator @ h.transpose()).is_zero()
 
 
 def test_random_generator_parity_pairs_orthogonal():
+    # minimal_kernel turns each form into the other: G -> H and H -> G both
+    # give G H^T = 0, and the round trip keeps the rank
     rng = random.Random(5)
     for _ in range(20):
-        row = [rng.randrange(1, 16) for _ in range(3)]
-        code = ConvCode.from_generator(PolyMatrix([row])).with_parity()
-        assert code.H is not None
-        assert (code.G @ code.H.transpose()).is_zero()
+        gen = PolyMatrix([[rng.randrange(1, 16) for _ in range(3)]])
+        h = minimal_kernel(gen)
+        assert h.rows == 2
+        assert (gen @ h.transpose()).is_zero()
+        back = minimal_kernel(h)
+        assert back.rows == 1
+        assert (back @ h.transpose()).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +143,13 @@ def test_random_generator_parity_pairs_orthogonal():
 
 
 def test_free_distance_memoryless():
-    assert free_distance(ConvCode.from_generator(PolyMatrix([[1, 1]]))) == 2
+    assert free_distance(PolyMatrix([[1, 1]])) == 2
 
 
 def test_free_distance_parent_matches_enumeration_oracle(graph_parent_check):
-    code = ConvCode.from_parity(graph_parent_check).with_generator()
-    oracle = enumeration_free_distance(code.G, deg_limit=8)
-    assert free_distance(code) == oracle == 6
+    gen = minimal_kernel(graph_parent_check)
+    oracle = enumeration_free_distance(gen, deg_limit=8)
+    assert free_distance(gen) == oracle == 6
 
 
 def test_free_distance_invariant_under_column_permutation():
@@ -156,28 +159,26 @@ def test_free_distance_invariant_under_column_permutation():
         row = [rng.randrange(1, 32) for _ in range(3)]
         perm = rng.sample(range(3), 3)
         try:
-            base = free_distance(ConvCode.from_generator(PolyMatrix([row])))
+            base = free_distance(PolyMatrix([row]))
         except CatastrophicEncoderError:
             with pytest.raises(CatastrophicEncoderError):
-                free_distance(ConvCode.from_generator(PolyMatrix([[row[j] for j in perm]])))
+                free_distance(PolyMatrix([[row[j] for j in perm]]))
             continue
-        shuffled = free_distance(ConvCode.from_generator(PolyMatrix([[row[j] for j in perm]])))
+        shuffled = free_distance(PolyMatrix([[row[j] for j in perm]]))
         assert base == shuffled
         checked += 1
     assert checked >= 8
 
 
 def test_free_distance_rejects_oversized_state_space(constituent_generator):
-    code = ConvCode.from_generator(constituent_generator)
     with pytest.raises(ValueError):
-        free_distance(code, max_constraint=4)
+        free_distance(constituent_generator, max_constraint=4)
 
 
 def test_free_distance_detects_catastrophic_encoder():
     # (1+D, 1+D) has a zero-weight loop in the nonzero state
-    code = ConvCode.from_generator(PolyMatrix([[0b11, 0b11]]))
     with pytest.raises(CatastrophicEncoderError):
-        free_distance(code)
+        free_distance(PolyMatrix([[0b11, 0b11]]))
 
 
 @pytest.mark.parametrize("rows", [
@@ -191,8 +192,16 @@ def test_free_distance_detects_catastrophic_encoder():
 def test_free_distance_rejects_dependent_generator_rows(rows):
     # each generator has a nonzero input that encodes to the zero word
     with pytest.raises(ValueError, match=r"dependent over GF\(2\)\(D\)") as info:
-        free_distance(ConvCode.from_generator(PolyMatrix(rows)))
+        free_distance(PolyMatrix(rows))
     assert not isinstance(info.value, CatastrophicEncoderError)
+
+
+def test_free_distance_rejects_an_empty_generator():
+    # a square invertible check matrix has a trivial kernel: no generator rows
+    gen = minimal_kernel(PolyMatrix([[1, 0b10], [0, 1]]))
+    assert gen.rows == 0
+    with pytest.raises(ValueError, match="empty generator"):
+        free_distance(gen)
 
 
 @st.composite
@@ -208,7 +217,6 @@ def small_generators(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_generators())
 def test_free_distance_matches_table_search_and_enumeration(G):
-    code = ConvCode.from_generator(G)
     try:
         expected = table_free_distance(G)
     except CatastrophicEncoderError:
@@ -220,15 +228,15 @@ def test_free_distance_matches_table_search_and_enumeration(G):
                          for i, j in combinations(range(G.cols), 2)))
         with pytest.raises(ValueError if dependent else CatastrophicEncoderError,
                            match="dependent" if dependent else None):
-            free_distance(code)
+            free_distance(G)
         return
     # input degree 6 (b = 2) or 12 (b = 1) reached the lightest path in 3,000 checked draws
     assert enumeration_free_distance(G, deg_limit=14 // G.rows - 1) == expected
     if expected == 0:
         with pytest.raises(ValueError, match="dependent"):
-            free_distance(code)
+            free_distance(G)
     else:
-        assert free_distance(code) == expected
+        assert free_distance(G) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +244,12 @@ def test_free_distance_matches_table_search_and_enumeration(G):
 
 
 def test_spectrum_memoryless_single_branch():
-    spec = spectrum(ConvCode.from_generator(PolyMatrix([[1, 1]])), depth=3)
+    spec = spectrum(PolyMatrix([[1, 1]]), depth=3)
     assert spec == {2: 1, 3: 0, 4: 0, 5: 0}
 
 
 def test_spectrum_reference_matches_path_count_oracle(constituent_generator):
-    code = ConvCode.from_generator(constituent_generator)
-    got = spectrum(code, depth=2)
+    got = spectrum(constituent_generator, depth=2)
     oracle = path_count_spectrum_oracle(constituent_generator, w_max=8, t_max=60)
     assert got[6] == oracle.get(6, 0) > 0
     assert got[7] == oracle.get(7, 0)
@@ -250,17 +257,16 @@ def test_spectrum_reference_matches_path_count_oracle(constituent_generator):
 
 
 def test_spectrum_parent_matches_path_count_oracle(graph_parent_check):
-    code = ConvCode.from_parity(graph_parent_check).with_generator()
-    got = spectrum(code, depth=2)
-    oracle = path_count_spectrum_oracle(code.G, w_max=8, t_max=80)
+    gen = minimal_kernel(graph_parent_check)
+    got = spectrum(gen, depth=2)
+    oracle = path_count_spectrum_oracle(gen, w_max=8, t_max=80)
     assert got == {w: oracle.get(w, 0) for w in range(6, 9)}
     assert got[6] >= 1
 
 
 def test_spectrum_zero_below_free_distance(constituent_generator):
-    code = ConvCode.from_generator(constituent_generator)
-    spec = spectrum(code, depth=0)
-    assert min(spec) == free_distance(code)
+    spec = spectrum(constituent_generator, depth=0)
+    assert min(spec) == free_distance(constituent_generator)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +274,7 @@ def test_spectrum_zero_below_free_distance(constituent_generator):
 
 
 def test_rate_half_subcodes_reference(constituent_check):
-    code = ConvCode.from_parity(constituent_check)
-    subs = rate_half_subcodes(code)
+    subs = rate_half_subcodes(constituent_check)
     assert len(subs) == 3
     h1, h2, h3 = constituent_check.entries[0]
     # supports (0,1), (0,2), (1,2); generators are the swapped check pairs
@@ -278,21 +283,22 @@ def test_rate_half_subcodes_reference(constituent_check):
         (h3, BinaryPoly(0), h1),
         (BinaryPoly(0), h3, h2),
     ]
-    got = [tuple(sc.G.entries[0]) for sc in subs]
+    got = [tuple(sc.entries[0]) for sc in subs]
     assert sorted(str(g) for g in got) == sorted(str(e) for e in expected)
     assert min(free_distance(sc) for sc in subs) == 8
     assert [free_distance(sc) for sc in subs] == [8, 8, 8]
 
 
 def test_rate_half_subcode_words_satisfy_parent(constituent_check):
-    code = ConvCode.from_parity(constituent_check)
-    for sc in rate_half_subcodes(code):
-        assert (sc.G @ constituent_check.transpose()).is_zero()
+    for sc in rate_half_subcodes(constituent_check):
+        assert (sc @ constituent_check.transpose()).is_zero()
 
 
 def test_rate_half_subcodes_reject_wrong_width():
-    with pytest.raises(ValueError):
-        rate_half_subcodes(ConvCode.from_parity(PolyMatrix([[1, 1]])))
+    with pytest.raises(ValueError, match="c = 3"):
+        rate_half_subcodes(PolyMatrix([[1, 1]]))
+    with pytest.raises(ValueError, match="single-row"):
+        rate_half_subcodes(PolyMatrix([[1, 1, 1], [1, 0b10, 0b100]]))
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +306,21 @@ def test_rate_half_subcodes_reject_wrong_width():
 
 
 def test_zt_block_code_reference(constituent_generator, constituent_check):
-    code = ConvCode(G=constituent_generator, H=constituent_check)
-    zt = zt_block_code(code, 1)
+    zt = zt_block_code(constituent_generator, 1, constituent_check.memory)
     assert min_distance(zt).value >= 6
 
 
 def test_zt_block_code_parent(graph_parent_check):
-    code = ConvCode.from_parity(graph_parent_check)
-    zt = zt_block_code(code, 7)
+    gen = minimal_kernel(graph_parent_check)
+    zt = zt_block_code(gen, 7, graph_parent_check.memory)
     assert (zt.n, zt.k) == (30, 7)
     d = min_distance(zt).value
-    assert d >= free_distance(code.with_generator()) == 6
+    assert d >= free_distance(gen) == 6
 
 
 def test_zt_block_code_zero_information():
-    code = ConvCode.from_parity(PolyMatrix([[1, 1, 1], [1, 0b10, 0b1000]]))
-    zt = zt_block_code(code, 0)
+    h = PolyMatrix([[1, 1, 1], [1, 0b10, 0b1000]])
+    zt = zt_block_code(minimal_kernel(h), 0, h.memory)
     assert zt.k == 0
 
 
@@ -325,8 +330,7 @@ def test_zt_block_code_holds_every_shifted_generator_row(row, l):
     polys = [BinaryPoly(p) for p in row]
     # a 1 x c feedforward encoder with coprime entries is non-catastrophic
     assume(poly_gcd(poly_gcd(polys[0], polys[1]), polys[2]) == BinaryPoly(1))
-    code = ConvCode.from_generator(PolyMatrix([row]))
-    zt = zt_block_code(code, l)
+    zt = zt_block_code(PolyMatrix([row]), l)
     assert zt.k == l
     for s in range(l):
         word = 0
@@ -341,7 +345,7 @@ def test_zt_distance_dominates_free_distance_random():
     rng = random.Random(9)
     for _ in range(8):
         row = [rng.randrange(1, 16) for _ in range(3)]
-        code = ConvCode.from_generator(PolyMatrix([row]))
+        code = PolyMatrix([row])
         try:
             d_free = free_distance(code)
         except CatastrophicEncoderError:
@@ -351,25 +355,23 @@ def test_zt_distance_dominates_free_distance_random():
 
 
 def test_tb_block_code_parent_wrap(graph_parent_check, heawood_incidence):
-    code = ConvCode.from_parity(graph_parent_check)
-    tb = tb_block_code(code, 7)
+    tb = tb_block_code(graph_parent_check, 7)
     assert tb.n == 21
     assert sorted(tb.H.data) == sorted(heawood_incidence.data)
     assert tb.k == 8  # wrapped checks are dependent: one spare dimension
     assert min_distance(tb).value == 6
-    enc = tb_encoder_code(code, 7)
+    enc = tb_encoder_code(minimal_kernel(graph_parent_check), 7)
     assert (enc.n, enc.k) == (21, 7)
     assert min_distance(enc).value == 6
 
 
 def test_tb_block_code_degenerate_wrap(graph_parent_check):
-    tb = tb_block_code(ConvCode.from_parity(graph_parent_check), 1)
+    tb = tb_block_code(graph_parent_check, 1)
     assert (tb.n, tb.k) == (3, 2)
 
 
 def test_tb_block_code_quasicyclic_shift(constituent_check):
-    code = ConvCode.from_parity(constituent_check)
-    tb = tb_block_code(code, 10)
+    tb = tb_block_code(constituent_check, 10)
     assert (tb.n, tb.k) == (30, 20)
     from wgc.gf2 import nullspace_basis
 
@@ -384,5 +386,5 @@ def test_block_distance_singleton_style_bound():
     rng = random.Random(13)
     for _ in range(10):
         row = [rng.randrange(1, 32) for _ in range(3)]
-        code = ConvCode.from_parity(PolyMatrix([row]))
-        assert block_distance_conv(code) <= code.c - code.b + 1
+        # Singleton: c - b + 1, with b = c - 1 for one check row
+        assert block_distance_conv(PolyMatrix([row])) <= 2

@@ -15,6 +15,7 @@ from wgc.gf2 import (
     PolyMatrix,
     clmul,
     kernel_basis,
+    minimal_kernel,
     nullspace_basis,
     permutation_equivalent,
     rank,
@@ -268,6 +269,28 @@ def test_row_reduce_matches_nullspace_reduction(rows, cols, entries):
     g = PolyMatrix([entries[r * cols:(r + 1) * cols] for r in range(rows)])
     assume(rows <= cols and rank_over_rational_field(g) == rows)
     assert row_reduce(g) == nullspace_row_reduce(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 4), st.lists(st.integers(0, 63), min_size=12,
+                                                       max_size=12))
+def test_minimal_kernel_converts_each_form_into_the_other(rows, cols, entries):
+    # from a generator or a parity-check matrix M, minimal_kernel gives the
+    # other form K: M K^T = 0 and rank M + rank K = cols; converting K back
+    # gives M's row space when M has full rank
+    m = PolyMatrix([entries[r * cols:(r + 1) * cols] for r in range(rows)])
+    k = minimal_kernel(m)
+    r = rank_over_rational_field(m)
+    assert k.rows == cols - r
+    assume(k.rows)
+    assert (m @ k.transpose()).is_zero()
+    assert rank_over_rational_field(k) == k.rows
+    back = minimal_kernel(k)
+    assert back.rows == r
+    if r:
+        assert (back @ k.transpose()).is_zero()
+    if r == rows:
+        assert poly_row_space_equal(back, m)
 
 
 def test_row_reduce_matches_nullspace_reduction_on_heawood_kernels(constituent_check):

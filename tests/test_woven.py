@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from wgc.blockcodes import (BlockStructure, DistanceEstimate, LinearBlockCode, build_graph_code,
                             min_distance)
-from wgc.convcodes import ConvCode, free_distance, lightest_codeword
+from wgc.convcodes import lightest_codeword
 from wgc.gf2 import (
     BinaryMatrix,
     BinaryPoly,
@@ -292,16 +292,16 @@ def test_generator_rows_stay_codewords_after_wrapping(best_code):
 # bounds, witness, orbit
 
 
-def test_distance_bounds_reference(best_code):
-    rep = distance_bounds(best_code)
-    assert rep.product_bound == 18
-    assert rep.improved_bound == 24
+def test_distance_bounds_reference(constituent_check):
+    assert distance_bounds(build_heawood(), constituent_check) == (18, 24)
+    # a girth passed in is the one used: 4 active constituents, and the
+    # improved bound is min(4 * 8, 5 * 6)
+    assert distance_bounds(build_heawood(), constituent_check, 8) == (24, 30)
 
 
 def test_distance_bounds_utility_variant(constituent_check):
-    code = build_woven_conv(build_utility(), constituent_check, BEST)
-    rep = distance_bounds(code)
-    assert rep.product_bound == (4 // 2) * 6 == 12
+    product, _ = distance_bounds(build_utility(), constituent_check)
+    assert product == (4 // 2) * 6 == 12
 
 
 def test_witness_search_reference_weights(constituent_check):
@@ -354,9 +354,9 @@ def test_packed_witness_enumeration_matches_column_lists(code, terms_and_shift):
 
 def test_witness_chain_product_improved_witness(best_code):
     res = witness_search(best_code)
-    rep = distance_bounds(best_code, witness=res)
-    assert rep.chain_ok()
-    assert (rep.product_bound, rep.improved_bound, rep.witness_weight) == (18, 24, 32)
+    product, improved = distance_bounds(best_code.graph, best_code.hc)
+    assert product <= improved <= res.weight
+    assert (product, improved, res.weight) == (18, 24, 32)
 
 
 def test_witness_budget_exhaustion_reports_best(best_code):
@@ -639,7 +639,6 @@ def test_values_and_records_are_immutable(best_code):
         (WitnessBudget(), "max_terms"),
         (res, "weight"),
         (generator_report(best_code), "nu_minimal"),
-        (distance_bounds(best_code, witness=res), "product_bound"),
         (SweepRow((1, 2, 3), 70, 65, 8, 18, 24, 30, 7, ""), "flags"),
         (BlockStructure(4, 3), "l"),
         (DistanceEstimate(4, 4, True), "value"),
