@@ -308,7 +308,7 @@ def cmd_woven_encode(args) -> int:
     raw = Path(args.infile).read_bytes()
     bits = raw.translate(woven._TO_BITS, bytes(b for b in range(256) if b not in b"01"))
     out = woven.encode_stream(code, bits, pad=args.pad)
-    emit(args, bytes(out).translate(woven._TO_DIGITS).decode() + "\n")
+    emit(args, out.translate(woven._TO_DIGITS).decode() + "\n")
     return 0
 
 

@@ -443,26 +443,27 @@ def permutation_equivalent(a: BinaryMatrix | PolyMatrix, b: BinaryMatrix | PolyM
 
 
 class PolyMatrix:
-    """Immutable matrix over GF(2)[D], entries stored as BinaryPoly."""
+    """Immutable matrix over GF(2)[D], entries stored as BinaryPoly; ``cols`` sizes a 0-row one."""
 
     __slots__ = ("entries", "rows", "cols")
 
-    def __init__(self, entries: Iterable[Iterable[BinaryPoly | int]]):
+    def __init__(self, entries: Iterable[Iterable[BinaryPoly | int]], cols: int | None = None):
         grid = tuple(
             tuple(e if isinstance(e, BinaryPoly) else BinaryPoly(e) for e in row)
             for row in entries
         )
-        if grid and any(len(r) != len(grid[0]) for r in grid):
+        width = cols if cols is not None else len(grid[0]) if grid else 0
+        if any(len(r) != width for r in grid):
             raise ValueError("ragged polynomial matrix")
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", len(grid[0]) if grid else 0)
+        object.__setattr__(self, "cols", width)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
 
     def __reduce__(self):
-        return PolyMatrix, (self.entries,)
+        return PolyMatrix, (self.entries, self.cols)
 
     @classmethod
     def from_text(cls, text: str) -> "PolyMatrix":
@@ -474,7 +475,7 @@ class PolyMatrix:
         if len(lines) - 1 != m * n:
             raise ValueError(f"expected {m * n} entries, got {len(lines) - 1}")
         polys = [BinaryPoly.parse(ln) for ln in lines[1:]]
-        return cls([polys[i * n:(i + 1) * n] for i in range(m)])
+        return cls([polys[i * n:(i + 1) * n] for i in range(m)], n)
 
     def to_text(self) -> str:
         out = [f"{self.rows} {self.cols}"]
@@ -504,9 +505,7 @@ class PolyMatrix:
         return sum(d or 0 for d in self.row_degrees())
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return PolyMatrix([[row[j] for row in self.entries] for j in range(self.cols)], self.rows)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         """Matrix product over GF(2)[D]; only products of two nonzero entries are formed.
@@ -526,7 +525,7 @@ class PolyMatrix:
                     for j, q in terms:
                         acc[j] ^= clmul(p, q)
             out.append(acc)
-        return PolyMatrix(out)
+        return PolyMatrix(out, other.cols)
 
     def is_zero(self) -> bool:
         return all(not p for row in self.entries for p in row)
@@ -541,7 +540,8 @@ class PolyMatrix:
         )
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
+        return (isinstance(other, PolyMatrix) and self.entries == other.entries
+                and self.cols == other.cols)
 
     def __hash__(self) -> int:
         return hash(self.entries)
@@ -617,8 +617,7 @@ def kernel_basis(h: PolyMatrix) -> PolyMatrix:
                 wr = work[r]
                 for cc, p in support:
                     wr[cc] ^= clmul(q, p)
-    rows = [work[r][m:] for r in range(n) if not any(work[r][:m])]
-    return PolyMatrix(rows) if rows else PolyMatrix([])
+    return PolyMatrix([work[r][m:] for r in range(n) if not any(work[r][:m])], n)
 
 
 def rank_over_rational_field(m: PolyMatrix) -> int:
@@ -694,7 +693,7 @@ def row_reduce(g: PolyMatrix) -> PolyMatrix:
             del echelon[lead]
         del leads[target:]
     mask = (1 << stride) - 1
-    return PolyMatrix([[(row >> (j * stride)) & mask for j in range(g.cols)] for row in rows])
+    return PolyMatrix([[row >> j * stride & mask for j in range(g.cols)] for row in rows], g.cols)
 
 
 def minimal_kernel(m: PolyMatrix) -> PolyMatrix:

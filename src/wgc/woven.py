@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import accumulate, combinations, permutations
 from typing import NamedTuple
 
-from .gf2 import BinaryPoly, PolyMatrix, clmul, minimal_kernel, permutation_equivalent
+from .gf2 import BinaryPoly, PolyMatrix, minimal_kernel, permutation_equivalent
 from .convcodes import block_distance_conv, free_distance, lightest_codeword, rate_half_subcodes
 from .hypergraphs import Hypergraph, girth
 
@@ -423,22 +423,23 @@ def orbit_multiplicity(code: WovenConvCode, word: tuple[BinaryPoly, ...]) -> int
 
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _TO_BITS = bytes.maketrans(b"01", b"\0\1")
+_SEQUENCES = (list, tuple, bytes, bytearray)  # bytearray() reads array('q') as raw bytes
 
 
-def encode_stream(code: WovenConvCode, info_bits, *, pad: bool = False) -> list[int]:
+def encode_stream(code: WovenConvCode, info_bits, *, pad: bool = False) -> bytearray:
     """Encode a frame; info enters n bits per time instant, wrapped at frame end.
 
     The frame is tail-bitten at its level count L: the output is the info row
-    times tailbite(expanded_generator(code), L, -1), so a frame of n*L info
-    bits gives n*c*L code bits with zero syndrome against tailbite(H_wg, L).
+    times tailbite(expanded_generator(code), L, -1): a bytearray of n*c*L 0/1
+    values with zero syndrome against tailbite(H_wg, L) for n*L info bits.
     The frame is one n*L-bit int, info bit lvl*n + i on top, and D^t a left
     shift by t*n folded at n*L bits.  Generator row r is row 0 rotated by r
-    column blocks, so row 0's entry P at column b*c + j XORs into output
-    slot j the carry-less product of P, D^t spread to bit t*n, and the frame
-    with each level rotated by b: one rotation per b, a shift-XOR per tap.
+    column blocks, so each coefficient D^t of row 0's entry at column
+    b*c + j XORs into output slot j the frame with each level rotated by b,
+    shifted by t*n: one rotation per b, a shift-XOR per coefficient.
     """
     try:
-        frame = bytearray(list(info_bits))
+        frame = bytearray(info_bits if isinstance(info_bits, _SEQUENCES) else list(info_bits))
     except (TypeError, ValueError):
         frame = b"?"  # not an int in 0..255, so not a bit either
     if frame.translate(None, b"\0\1"):
@@ -452,8 +453,8 @@ def encode_stream(code: WovenConvCode, info_bits, *, pad: bool = False) -> list[
         raise ValueError("empty frame")
     if code._plan is None:
         row0 = expanded_generator(code).bits()[0]
-        code._plan = [(b, [(j, sum((p >> t & 1) << (t * n) for t in range(p.bit_length())))
-                           for j in range(c) if (p := row0[b * c + j])])
+        code._plan = [(b, [(j, t * n) for j, p in enumerate(row0[b * c:(b + 1) * c])
+                           for t in range(p.bit_length()) if p >> t & 1])
                       for b in range(n) if any(row0[b * c:(b + 1) * c])]
     size = len(frame)
     full = (1 << size) - 1
@@ -463,14 +464,14 @@ def encode_stream(code: WovenConvCode, info_bits, *, pad: bool = False) -> list[
     for b, taps in code._plan:
         low = ((1 << (n - b)) - 1) * rep
         rotated = u >> b & low | u << (n - b) & (full ^ low)
-        for j, spread in taps:
-            acc[j] ^= clmul(spread, rotated)
+        for j, shift in taps:
+            acc[j] ^= rotated << shift
     out = bytearray(size * c)
     for j, col in enumerate(acc):
         while col >> size:
             col = col & full ^ col >> size
         out[j::c] = format(col, f"0{size}b").encode()
-    return list(out.translate(_TO_BITS))
+    return out.translate(_TO_BITS)
 
 
 # ---------------------------------------------------------------------------

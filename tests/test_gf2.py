@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from itertools import permutations
 
@@ -183,6 +184,20 @@ def test_kernel_basis_orthogonal_and_full(graph_parent_check):
     assert (graph_parent_check @ basis.transpose()).is_zero()
     # the single kernel row is the known parent generator
     assert [p.to_string() for p in basis.entries[0]] == ["011", "111", "1"]
+
+
+def test_trivial_kernel_keeps_the_column_count():
+    # an invertible matrix has no kernel rows, but its kernel still has 2 columns
+    for kernel in (kernel_basis(PolyMatrix([[1, 0], [0, 1]])),
+                   minimal_kernel(PolyMatrix([[1, 0b10], [0, 1]]))):
+        assert (kernel.rows, kernel.cols) == (0, 2)
+        assert kernel != PolyMatrix([]) and kernel == PolyMatrix([], 2)
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert (clone.rows, clone.cols) == (0, 2) and clone == kernel
+        assert PolyMatrix.from_text(kernel.to_text()) == kernel
+        assert (kernel.transpose().rows, kernel.transpose().cols) == (2, 0)
+    with pytest.raises(ValueError, match="ragged"):
+        PolyMatrix([[1, 0]], 3)
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,19 @@ from __future__ import annotations
 
 import pickle
 import random
+from array import array
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wgc.blockcodes import (BlockStructure, DistanceEstimate, LinearBlockCode, build_graph_code,
-                            min_distance)
+from wgc.blockcodes import BlockStructure, DistanceEstimate, build_graph_code
 from wgc.convcodes import lightest_codeword
 from wgc.gf2 import (
     BinaryMatrix,
     BinaryPoly,
     PolyMatrix,
-    nullspace_basis,
     tailbite,
 )
 from wgc.hypergraphs import Hypergraph, build_heawood, build_utility, random_regular
@@ -472,7 +471,7 @@ def test_encoder_linearity(best_code):
         ea = encode_stream(best_code, a)
         eb = encode_stream(best_code, b)
         ex = encode_stream(best_code, xor)
-        assert ex == [x ^ y for x, y in zip(ea, eb)]
+        assert list(ex) == [x ^ y for x, y in zip(ea, eb)]
 
 
 def test_encoder_all_zero(best_code):
@@ -537,6 +536,18 @@ def test_encoder_rejects_values_other_than_bits(best_code, bad):
     info[5] = bad
     with pytest.raises(ValueError, match="0 or 1"):
         encode_stream(best_code, info)
+
+
+def test_encoder_reads_every_sequence_of_bits_alike(best_code):
+    # array('q') is a buffer of 8-byte items: read as bytes it would be 8 values per bit
+    info = [0, 1, 1, 0, 1, 0, 0] * 3
+    want = encode_stream(best_code, info)
+    for given in (tuple(info), bytes(info), bytearray(info), array("q", info),
+                  (bit for bit in info)):
+        assert encode_stream(best_code, given) == want
+    for bad in (21, "0101"):
+        with pytest.raises(ValueError, match="0 or 1"):
+            encode_stream(best_code, bad)
 
 
 def test_encoder_rejects_partial_frames(best_code):
