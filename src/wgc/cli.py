@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -119,15 +118,6 @@ def make_budget(args) -> woven.WitnessBudget:
         max_shift=args.max_shift,
         search_nodes=args.nodes,
     )
-
-
-def thread_count(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("WGC_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +279,7 @@ def cmd_woven_sweep(args) -> int:
     from . import woven
     g = load_graph(args.graph)
     hc = load_poly_matrix(args)
-    rows = woven.permutation_sweep(g, hc, budget=make_budget(args),
-                                   threads=thread_count(args))
+    rows = woven.permutation_sweep(g, hc, budget=make_budget(args))
     lines = ["perm,nu_raw,nu_min,k,product_bound,improved_bound,witness,orbit,flags"]
     for r in rows:
         perm = "-".join(map(str, r.perm))
@@ -344,8 +333,8 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="wgc", description="graph codes, woven graph codes, and their bounds")
-    top.add_argument("--threads", type=int, default=None,
-                     help="worker processes for sweeps (default: all cores, or WGC_THREADS)")
+    # older command lines still pass it; every command runs in one process
+    top.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_graph(p):

@@ -2,8 +2,7 @@
 
 Polynomials are kept as plain ints (bit i = coefficient of D^i); matrices
 store one int per row (bit j = column j).  Everything is immutable after
-construction and pickles through its constructor, so values can be shared
-freely between threads and worker processes.
+construction and pickles through its constructor.
 """
 
 from __future__ import annotations
@@ -181,7 +180,7 @@ class BinaryMatrix:
         m, n = (int(x) for x in lines[0].split())
         if len(lines) - 1 != m:
             raise ValueError(f"expected {m} rows, got {len(lines) - 1}")
-        mat = cls.from_strings(lines[1:])
+        mat = cls.from_strings(lines[1:]) if m else cls((), n)
         if mat.cols != n:
             raise ValueError(f"expected {n} columns, got {mat.cols}")
         return mat

@@ -229,7 +229,7 @@ def girth(g: Hypergraph) -> int | None:
     return best // 2
 
 
-def sd_girth(g: Hypergraph, d: int, max_edges: int | None = None) -> int | None:
+def sd_girth(g: Hypergraph, d: int) -> int | None:
     """Hyperedge count of the shortest compact subgraph.
 
     A compact subgraph is a connected set of hyperedges in which every
@@ -247,7 +247,6 @@ def sd_girth(g: Hypergraph, d: int, max_edges: int | None = None) -> int | None:
         raise ValueError("compactness degree must be at least 2")
     if d > g.c:
         return None
-    cap = g.num_edges if max_edges is None else min(max_edges, g.num_edges)
 
     edge_verts = [frozenset((p, v) for p, v in enumerate(e)) for e in g.edges]
     vertex_edges: dict[tuple[int, int], list[int]] = {}
@@ -294,7 +293,7 @@ def sd_girth(g: Hypergraph, d: int, max_edges: int | None = None) -> int | None:
         start_frontier = {x for x in neighbors[anchor] if x > anchor}
         return rec([anchor], start_frontier, set())
 
-    for k in range(2, cap + 1):
+    for k in range(2, g.num_edges + 1):
         for anchor in range(g.num_edges - k + 1):
             if grown(anchor, k):
                 return k

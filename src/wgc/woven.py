@@ -494,20 +494,8 @@ class SweepRow(NamedTuple):
     flags: str
 
 
-def _sweep_one(args) -> tuple:
-    """The columns of one sweep row that depend on the permutation."""
-    g, hc, perm, budget = args
-    code = build_woven_conv(g, hc, perm)
-    rep = generator_report(code)
-    res = witness_search(code, budget=budget)
-    orbit = orbit_multiplicity(code, res.word)
-    flag = "" if rep.code_dimension == code.n else "rank-deficient"
-    return perm, rep.nu_raw, rep.nu_minimal, rep.code_dimension, res.weight, orbit, flag
-
-
 def permutation_sweep(g: Hypergraph, hc: PolyMatrix,
-                      budget: WitnessBudget | None = None,
-                      threads: int = 1) -> list[SweepRow]:
+                      budget: WitnessBudget | None = None) -> list[SweepRow]:
     """All c! check permutations with structure, bounds, and witness columns.
 
     The bounds depend only on the graph and the constituent, so they are
@@ -517,24 +505,21 @@ def permutation_sweep(g: Hypergraph, hc: PolyMatrix,
     """
     budget = budget or WitnessBudget()
     perms = sorted(permutations(range(1, g.c + 1)))
-    jobs = [(g, hc, perm, budget) for perm in perms]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_one, jobs))
-    else:
-        results = [_sweep_one(job) for job in jobs]
     product, improved = distance_bounds(g, hc)
     partner: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for a, b in equivalent_permutation_pairs(g, hc, perms):
         partner.setdefault(a, []).append(b)
         partner.setdefault(b, []).append(a)
     rows = []
-    for perm, nu_raw, nu_minimal, dimension, weight, orbit, flag in results:
-        extra = [f"equivalent-to:{','.join(map(str, other))}" for other in partner.get(perm, [])]
-        rows.append(SweepRow(perm, nu_raw, nu_minimal, dimension, product, improved, weight,
-                             orbit, ";".join(filter(None, [flag, *extra]))))
+    for perm in perms:
+        code = build_woven_conv(g, hc, perm)
+        rep = generator_report(code)
+        res = witness_search(code, budget=budget)
+        flags = [] if rep.code_dimension == code.n else ["rank-deficient"]
+        flags += [f"equivalent-to:{','.join(map(str, other))}" for other in partner.get(perm, [])]
+        rows.append(SweepRow(perm, rep.nu_raw, rep.nu_minimal, rep.code_dimension, product,
+                             improved, res.weight, orbit_multiplicity(code, res.word),
+                             ";".join(flags)))
     return rows
 
 

@@ -45,13 +45,15 @@ print(*sorted(set(sys.modules) - bare))
 HEAVY = {"wgc.woven", "wgc.convcodes", "concurrent.futures", "dataclasses"}
 # modules a command must not load, where they differ from HEAVY
 UNUSED = {"bounds": HEAVY | {"fractions"},
-          "verify": {"wgc.bounds", "concurrent.futures", "dataclasses"}}
+          "verify": {"wgc.bounds", "concurrent.futures", "dataclasses"},
+          "woven": {"concurrent.futures", "multiprocessing", "dataclasses"}}
 
 
 @pytest.mark.parametrize("argv", [
     ["bounds", "--kind", "vg", "--s", "2", "--step", "0.1"],
     ["mindist", "--matrix", "{matrix}"],
     ["verify", "heawood"],
+    ["woven", "sweep", "--graph", "builtin:heawood", "--hc-inline", HC],
 ])
 def test_start_up_imports_only_what_the_command_uses(tmp_path, argv):
     matrix = tmp_path / "h.txt"
@@ -269,7 +271,7 @@ def test_verify_heawood_reproduces_every_check(capsys):
     assert out == VERIFY_HEAWOOD
 
 
-def test_sweep_rows_do_not_depend_on_the_worker_count(capsys):
+def test_old_threads_command_lines_still_parse_and_print_the_sweep(capsys):
     assert cli.main(["--threads", "1", *SWEEP]) == 0
     serial = capsys.readouterr().out
     assert cli.main(["--threads", "2", *SWEEP]) == 0

@@ -345,6 +345,8 @@ def test_binary_matrix_text_round_trip(utility_incidence):
     text = utility_incidence.to_text()
     assert BinaryMatrix.from_text(text) == utility_incidence
     assert text.splitlines()[0] == "6 9"
+    empty = BinaryMatrix((), 3)
+    assert BinaryMatrix.from_text(empty.to_text()) == empty
 
 
 @settings(max_examples=150, deadline=None)
