@@ -189,25 +189,32 @@ def identity_assignment(g: Hypergraph) -> Assignment:
     )
 
 
-def _expanded_parity(g: Hypergraph, hc: BinaryMatrix, l: int,
-                     assignment: Assignment) -> BinaryMatrix:
-    """Stack one constituent check block per vertex, columns routed by the graph."""
-    r = hc.rows
-    block_mask = (1 << l) - 1
-    blocks = [[(hc.data[i] >> (l * b)) & block_mask for b in range(g.c)] for i in range(r)]
+def route_checks(g: Hypergraph, checks: Sequence[Sequence], order: Assignment) -> list[list]:
+    """Check rows of the code on ``g``: one row block per vertex of each part.
+
+    ``checks[i][b]`` is check row i's entry in constituent column block b.  For
+    part p and vertex v, in that order, one row is written per check row, and
+    the vertex's k-th incident edge (edges in label order) gets block
+    ``order[p][v][k]``.  A row has one entry per edge, the zero of the entry
+    type off the vertex's edges.  Entries pass through untouched: packed
+    l-bit ints for a binary constituent, ``BinaryPoly`` for a convolutional
+    one.
+    """
     rows = []
     for p in range(g.s):
-        for v in range(g.n):
-            incident = g.incident_edges(p, v)
-            order = assignment[p][v]
-            if sorted(order) != list(range(g.c)):
+        incident: list[list[int]] = [[] for _ in range(g.n)]
+        for e, edge in enumerate(g.edges):
+            incident[edge[p]].append(e)
+        for v, edges in enumerate(incident):
+            slots = order[p][v]
+            if sorted(slots) != list(range(g.c)):
                 raise ValueError(f"assignment for partition {p} vertex {v} is not a permutation")
-            for i in range(r):
-                bits = 0
-                for slot, e in enumerate(incident):
-                    bits |= blocks[i][order[slot]] << (l * e)
-                rows.append(bits)
-    return BinaryMatrix(rows, g.num_edges * l)
+            for check in checks:
+                row = [type(check[0])()] * g.num_edges
+                for e, b in zip(edges, slots):
+                    row[e] = check[b]
+                rows.append(row)
+    return rows
 
 
 def build_graph_code(g: Hypergraph, hc: BinaryMatrix,
@@ -215,22 +222,20 @@ def build_graph_code(g: Hypergraph, hc: BinaryMatrix,
     """Graph-based code: one constituent check block per vertex, length n*c."""
     if hc.cols != g.c:
         raise ValueError(f"constituent has {hc.cols} columns, graph degree is {g.c}")
-    assignment = assignment or identity_assignment(g)
-    return LinearBlockCode(_expanded_parity(g, hc, 1, assignment))
+    return WovenBlockCode(g, hc, 1, assignment or identity_assignment(g)).code
 
 
 class WovenBlockCode:
     """Graph code whose constituent blocks are l bits wide (length n*c*l)."""
 
-    __slots__ = ("graph", "constituent", "structure", "assignment", "H_wg", "code")
+    __slots__ = ("H_wg", "code")
 
-    def __init__(self, graph: Hypergraph, constituent: LinearBlockCode,
-                 structure: BlockStructure, assignment: Assignment):
-        self.graph = graph
-        self.constituent = constituent
-        self.structure = structure
-        self.assignment = assignment
-        self.H_wg = _expanded_parity(graph, constituent.H, structure.l, assignment)
+    def __init__(self, g: Hypergraph, hc: BinaryMatrix, l: int, assignment: Assignment):
+        mask = (1 << l) - 1
+        checks = [[row >> (l * b) & mask for b in range(g.c)] for row in hc.data]
+        self.H_wg = BinaryMatrix(
+            (sum(block << (l * e) for e, block in enumerate(row))
+             for row in route_checks(g, checks, assignment)), g.num_edges * l)
         self.code = LinearBlockCode(self.H_wg)
 
     @property
@@ -247,8 +252,7 @@ def build_woven_block(g: Hypergraph, constituent: LinearBlockCode,
     structure.check(constituent.n)
     if structure.c != g.c:
         raise ValueError(f"constituent has {structure.c} column blocks, graph degree is {g.c}")
-    assignment = assignment or identity_assignment(g)
-    return WovenBlockCode(g, constituent, structure, assignment)
+    return WovenBlockCode(g, constituent.H, structure.l, assignment or identity_assignment(g))
 
 
 # ---------------------------------------------------------------------------

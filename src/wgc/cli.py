@@ -80,8 +80,8 @@ def load_poly_matrix(args, file_attr: str = "hc", inline_attr: str = "hc_inline"
     raise CliError("a polynomial matrix is required (file or inline)")
 
 
-def parse_perm(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def parse_perm(text: str | None) -> tuple[int, ...] | None:
+    return None if text is None else tuple(int(x) for x in text.split(","))
 
 
 def parse_assignment(text: str, g: hypergraphs.Hypergraph) -> blockcodes.Assignment:
@@ -407,8 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_woven_common(p):
         add_graph(p)
         add_hc(p)
-        p.add_argument("--perm", default="1,2,3",
-                       help="check permutation for the second partition, e.g. 1,3,2")
+        p.add_argument("--perm",
+                       help="check permutation for the later partitions, e.g. 1,3,2 "
+                            "(default: the identity 1,...,c for degree c)")
 
     p = wsub.add_parser("build", help="assemble the polynomial parity-check matrix")
     add_woven_common(p)

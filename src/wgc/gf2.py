@@ -114,9 +114,6 @@ class BinaryPoly:
     def __mod__(self, other: "BinaryPoly") -> "BinaryPoly":
         return divmod(self, other)[1]
 
-    def coeff(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
     def to_string(self) -> str:
         """Coefficient string, lowest degree first; "0" for the zero polynomial."""
         if self.bits == 0:
@@ -193,9 +190,6 @@ class BinaryMatrix:
 
     def row_weights(self) -> list[int]:
         return [r.bit_count() for r in self.data]
-
-    def col_weights(self) -> list[int]:
-        return [sum((r >> j) & 1 for r in self.data) for j in range(self.cols)]
 
     def transpose(self) -> "BinaryMatrix":
         out = [0] * self.cols

@@ -61,9 +61,6 @@ class Hypergraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def incident_edges(self, partition: int, vertex: int) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if e[partition] == vertex]
-
     def incidence_matrix(self) -> BinaryMatrix:
         """(s*n) x (n*c) matrix; rows partition-major, columns by edge label."""
         rows = []
@@ -95,25 +92,14 @@ class Hypergraph:
             ent = [None] * s
             for token in ln.split():
                 p_str, v_str = token.split(":")
-                ent[int(p_str)] = int(v_str)
+                p = int(p_str)
+                if not 0 <= p < s or ent[p] is not None:
+                    raise ValueError(f"hyperedge line {ln!r} has a bad or repeated partition {p}")
+                ent[p] = int(v_str)
             if any(v is None for v in ent):
                 raise ValueError(f"hyperedge line {ln!r} misses a partition")
             edges.append(tuple(ent))
         return cls(s, c, n, tuple(edges))
-
-    def to_dot(self) -> str:
-        """Tanner-style bipartite rendering: boxes for vertices, dots for edges."""
-        out = ["graph tanner {", "  rankdir=LR;"]
-        for p in range(self.s):
-            for v in range(self.n):
-                out.append(f'  "p{p}v{v}" [shape=box, label="{p}:{v}"];')
-        for i in range(self.num_edges):
-            out.append(f'  "e{i}" [shape=point, label="e{i}"];')
-        for i, e in enumerate(self.edges):
-            for p, v in enumerate(e):
-                out.append(f'  "p{p}v{v}" -- "e{i}";')
-        out.append("}")
-        return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

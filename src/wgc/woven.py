@@ -1,12 +1,13 @@
 """Woven graph codes with convolutional constituents.
 
-The construction places one parity row per left vertex (the constituent
-checks in column order) and one per right vertex (the same checks permuted
-and routed along the graph).  On circulant bipartite graphs the code also
-has a raw generator built from the pairwise products of the check
-polynomials: one row per left vertex, each row the one before it rotated by a
-column block.  The minimal generator is ``gf2.minimal_kernel`` of H_wg, and
-the distance bounds read only the graph and the constituent check row.
+The construction places one row block per vertex of each of the s parts of
+the hypergraph: the constituent checks, routed along the vertex's edges, in
+column order on part 0 and permuted on the later parts.  On circulant
+bipartite graphs the code also has a raw generator built from the pairwise
+products of the check polynomials: one row per left vertex, each row the one
+before it rotated by a column block.  The minimal generator is
+``gf2.minimal_kernel`` of H_wg, and the distance bounds, derived for
+bipartite graphs, read only the graph and the constituent check row.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from itertools import accumulate, combinations, permutations
 from typing import NamedTuple
 
+from .blockcodes import Assignment, identity_assignment, route_checks
 from .gf2 import BinaryPoly, PolyMatrix, minimal_kernel, permutation_equivalent
 from .convcodes import block_distance_conv, free_distance, lightest_codeword, rate_half_subcodes
 from .hypergraphs import Hypergraph, girth
@@ -27,20 +29,14 @@ class StructureError(ValueError):
 # assembly
 
 
-def _edge_positions(g: Hypergraph) -> list[tuple[int, int]]:
-    """(left vertex, slot) per edge, slot = rank within the left vertex's edges."""
-    seen: dict[int, int] = {}
-    out = []
-    for e in g.edges:
-        v = e[0]
-        slot = seen.get(v, 0)
-        seen[v] = slot + 1
-        out.append((v, slot))
-    return out
-
-
 class WovenConvCode:
-    """Woven graph code: bipartite graph plus a permuted convolutional check row.
+    """Woven graph code: an s-partite hypergraph plus a permuted convolutional check row.
+
+    Every vertex of each of the s parts carries one row block, the
+    constituent checks routed along its edges by ``blockcodes.route_checks``.
+    A vertex of part 0 takes the checks in column order.  A vertex of a later
+    part ranks its edges by (part-0 slot, edge label), and its edge of rank k
+    takes check ``perm[k]``.
 
     The artefacts derived from the code are computed on first use and kept:
     the raw wrapped pairwise-product generator (``expanded_generator``), the
@@ -49,8 +45,6 @@ class WovenConvCode:
     """
 
     def __init__(self, graph: Hypergraph, hc: PolyMatrix, perm: tuple[int, ...]):
-        if graph.s != 2:
-            raise StructureError("woven convolutional assembly needs a bipartite graph")
         if hc.cols != graph.c:
             raise ValueError(f"check row has {hc.cols} columns, graph degree is {graph.c}")
         if sorted(perm) != list(range(1, graph.c + 1)):
@@ -60,7 +54,8 @@ class WovenConvCode:
         self.perm = tuple(perm)
         self.n = graph.n
         self.c = graph.c
-        self.H_wg = self._assemble()
+        self.H_wg = PolyMatrix(route_checks(graph, hc.entries, self._slot_orders()),
+                               graph.num_edges)
         self._expanded: PolyMatrix | None = None
         self._minimal: PolyMatrix | None = None
         self._plan: list[tuple[int, list[tuple[int, int]]]] | None = None
@@ -70,33 +65,32 @@ class WovenConvCode:
     def t_polys(self) -> list[list[BinaryPoly]]:
         return [[self.hc.entries[i][p - 1] for p in self.perm] for i in range(self.hc.rows)]
 
-    def _assemble(self) -> PolyMatrix:
-        g, hc = self.graph, self.hc
-        r = hc.rows
-        zero = BinaryPoly(0)
-        pos = _edge_positions(g)
-        rows: list[list[BinaryPoly]] = []
-        for v in range(g.n):
-            incident = g.incident_edges(0, v)
-            for i in range(r):
-                row = [zero] * g.num_edges
-                for slot, e in enumerate(incident):
-                    row[e] = hc.entries[i][slot]
-                rows.append(row)
-        t = self.t_polys()
-        for v in range(g.n):
-            incident = sorted(g.incident_edges(1, v), key=lambda e: (pos[e][1], e))
-            for i in range(r):
-                row = [zero] * g.num_edges
-                for slot, e in enumerate(incident):
-                    row[e] = t[i][slot]
-                rows.append(row)
-        return PolyMatrix(rows)
+    def _slot_orders(self) -> Assignment:
+        g = self.graph
+        seen = [0] * g.n
+        left_slot = []
+        for e in g.edges:
+            left_slot.append(seen[e[0]])
+            seen[e[0]] += 1
+        orders = [identity_assignment(g)[0]]
+        for p in range(1, g.s):
+            slots: list[list[int]] = [[] for _ in range(g.n)]
+            for e, edge in enumerate(g.edges):
+                slots[edge[p]].append(left_slot[e])
+            part = []
+            for vertex_slots in slots:
+                order = [0] * g.c
+                # a stable sort of the label-ordered edges breaks ties by label
+                for rank, k in enumerate(sorted(range(g.c), key=vertex_slots.__getitem__)):
+                    order[k] = self.perm[rank] - 1
+                part.append(tuple(order))
+            orders.append(tuple(part))
+        return tuple(orders)
 
     # -- circulant structure ----------------------------------------------
 
     def z_offsets(self) -> tuple[int, ...] | None:
-        """Per-slot left-block offsets when the graph is circulant, else None.
+        """Per-slot left-block offsets when the graph is circulant and bipartite, else None.
 
         Requires edge j to belong to left vertex j // c, in slot j mod c, and
         every edge of a slot to join a left vertex u to the right vertex u - o
@@ -104,7 +98,7 @@ class WovenConvCode:
         exactly once.
         """
         g = self.graph
-        if any(e[0] != i // g.c for i, e in enumerate(g.edges)):
+        if g.s != 2 or any(e[0] != i // g.c for i, e in enumerate(g.edges)):
             return None
         offsets: list[set[int]] = [set() for _ in range(g.c)]
         for i, (left, right) in enumerate(g.edges):
@@ -211,8 +205,11 @@ def distance_bounds(g: Hypergraph, hc: PolyMatrix, graph_girth: int | None = Non
     at full free distance.  The improved bound is None unless the
     constituent has block distance 2, c = 3 and one check row.  The check
     permutation plays no part, and ``graph_girth`` is girth(g) when the
-    caller has it already.
+    caller has it already.  Both bounds are derived for bipartite graphs
+    only, so any other s is a ``StructureError``.
     """
+    if g.s != 2:
+        raise StructureError(f"distance bounds are derived for bipartite graphs, got s={g.s}")
     d_block = block_distance_conv(hc)
     if d_block < 2:
         raise ValueError("constituent block distance must be at least 2")

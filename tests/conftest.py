@@ -312,7 +312,7 @@ def convolve_mod2(a: list[int], b: list[int]) -> list[int]:
 
 
 def coeffs(poly) -> list[int]:
-    return [poly.coeff(i) for i in range(poly.bits.bit_length())]
+    return [(poly.bits >> i) & 1 for i in range(poly.bits.bit_length())]
 
 
 def oracle_syndrome(gen_row, h_row) -> list[int]:
@@ -668,6 +668,51 @@ def oracle_equivalent_permutation_pairs(g, hc, perms):
     hits = {(pa, pb) for per in oracle_edge_automorphisms(g) for pa, r in rows.items()
             for pb in holders.get(tuple(sorted(tuple(row[j] for j in per) for row in r)), ())}
     return [pair for pair in combinations(perms, 2) if pair in hits]
+
+
+# ---------------------------------------------------------------------------
+# independent check-matrix assemblies, one per constituent kind, to compare
+# with ``blockcodes.route_checks``
+
+
+def oracle_block_parity(g: Hypergraph, hc: BinaryMatrix, l: int, assignment) -> BinaryMatrix:
+    """One constituent check block per vertex, l-bit blocks OR-ed in edge by edge."""
+    block_mask = (1 << l) - 1
+    blocks = [[(row >> (l * b)) & block_mask for b in range(g.c)] for row in hc.data]
+    rows = []
+    for p in range(g.s):
+        for v in range(g.n):
+            incident = [e for e, edge in enumerate(g.edges) if edge[p] == v]
+            for i in range(hc.rows):
+                bits = 0
+                for slot, e in enumerate(incident):
+                    bits |= blocks[i][assignment[p][v][slot]] << (l * e)
+                rows.append(bits)
+    return BinaryMatrix(rows, g.num_edges * l)
+
+
+def oracle_woven_conv_parity(g: Hypergraph, hc: PolyMatrix, perm) -> PolyMatrix:
+    """Bipartite woven H_wg: left rows take the checks in slot order, right rows
+    the checks ``perm`` in the order of (left slot, edge label)."""
+    zero = BinaryPoly(0)
+    seen: dict[int, int] = {}
+    left_slot = []
+    for e in g.edges:
+        left_slot.append(seen.get(e[0], 0))
+        seen[e[0]] = left_slot[-1] + 1
+    t = [[row[q - 1] for q in perm] for row in hc.entries]
+    rows = []
+    for side, checks in ((0, hc.entries), (1, t)):
+        for v in range(g.n):
+            incident = [e for e, edge in enumerate(g.edges) if edge[side] == v]
+            if side:
+                incident.sort(key=lambda e: (left_slot[e], e))
+            for check in checks:
+                row = [zero] * g.num_edges
+                for slot, e in enumerate(incident):
+                    row[e] = check[slot]
+                rows.append(row)
+    return PolyMatrix(rows)
 
 
 # ---------------------------------------------------------------------------

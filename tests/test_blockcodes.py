@@ -22,9 +22,9 @@ from wgc.blockcodes import (
     rate_bound,
 )
 from wgc.gf2 import BinaryMatrix
-from wgc.hypergraphs import build_heawood, build_three_partite, build_utility
+from wgc.hypergraphs import build_heawood, build_three_partite, build_utility, random_regular
 from conftest import (WOVEN_BLOCK_CONSTITUENT_ROWS, dense_min_weight, girth_distance_check,
-                      gray_block_distance)
+                      gray_block_distance, oracle_block_parity)
 
 SPC3 = BinaryMatrix.from_strings(["111"])
 
@@ -306,6 +306,22 @@ def test_woven_block_assignment_sweep_max_distance_is_ten():
             hits.append(combo)
     assert best == 10
     assert ((1, 2, 0), (0, 1, 2), (2, 0, 1)) in hits
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(2, 4), st.integers(1, 5), st.sampled_from([1, 2, 4]),
+       st.integers(0, 2**32), st.data())
+def test_route_checks_matches_block_oracle(s, c, n, l, seed, data):
+    g = random_regular(s, c, n, seed)
+    rows = data.draw(st.lists(st.integers(0, (1 << (c * l)) - 1), min_size=1, max_size=3))
+    hc = BinaryMatrix(rows, c * l)
+    assignment = tuple(tuple(tuple(data.draw(st.permutations(range(c)))) for _ in range(n))
+                       for _ in range(s))
+    expected = oracle_block_parity(g, hc, l, assignment)
+    wb = build_woven_block(g, LinearBlockCode(hc), BlockStructure(l, c), assignment)
+    assert wb.H_wg == expected
+    if l == 1:
+        assert build_graph_code(g, hc, assignment).H == expected
 
 
 def test_woven_block_rejects_bad_assignment():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from wgc import cli, woven
-from wgc.hypergraphs import build_heawood, build_utility
+from wgc.hypergraphs import build_heawood, build_utility, random_regular
 from conftest import WOVEN_BLOCK_CONSTITUENT_ROWS, relabel_right
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -79,6 +79,14 @@ def test_invariant_failure_is_a_clean_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+BAD_INPUT_FILES = {
+    "empty": "",
+    "part_too_high": "2 1 1\n0:0 5:0\n",
+    "part_negative": "2 1 1\n0:0 -1:0\n",
+    "part_repeated": "2 1 1\n0:0 1:0 1:0\n",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["freedist", "--gen-inline", "o"],
     ["woven-block", "--graph", "builtin:utility", "--hc-inline", "1,1,1", "--l", "0"],
@@ -89,14 +97,29 @@ def test_invariant_failure_is_a_clean_error(monkeypatch, capsys):
     [*WITNESS, "--max-shift", "-1"],
     [*WITNESS, "--budget", "0"],
     [*WITNESS, "--budget", "-2"],
+    ["girth", "--graph", "{part_too_high}"],
+    ["girth", "--graph", "{part_negative}"],
+    ["girth", "--graph", "{part_repeated}"],
 ])
 def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv):
-    empty = tmp_path / "empty.txt"
-    empty.write_text("")
-    assert cli.main([arg.format(empty=empty) for arg in argv]) == 1
+    files = {}
+    for name, text in BAD_INPUT_FILES.items():
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text)
+    assert cli.main([arg.format(**files) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_woven_perm_defaults_to_the_identity_of_the_graph_degree(tmp_path, capsys):
+    graph = tmp_path / "degree4.txt"
+    graph.write_text(random_regular(2, 4, 5, 1).to_text())
+    argv = ["woven", "build", "--graph", str(graph), "--hc-inline", "1,11,101,111"]
+    assert cli.main(argv) == 0
+    default = capsys.readouterr().out
+    assert cli.main([*argv, "--perm", "1,2,3,4"]) == 0
+    assert capsys.readouterr().out == default
 
 
 @pytest.fixture

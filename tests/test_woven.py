@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from wgc import cli
 from wgc.blockcodes import BlockStructure, DistanceEstimate, build_graph_code
 from wgc.convcodes import lightest_codeword
 from wgc.gf2 import (
@@ -19,7 +20,8 @@ from wgc.gf2 import (
     PolyMatrix,
     tailbite,
 )
-from wgc.hypergraphs import Hypergraph, build_heawood, build_utility, random_regular
+from wgc.hypergraphs import (Hypergraph, build_heawood, build_three_partite, build_utility,
+                            random_regular)
 from wgc.woven import (
     StructureError,
     SweepRow,
@@ -44,6 +46,7 @@ from conftest import (
     list_witness_enumeration,
     oracle_equivalent_permutation_pairs,
     oracle_syndrome,
+    oracle_woven_conv_parity,
     poly_row_space_equal,
     relabel_right,
     row_space_equal,
@@ -95,13 +98,25 @@ def test_bottom_rows_follow_slot_rule(best_code, constituent_check):
 
 
 def test_constant_check_specializes_to_graph_code(heawood_incidence):
-    hc = PolyMatrix([[1, 1, 1]])
-    for g in (build_heawood(), build_utility()):
-        code = build_woven_conv(g, hc, (1, 2, 3))
+    graphs = (build_heawood(), build_utility(), build_three_partite(), random_regular(3, 4, 5, 2))
+    for g in graphs:
+        code = build_woven_conv(g, PolyMatrix([[1] * g.c]), tuple(range(1, g.c + 1)))
         binary = code.H_wg.constant_matrix()
-        graph_code = build_graph_code(g, BinaryMatrix.from_strings(["111"]))
+        graph_code = build_graph_code(g, BinaryMatrix.from_strings(["1" * g.c]))
         assert binary == graph_code.H
         assert row_space_equal(binary, graph_code.H)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 6), st.integers(0, 2**32), st.data())
+def test_assembly_matches_bipartite_oracle_for_every_perm(c, n, seed, data):
+    g = random_regular(2, c, n, seed)
+    rows = data.draw(st.integers(1, 2))
+    entries = data.draw(st.lists(st.integers(1, 255), min_size=rows * c, max_size=rows * c,
+                                 unique=True))
+    hc = PolyMatrix([entries[i * c:(i + 1) * c] for i in range(rows)])
+    for perm in permutations(range(1, c + 1)):
+        assert build_woven_conv(g, hc, perm).H_wg == oracle_woven_conv_parity(g, hc, perm)
 
 
 def test_utility_assembly_shape(constituent_check):
@@ -110,11 +125,20 @@ def test_utility_assembly_shape(constituent_check):
     assert code.z_offsets() == (0, 1, 2)
 
 
-def test_rejects_non_bipartite():
-    from wgc.hypergraphs import build_three_partite
-
+def test_three_partite_builds_and_its_bounds_are_a_structure_error(capsys):
+    g = build_three_partite()
+    hc = PolyMatrix([[0b1, 0b11, 0b101, 0b111]])
+    code = build_woven_conv(g, hc, (1, 2, 3, 4))
+    assert (code.H_wg.rows, code.H_wg.cols) == (g.s * g.n * hc.rows, g.num_edges) == (12, 16)
+    assert code.z_offsets() is None
     with pytest.raises(StructureError):
-        build_woven_conv(build_three_partite(), PolyMatrix([[1, 1, 1, 1]]), (1, 2, 3, 4))
+        distance_bounds(g, hc)
+    argv = ["--graph", "builtin:3partite", "--hc-inline", "1,11,101,111", "--perm", "1,2,3,4"]
+    assert cli.main(["woven", "build", *argv]) == 0
+    assert capsys.readouterr().out.startswith("12 16\n")
+    assert cli.main(["woven", "bounds", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_rejects_bad_perm(constituent_check):
