@@ -103,21 +103,16 @@ def emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _or_na(value) -> str:
+    return "n/a" if value is None else str(value)
+
+
 def report_out(args, rep: dict) -> None:
     from . import blockcodes
     if getattr(args, "format", "text") == "csv":
         emit(args, blockcodes.report_csv([rep]))
     else:
         emit(args, blockcodes.report_text(rep))
-
-
-def make_budget(args) -> woven.WitnessBudget:
-    from . import woven
-    return woven.WitnessBudget(
-        max_terms=args.budget,
-        max_shift=args.max_shift,
-        search_nodes=args.nodes,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +236,7 @@ def cmd_woven_build(args) -> int:
     code = _woven_code(args)
     rep = woven.generator_report(code)
     emit(args, code.H_wg.to_text())
-    print(f"nu_raw={'n/a' if rep.nu_raw is None else rep.nu_raw}", file=sys.stderr)
+    print(f"nu_raw={_or_na(rep.nu_raw)}", file=sys.stderr)
     print(f"nu_minimal={rep.nu_minimal}", file=sys.stderr)
     print(f"dimension={rep.code_dimension}", file=sys.stderr)
     return 0
@@ -259,17 +254,13 @@ def cmd_woven_bounds(args) -> int:
 def cmd_woven_witness(args) -> int:
     from . import woven
     code = _woven_code(args)
-    try:
-        res = woven.witness_search(code, target=args.target, budget=make_budget(args))
-    except woven.BudgetExhausted as exc:
-        print(f"budget exhausted: best weight {exc.result.weight}", file=sys.stderr)
-        return 1
+    res = woven.witness_search(code)
     orbit = woven.orbit_multiplicity(code, res.word)
     print(f"witness_weight={res.weight}")
     print(f"exact={res.exact}")
     print(f"words_enumerated={res.words_enumerated}")
     print(f"nodes_expanded={res.nodes_expanded}")
-    print(f"orbit={orbit}")
+    print(f"orbit={_or_na(orbit)}")
     if args.show_word:
         print("word=" + ",".join(p.to_string() for p in res.word))
     return 0
@@ -279,14 +270,14 @@ def cmd_woven_sweep(args) -> int:
     from . import woven
     g = load_graph(args.graph)
     hc = load_poly_matrix(args)
-    rows = woven.permutation_sweep(g, hc, budget=make_budget(args))
+    rows = woven.permutation_sweep(g, hc)
     lines = ["perm,nu_raw,nu_min,k,product_bound,improved_bound,witness,orbit,flags"]
     for r in rows:
         perm = "-".join(map(str, r.perm))
-        nu_raw = "n/a" if r.nu_raw is None else r.nu_raw
-        lines.append(
-            f"{perm},{nu_raw},{r.nu_minimal},{r.code_dimension},{r.product_bound},"
-            f"{r.improved_bound},{r.witness},{r.orbit},{r.flags}")
+        # no bounds at all is n/a; a bipartite code without the improved bound prints None
+        bounds = "n/a,n/a" if r.product_bound is None else f"{r.product_bound},{r.improved_bound}"
+        lines.append(f"{perm},{_or_na(r.nu_raw)},{r.nu_minimal},{r.code_dimension},{bounds},"
+                     f"{r.witness},{_or_na(r.orbit)},{r.flags}")
     emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -350,13 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("text", "csv"), default="text")
         p.add_argument("--out", help="write the report to a file instead of stdout")
-
-    def add_budget(p):
-        p.add_argument("--budget", type=int, default=3,
-                       help="max generator-row terms in the witness enumeration")
-        p.add_argument("--max-shift", type=int, default=12)
-        p.add_argument("--nodes", type=int, default=200_000,
-                       help="node budget for the exact refinement pass")
 
     p = sub.add_parser("girth", help="hypergraph girth")
     add_graph(p)
@@ -422,14 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = wsub.add_parser("witness", help="search for a low-weight codeword")
     add_woven_common(p)
-    p.add_argument("--target", type=int)
     p.add_argument("--show-word", action="store_true")
-    add_budget(p)
     p.set_defaults(func=cmd_woven_witness)
 
     p = wsub.add_parser("sweep", help="all check permutations side by side")
     add_woven_common(p)
-    add_budget(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_woven_sweep)
 

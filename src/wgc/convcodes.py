@@ -31,6 +31,7 @@ class CatastrophicEncoderError(ValueError):
 # trellis machinery
 
 _INF = 1 << 60
+_MAX_NU = 24  # largest constraint length whose 2^nu states free_distance walks
 
 
 def _subset_xors(parts: list[int]) -> list[int]:
@@ -67,10 +68,7 @@ class _Encoder:
         ins = range(b - 1, -1, -1)  # input bit k feeds row b - 1 - k
         lifts = _subset_xors([(degs[i] > 0) << offs[i] for i in ins])
         self._inputs = list(zip(range(1 << b), lifts, _subset_xors([emit(i, 0) for i in ins])))
-        self._lows = lifts[-1]
-        self._keep = ((1 << self.nu) - 1) ^ self._lows
-        tops = _subset_xors([1 << (offs[i] + degs[i] - 1) for i in range(b) if degs[i]])
-        self._tops = [(t, self._out(t)) for t in tops]
+        self._keep = ((1 << self.nu) - 1) ^ lifts[-1]  # the bits an input does not set
 
     def _out(self, s: int) -> int:
         acc = 0
@@ -84,13 +82,6 @@ class _Encoder:
         base, out = (s << 1) & self._keep, self._out(s)
         return [(u, base | lift, (out ^ e).bit_count()) for u, lift, e in self._inputs]
 
-    def predecessors(self, t: int) -> list[tuple[int, int, int]]:
-        """(input, previous state, output weight) of every branch into state t."""
-        base, low = (t & self._keep) >> 1, t & self._lows
-        out = self._out(base)
-        return [(u, base | top, (out ^ top_out ^ e).bit_count())
-                for u, lift, e in self._inputs if lift == low for top, top_out in self._tops]
-
     def encode(self, inputs: list[int]) -> tuple[BinaryPoly, ...]:
         """Zero-tail codeword u(D) G(D) of a finite input path, one input per step."""
         u = [sum((x >> k & 1) << t for t, x in enumerate(inputs))
@@ -98,23 +89,20 @@ class _Encoder:
         return (PolyMatrix([u]) @ self.G).entries[0]
 
 
-def _lightest_paths(enc: _Encoder, *, forward: bool = True, cap: int = _INF,
-                    max_nodes: int = _INF, stop_at_zero: bool = False):
+def _lightest_paths(enc: _Encoder, *, cap: int = _INF, max_nodes: int = _INF):
     """Capped, node-budgeted Dijkstra from the zero state over the encoder.
 
-    Paths leave the zero state, forward over successors or backward over
-    predecessors, and never pass through it again: a branch back to it ends
-    the path, so ``dist[0]`` is the lightest nonzero loop seen.  Paths as
-    heavy as ``cap`` are dropped; ``link[s]`` is the (state, input) of the
-    branch from s towards the start.  ``stop_at_zero`` ends the search once
-    no open path is lighter than ``dist[0]``.  Returns (dist, link, nodes
-    expanded), or None once more than ``max_nodes`` would be expanded.
+    Paths leave the zero state and never pass through it again: a branch back
+    to it ends the path, so ``dist[0]`` is the lightest nonzero loop seen.
+    Paths as heavy as ``cap`` are dropped; ``link[s]`` is the (state, input)
+    of the branch into s.  The search ends once no open path is lighter than
+    ``dist[0]``.  Returns (dist, link, nodes expanded), or None once more than
+    ``max_nodes`` would be expanded.
     """
-    step = enc.successors if forward else enc.predecessors
     dist, link, heap = {}, {}, []
     d = s = nodes = 0
     while True:
-        for u, t, w in step(s):
+        for u, t, w in enc.successors(s):
             w += d
             if (s or t or u) and w < dist.get(t, cap):
                 dist[t], link[t] = w, (s, u)
@@ -126,43 +114,38 @@ def _lightest_paths(enc: _Encoder, *, forward: bool = True, cap: int = _INF,
                 break
         else:
             return dist, link, nodes
-        if stop_at_zero and d >= dist.get(0, cap):
+        if d >= dist.get(0, cap):
             return dist, link, nodes
         nodes += 1
         if nodes > max_nodes:
             return None
 
 
-def _link_inputs(link: dict[int, tuple[int, int]], s: int) -> list[int]:
-    """Inputs on the linked branches from state s to the zero state."""
-    inputs = [link[s][1]]
-    while s := link[s][0]:
-        inputs.append(link[s][1])
-    return inputs
-
-
 def lightest_codeword(G: PolyMatrix, cap: int, max_nodes: int
                       ) -> tuple[int, tuple[BinaryPoly, ...], int] | None:
-    """Lightest nonzero codeword below ``cap``, by a search from both ends.
+    """Lightest nonzero codeword below ``cap``, by one forward search.
 
-    The forward and backward searches both run to ``cap`` and together
-    expand at most ``max_nodes`` states, else None.  They join at the state
-    whose two weights sum least; the zero state joins a forward path that
-    has already remerged.  Returns (weight, u(D) G(D), nodes expanded), or
-    (cap, (), nodes) when no nonzero codeword is lighter than ``cap``.
+    Every prefix of a codeword path lighter than ``cap`` is lighter too, so
+    the search, which keeps every path below ``cap``, meets each such path:
+    ``dist[0]`` is the lightest.  The search is complete only for a
+    non-catastrophic G, such as a ``gf2.minimal_kernel`` basis, where every
+    codeword of finite weight has a finite input and so a path.  Returns (weight, u(D) G(D), nodes
+    expanded), (cap, (), nodes) when no nonzero codeword is lighter than
+    ``cap``, or None once more than ``max_nodes`` states would be expanded.
     """
     enc = _Encoder(G)
-    fwd = _lightest_paths(enc, cap=cap, max_nodes=max_nodes)
-    back = fwd and _lightest_paths(enc, forward=False, cap=cap, max_nodes=max_nodes - fwd[2])
-    if back is None:
+    found = _lightest_paths(enc, cap=cap, max_nodes=max_nodes)
+    if found is None:
         return None
-    (dist, link, nodes), (bdist, blink, bnodes) = fwd, back
-    total = {s: w + (bdist.get(s, _INF) if s else 0) for s, w in dist.items()}
-    meet = min(total, key=total.get, default=0)
-    if total.get(meet, cap) >= cap:
-        return cap, (), nodes + bnodes
-    inputs = _link_inputs(link, meet)[::-1] + (_link_inputs(blink, meet) if meet else [])
-    return total[meet], enc.encode(inputs), nodes + bnodes
+    dist, link, nodes = found
+    if 0 not in dist:
+        return cap, (), nodes
+    s, u = link[0]
+    inputs = [u]
+    while s:
+        s, u = link[s]
+        inputs.append(u)
+    return dist[0], enc.encode(inputs[::-1]), nodes
 
 
 def _zero_weight_order(enc: _Encoder) -> list[int]:
@@ -188,15 +171,15 @@ def _zero_weight_order(enc: _Encoder) -> list[int]:
     return order
 
 
-def free_distance(gen: PolyMatrix, *, max_constraint: int = 24) -> int:
+def free_distance(gen: PolyMatrix) -> int:
     """Exact free distance of the generator's code, by lowest-weight search over its encoder.
 
     The zero state is start and goal but never an interior vertex, so the
     result is the weight of the lightest nonzero diverge/remerge loop.  A
-    generator without rows, or with rows dependent over GF(2)(D) (some
-    nonzero input encodes to zero), raises ValueError first; zero-weight
-    loops through nonzero states then abort with CatastrophicEncoderError
-    before the search.
+    generator without rows, with rows dependent over GF(2)(D) (some nonzero
+    input encodes to zero) or with a constraint length above ``_MAX_NU``
+    raises ValueError first; zero-weight loops through nonzero states then
+    abort with CatastrophicEncoderError before the search.
     """
     if not gen.rows:
         raise ValueError("empty generator: the code has no nonzero codeword")
@@ -204,21 +187,20 @@ def free_distance(gen: PolyMatrix, *, max_constraint: int = 24) -> int:
         raise ValueError("a nonzero input encodes to zero: "
                          "the generator rows are dependent over GF(2)(D)")
     enc = _Encoder(gen)
-    if enc.nu > max_constraint:
-        raise ValueError(
-            f"constraint length {enc.nu} exceeds the exact-search budget {max_constraint}")
+    if enc.nu > _MAX_NU:
+        raise ValueError(f"constraint length {enc.nu} exceeds the exact-search limit {_MAX_NU}")
     _zero_weight_order(enc)
-    return _lightest_paths(enc, stop_at_zero=True)[0][0]
+    return _lightest_paths(enc)[0][0]
 
 
-def spectrum(gen: PolyMatrix, depth: int, *, max_constraint: int = 24) -> dict[int, int]:
+def spectrum(gen: PolyMatrix, depth: int) -> dict[int, int]:
     """Counts of first-event paths by weight, from the free distance up.
 
     Paths diverge from the zero state once and remerge once.  Zero-weight
     transitions between nonzero states are required to be acyclic, which is
     the non-catastrophic condition checked up front.
     """
-    d_free = free_distance(gen, max_constraint=max_constraint)
+    d_free = free_distance(gen)
     w_max = d_free + depth
     enc = _Encoder(gen)
     order = _zero_weight_order(enc)

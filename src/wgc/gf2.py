@@ -694,6 +694,10 @@ def minimal_kernel(m: PolyMatrix) -> PolyMatrix:
 
     A parity-check matrix H gives a generator of its code, and a generator
     G gives a parity-check matrix of its code; either has no rows when the
-    kernel is trivial.
+    kernel is trivial.  The rows span the whole polynomial kernel, which
+    holds every v with p(D) v in it, so they extend to a unimodular matrix:
+    the basis is basic and therefore non-catastrophic, with no zero-weight
+    loop through nonzero encoder states.  ``convcodes.lightest_codeword`` is
+    complete only on such a generator.
     """
     return row_reduce(kernel_basis(m))

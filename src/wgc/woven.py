@@ -230,31 +230,13 @@ def distance_bounds(g: Hypergraph, hc: PolyMatrix, graph_girth: int | None = Non
 # witness search
 
 
-class _BudgetFields(NamedTuple):
-    max_terms: int = 3
-    max_shift: int = 12
-    search_nodes: int = 200_000
-    search_state_limit: int = 20
-
-
-class WitnessBudget(_BudgetFields):
-    """Limits of ``witness_search``.
-
-    ``max_terms`` and ``max_shift`` bound the enumeration: rows per
-    combination and D-shift per row.  The exact pass builds no table.  It
-    runs only when the minimal generator's constraint length ν is at most
-    ``search_state_limit``, which caps the 2^ν states it could reach, and it
-    gives up once its two searches expand more than ``search_nodes`` states.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name, low in (("max_terms", 1), ("max_shift", 0), ("search_nodes", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        return self
+# limits of witness_search: rows per combination and D-shift per row in the
+# enumeration; the largest constraint length the exact pass takes on, which
+# caps the 2^nu states it could reach, and the states it may expand
+_MAX_TERMS = 3
+_MAX_SHIFT = 12
+_EXACT_NU = 20
+_EXACT_NODES = 200_000
 
 
 class WitnessResult(NamedTuple):
@@ -265,73 +247,46 @@ class WitnessResult(NamedTuple):
     words_enumerated: int
 
 
-class BudgetExhausted(RuntimeError):
-    def __init__(self, message: str, result: WitnessResult):
-        super().__init__(message)
-        self.result = result
-
-
 def _family_rows(code: WovenConvCode) -> list[list[int]]:
-    rows = [
-        [p.bits for p in row]
-        for row in minimal_generator(code).entries
-    ]
+    rows = minimal_generator(code).bits()
     try:
-        raw = expanded_generator(code)
+        raw = expanded_generator(code).bits()
     except StructureError:
-        return rows
-    for row in raw.entries:
-        cand = [p.bits for p in row]
-        if cand not in rows:
-            rows.append(cand)
+        raw = []
+    for row in raw:
+        if row not in rows:
+            rows.append(row)
     return rows
 
 
-def witness_search(code: WovenConvCode, target: int | None = None,
-                   budget: WitnessBudget | None = None) -> WitnessResult:
-    """Lowest-weight codeword found under the budget.
+def _enumerate(code: WovenConvCode, max_terms: int, max_shift: int
+               ) -> tuple[int, tuple[BinaryPoly, ...], int]:
+    """Lightest combination of D-shifted generator rows: (weight, word, words enumerated).
 
-    Enumerates combinations of D-shifted generator rows (at most
-    ``max_terms`` terms, shifts up to ``max_shift``; some term uses shift
-    zero), then runs the exact pass: ``lightest_codeword`` on the minimal
-    generator, capped at the best enumerated weight.  It finds a lighter
-    codeword or certifies that none exists, and the result is then exact.
-    Past ``search_state_limit`` or ``search_nodes`` it is skipped or gives
-    up, and the result is not exact with ``nodes_expanded`` 0.
+    A combination has at most ``max_terms`` terms, each shifted by at most
+    ``max_shift``, and some term uses shift zero.  A word is one int holding
+    column ``j`` at bit offset ``j * stride``, ``stride`` being the widest
+    row entry plus ``max_shift``, so a D-shift is one ``<<``, a combination
+    one ``^`` and a weight one ``bit_count``.  Combinations come in
+    ``itertools.combinations`` order (by size, then lexicographic), each
+    prefix XOR ``acc`` is formed once, and the first word of the lowest
+    positive weight wins.
 
-    Each word of the enumeration is one int holding column ``j`` at bit
-    offset ``j * stride``, where ``stride`` is the widest row entry plus
-    ``max_shift``: no XOR of shifted rows reaches past it, so a D-shift is
-    one ``<<``, a combination one ``^`` and a weight one ``bit_count``.
-    Combinations come in ``itertools.combinations`` order (by size, then
-    lexicographic); the XOR of each prefix is formed once and only the last
-    term varies in the inner loop.  The first word of the lowest positive
-    weight wins.
-
-    Since wt(a ^ b) >= |wt(a) - wt(b)|, a prefix XOR ``acc`` whose weight is
-    at least ``best`` above the heaviest word it could still take, or at least
-    ``best`` below the lightest, cannot give a word lighter than ``best``: its
-    inner loop is skipped, which leaves the result unchanged.  The same
-    bound holds per row: every shift of a row has the row's weight, so the
-    inner loop scores the tail one row's shifts at a time, in list order,
-    and skips a row whose weight is at least ``best`` from ``acc``'s.  A row
-    replaces the best word only with a strictly lighter one, so the first
-    word of the lowest weight still wins.  ``words_enumerated`` counts every
-    combination within the budget, scored or ruled out this way.
-
-    ``best`` starts one above the lightest nonzero word of at most two terms
-    (one term when ``max_terms`` is 1), so pruning starts at once.  Each such
-    word is enumerated: a first term has shift zero and every later word of
-    the list may be its second.  The first word of the lowest weight is
-    therefore still lighter than ``best`` when it is reached, and the word,
-    weight and count stay those of the unbounded enumeration.
+    Since wt(a ^ b) >= |wt(a) - wt(b)|, ``acc`` cannot beat ``best`` with a
+    tail whose heaviest word is at least ``best`` below it or whose lightest
+    is at least ``best`` above it, nor with a tail row at least ``best`` from
+    it (every shift of a row has the row's weight); such words are counted
+    but not scored.  ``best`` starts one
+    above the lightest nonzero word of at most two terms (one when
+    ``max_terms`` is 1), each of which is enumerated, so the first word of
+    the lowest weight is still lighter than ``best`` when it is reached: the
+    word, weight and count are those of the unbounded enumeration.
     """
-    budget = budget or WitnessBudget()
     rows = _family_rows(code)
     ncols = code.n * code.c
-    stride = max((p.bit_length() for row in rows for p in row), default=0) + budget.max_shift
+    stride = max((p.bit_length() for row in rows for p in row), default=0) + max_shift
     packed = [sum(p << (j * stride) for j, p in enumerate(row)) for row in rows]
-    step = budget.max_shift + 1
+    step = max_shift + 1
     words = [row << b for row in packed for b in range(step)]
     size = len(words)
     weights = [w.bit_count() for w in words]
@@ -340,7 +295,7 @@ def witness_search(code: WovenConvCode, target: int | None = None,
     heaviest = [*accumulate(weights[::-1], max)][::-1] + [-(1 << 60)]
     firsts = range(0, size, step)
     row_weights = weights[::step]  # every shift of a row has the row's weight
-    seconds = words if budget.max_terms > 1 else []
+    seconds = words if max_terms > 1 else []
     pairs = (words[first] ^ w for first in firsts for w in [0, *seconds[first + 1:]])
     best_w = 1 + min(filter(None, map(int.bit_count, pairs)), default=(1 << 60) - 1)
     best_word = 0
@@ -352,7 +307,7 @@ def witness_search(code: WovenConvCode, target: int | None = None,
         count += 1
         if 0 < w < best_w:
             best_w, best_word = w, base
-        for extra in range(1, budget.max_terms):
+        for extra in range(1, max_terms):
             for prefix in combinations(range(first + 1, size), extra - 1):
                 acc = base
                 for i in prefix:
@@ -377,24 +332,34 @@ def witness_search(code: WovenConvCode, target: int | None = None,
         raise ValueError("no nonzero codeword found; empty generator family")
     mask = (1 << stride) - 1
     word = tuple(BinaryPoly((best_word >> (j * stride)) & mask) for j in range(ncols))
-    weight, exact, nodes = best_w, False, 0
+    return best_w, word, count
+
+
+def witness_search(code: WovenConvCode) -> WitnessResult:
+    """Lowest-weight codeword found within the fixed limits of this module.
+
+    The exact pass runs ``lightest_codeword`` on the minimal generator,
+    capped at the weight ``_enumerate`` found: it finds a lighter codeword or
+    certifies that none exists.  Past ``_EXACT_NU`` it is skipped, and past
+    ``_EXACT_NODES`` states it gives up; the result is then not exact.
+    """
+    weight, word, count = _enumerate(code, _MAX_TERMS, _MAX_SHIFT)
     gen = minimal_generator(code)
-    refined = (lightest_codeword(gen, best_w, budget.search_nodes)
-               if gen.constraint_length <= budget.search_state_limit else None)
-    if refined is not None:
-        exact, nodes = True, refined[2]
-        if refined[0] < best_w:
-            weight, word = refined[0], refined[1]
-    result = WitnessResult(weight=weight, word=word, exact=exact, nodes_expanded=nodes,
-                           words_enumerated=count)
-    if target is not None and result.weight > target:
-        raise BudgetExhausted(
-            f"no codeword of weight <= {target} found (best {result.weight})", result)
-    return result
+    refined = (lightest_codeword(gen, weight, _EXACT_NODES)
+               if gen.constraint_length <= _EXACT_NU else None)
+    if refined is None:
+        return WitnessResult(weight, word, False, 0, count)
+    if refined[0] < weight:
+        weight, word = refined[0], refined[1]
+    return WitnessResult(weight, word, True, refined[2], count)
 
 
-def orbit_multiplicity(code: WovenConvCode, word: tuple[BinaryPoly, ...]) -> int:
-    """Distinct codewords among the n cyclic block shifts of a codeword."""
+def orbit_multiplicity(code: WovenConvCode, word: tuple[BinaryPoly, ...]) -> int | None:
+    """Distinct codewords among the n cyclic block shifts of a codeword.
+
+    None where the graph is not circulant (``z_offsets`` is None), since the
+    block shift need not map the code to itself there.
+    """
     vec = [p.bits for p in word]
     if len(vec) != code.n * code.c:
         raise ValueError("word length does not match the code")
@@ -404,6 +369,8 @@ def orbit_multiplicity(code: WovenConvCode, word: tuple[BinaryPoly, ...]) -> int
 
     if not in_code(vec):
         raise ValueError("input is not a codeword")
+    if code.z_offsets() is None:
+        return None
     seen = set()
     c = code.c
     cur = vec
@@ -484,25 +451,27 @@ class SweepRow(NamedTuple):
     nu_raw: int | None
     nu_minimal: int
     code_dimension: int
-    product_bound: int
+    product_bound: int | None
     improved_bound: int | None
     witness: int
-    orbit: int
+    orbit: int | None
     flags: str
 
 
-def permutation_sweep(g: Hypergraph, hc: PolyMatrix,
-                      budget: WitnessBudget | None = None) -> list[SweepRow]:
+def permutation_sweep(g: Hypergraph, hc: PolyMatrix) -> list[SweepRow]:
     """All c! check permutations with structure, bounds, and witness columns.
 
     The bounds depend only on the graph and the constituent, so they are
-    computed once per sweep.  Permutation pairs whose H_wg match under a row
-    and column permutation are flagged as equivalent; the certification is
-    conservative (unflagged pairs may still be equivalent).
+    computed once per sweep; both are None where ``distance_bounds`` raises
+    ``StructureError``, as for s != 2.  Permutation pairs whose H_wg match
+    under a row and column permutation are flagged as equivalent; the
+    certification is conservative (unflagged pairs may still be equivalent).
     """
-    budget = budget or WitnessBudget()
     perms = sorted(permutations(range(1, g.c + 1)))
-    product, improved = distance_bounds(g, hc)
+    try:
+        product, improved = distance_bounds(g, hc)
+    except StructureError:
+        product = improved = None
     partner: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for a, b in equivalent_permutation_pairs(g, hc, perms):
         partner.setdefault(a, []).append(b)
@@ -511,7 +480,7 @@ def permutation_sweep(g: Hypergraph, hc: PolyMatrix,
     for perm in perms:
         code = build_woven_conv(g, hc, perm)
         rep = generator_report(code)
-        res = witness_search(code, budget=budget)
+        res = witness_search(code)
         flags = [] if rep.code_dimension == code.n else ["rank-deficient"]
         flags += [f"equivalent-to:{','.join(map(str, other))}" for other in partner.get(perm, [])]
         rows.append(SweepRow(perm, rep.nu_raw, rep.nu_minimal, rep.code_dimension, product,

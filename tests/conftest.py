@@ -326,8 +326,8 @@ def oracle_syndrome(gen_row, h_row) -> list[int]:
     return acc
 
 
-def list_witness_enumeration(code, budget) -> tuple[int, tuple, int]:
-    """The row-combination enumeration of ``witness_search`` on column lists.
+def list_witness_enumeration(code, max_terms, max_shift) -> tuple[int, tuple, int]:
+    """``woven._enumerate`` on column lists.
 
     Every word is a list of column polynomials (as ints) and a combination
     XORs it column by column; returns the first word of the lowest positive
@@ -335,12 +335,12 @@ def list_witness_enumeration(code, budget) -> tuple[int, tuple, int]:
     """
     rows = _family_rows(code)
     ncols = code.n * code.c
-    shifted = [(r, b) for r in range(len(rows)) for b in range(budget.max_shift + 1)]
+    shifted = [(r, b) for r in range(len(rows)) for b in range(max_shift + 1)]
     vecs = {t: [p << t[1] for p in rows[t[0]]] for t in shifted}
     best_vec, best_w, count = None, 1 << 60, 0
     for base_t in (t for t in shifted if t[1] == 0):
         others = [t for t in shifted if t > base_t]
-        candidates = [()] + [combo for extra in range(1, budget.max_terms)
+        candidates = [()] + [combo for extra in range(1, max_terms)
                              for combo in combinations(others, extra)]
         for combo in candidates:
             vec = list(vecs[base_t])
@@ -512,72 +512,54 @@ def table_free_distance(G: PolyMatrix) -> int:
     raise CatastrophicEncoderError("no remerging path found")
 
 
-def table_bidirectional_refine(gen: PolyMatrix, cap: int, search_nodes: int):
-    """Two-sided capped search over the whole transition table.
+def table_lightest_codeword(gen: PolyMatrix, cap: int, search_nodes: int):
+    """Forward capped search over the whole transition table.
 
-    Returns (weight, word, nodes expanded), (cap, (), nodes) when no codeword
-    is lighter than cap, or None when more than search_nodes states expand.
+    Expands states lightest first, and stops once no open state is lighter
+    than the lightest remerge into the zero state.  Returns (weight, word,
+    nodes expanded), (cap, (), nodes) when no codeword is lighter than cap,
+    or None when more than search_nodes states expand.
     """
-    inf = 1 << 60
     tr = TupleTrellis(gen)
-    states, rows = transition_table(tr)
-    nodes = 0
+    _, rows = transition_table(tr)
+    dist, link, heap = {}, {}, []
+    best, best_link = cap, None
 
-    def dijkstra(seeds, edges):
-        nonlocal nodes
-        dist, link = {}, {}
-        heap = []
-        for s, to, u_idx, w in seeds:
-            if w < cap and w < dist.get(s, inf):
-                dist[s], link[s] = w, (to, u_idx)
-                heapq.heappush(heap, (w, s))
-        while heap:
-            w, s = heapq.heappop(heap)
-            if w > dist[s]:
+    def relax(s, w0):
+        nonlocal best, best_link
+        for u_idx, (nxt, bw) in enumerate(rows[s]):
+            w = w0 + bw
+            if not (s or any(tr.inputs[u_idx])):
                 continue
-            nodes += 1
-            if nodes > search_nodes:
-                return None
-            for nxt, u_idx, bw in edges[s]:
-                if nxt and w + bw < cap and w + bw < dist.get(nxt, inf):
-                    dist[nxt], link[nxt] = w + bw, (s, u_idx)
-                    heapq.heappush(heap, (w + bw, nxt))
-        return dist, link
+            if not nxt:
+                if w < best:
+                    best, best_link = w, (s, u_idx)
+            elif w < dist.get(nxt, cap):
+                dist[nxt], link[nxt] = w, (s, u_idx)
+                heapq.heappush(heap, (w, nxt))
 
-    singles = [(w, u_idx) for u_idx, (nxt, w) in enumerate(rows[0])
-               if any(tr.inputs[u_idx]) and nxt == 0]
-    succ = [[(nxt, u_idx, w) for u_idx, (nxt, w) in enumerate(outs)] for outs in rows]
-    fwd = dijkstra([(nxt, 0, u_idx, w) for u_idx, (nxt, w) in enumerate(rows[0])
-                    if any(tr.inputs[u_idx]) and nxt], succ)
-    pred: list[list[tuple[int, int, int]]] = [[] for _ in states]
-    for s, outs in enumerate(rows[1:], 1):
-        for u_idx, (nxt, w) in enumerate(outs):
-            pred[nxt].append((s, u_idx, w))
-    back = fwd and dijkstra([(s, 0, u_idx, w) for s, u_idx, w in pred[0]], pred)
-    if back is None:
-        return None
-    (fdist, flink), (bdist, blink) = fwd, back
-    single = min(singles, default=(inf, None))
-    meet_w, meet = single[0], None
-    for s, wf in fdist.items():
-        if wf + bdist.get(s, inf) < meet_w:
-            meet_w, meet = wf + bdist[s], s
-    if meet_w >= cap:
+    relax(0, 0)
+    nodes = 0
+    while heap:
+        w, s = heapq.heappop(heap)
+        if w > dist[s]:
+            continue
+        if w >= best:
+            break
+        nodes += 1
+        if nodes > search_nodes:
+            return None
+        relax(s, w)
+    if best >= cap:
         return cap, (), nodes
-    if meet is None:
-        path = [single[1]]
-    else:
-        path, s = [], meet
-        while s:
-            s, u_idx = flink[s]
-            path.append(u_idx)
-        path.reverse()
-        s = meet
-        while s:
-            s, u_idx = blink[s]
-            path.append(u_idx)
+    s, u_idx = best_link
+    path = [u_idx]
+    while s:
+        s, u_idx = link[s]
+        path.append(u_idx)
+    path.reverse()
     u = [sum(tr.inputs[u_idx][i] << t for t, u_idx in enumerate(path)) for i in range(tr.b)]
-    return meet_w, (PolyMatrix([u]) @ gen).entries[0], nodes
+    return best, (PolyMatrix([u]) @ gen).entries[0], nodes
 
 
 def full_refinement_isomorphisms(adj_a, adj_b, colours):

@@ -94,9 +94,9 @@ BAD_INPUT_FILES = {
     ["woven", "build", "--graph", "builtin:utility", "--hc", "{empty}"],
     ["freedist", "--gen-inline", "0,0"],
     ["freedist", "--gen-inline", "1,1;1,1"],
-    [*WITNESS, "--max-shift", "-1"],
-    [*WITNESS, "--budget", "0"],
-    [*WITNESS, "--budget", "-2"],
+    [*WITNESS, "--perm", "1,2"],
+    [*WITNESS, "--perm", "1,1,3"],
+    ["woven", "sweep", "--graph", "builtin:utility", "--hc-inline", "1,11"],
     ["girth", "--graph", "{part_too_high}"],
     ["girth", "--graph", "{part_negative}"],
     ["girth", "--graph", "{part_repeated}"],
@@ -146,12 +146,32 @@ def test_conflicting_inputs_are_one_error_line(hc_file, capsys, argv, message):
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("flag", ["--budget", "--max-shift", "--nodes"])
+@pytest.mark.parametrize("flag", ["--budget", "--max-shift", "--nodes", "--target"])
 def test_verify_takes_no_search_budget(capsys, flag):
-    with pytest.raises(SystemExit) as info:
-        cli.main(["verify", "heawood", flag, "1"])
-    assert info.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # the witness search has fixed limits, so no command takes a search budget
+    sweep = ["woven", "sweep", "--graph", "builtin:utility", "--hc-inline", "1,11,101"]
+    for argv in (["verify", "heawood"], WITNESS, sweep):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, flag, "1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sweep_off_two_parts_prints_na_bounds_and_orbits(capsys):
+    # distance_bounds is derived for s = 2 only, and the 3-partite graph has
+    # no circulant labelling, so both bound columns and the orbit are n/a
+    common = ["--graph", "builtin:3partite", "--hc-inline", "1,11,101,111"]
+    assert cli.main(["woven", "sweep", *common]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "perm,nu_raw,nu_min,k,product_bound,improved_bound,witness,orbit,flags"
+    assert len(rows) == 24  # 4! permutations
+    for row in rows:
+        perm, _, _, _, product, improved, witness, orbit, _ = row.split(",", 8)
+        assert (product, improved, orbit) == ("n/a", "n/a", "n/a")
+        assert cli.main(["woven", "witness", *common, "--perm", perm.replace("-", ",")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"witness_weight={witness}"
+        assert out[-1] == "orbit=n/a"
 
 
 @pytest.mark.parametrize("argv, out", [

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from wgc.blockcodes import min_distance
 from wgc.convcodes import (
     CatastrophicEncoderError,
+    _Encoder,
+    _zero_weight_order,
     block_distance_conv,
     free_distance,
     rate_half_subcodes,
@@ -170,9 +172,22 @@ def test_free_distance_invariant_under_column_permutation():
     assert checked >= 8
 
 
-def test_free_distance_rejects_oversized_state_space(constituent_generator):
-    with pytest.raises(ValueError):
-        free_distance(constituent_generator, max_constraint=4)
+def test_free_distance_rejects_oversized_state_space():
+    # nu = 25 is one past the limit; the check comes before any state is walked
+    with pytest.raises(ValueError, match="constraint length 25 exceeds"):
+        free_distance(PolyMatrix([[1, 1 | 1 << 25]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda c: st.lists(
+    st.lists(st.integers(0, 15), min_size=c, max_size=c), min_size=1, max_size=c - 1)))
+def test_minimal_kernel_generators_are_never_catastrophic(rows):
+    # minimal_kernel spans the whole polynomial kernel, so its basis is
+    # basic: the encoder has no zero-weight loop through nonzero states
+    gen = minimal_kernel(PolyMatrix(rows))
+    enc = _Encoder(gen)
+    assume(enc.nu <= 12)
+    _zero_weight_order(enc)  # raises CatastrophicEncoderError on such a loop
 
 
 def test_free_distance_detects_catastrophic_encoder():

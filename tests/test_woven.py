@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wgc import cli
+from wgc import cli, woven
 from wgc.blockcodes import BlockStructure, DistanceEstimate, build_graph_code
 from wgc.convcodes import lightest_codeword
 from wgc.gf2 import (
@@ -25,8 +25,7 @@ from wgc.hypergraphs import (Hypergraph, build_heawood, build_three_partite, bui
 from wgc.woven import (
     StructureError,
     SweepRow,
-    WitnessBudget,
-    WitnessResult,
+    _enumerate,
     build_woven_conv,
     distance_bounds,
     encode_stream,
@@ -50,7 +49,7 @@ from conftest import (
     poly_row_space_equal,
     relabel_right,
     row_space_equal,
-    table_bidirectional_refine,
+    table_lightest_codeword,
 )
 
 BEST = (1, 3, 2)
@@ -333,7 +332,7 @@ def test_witness_search_reference_weights(constituent_check):
         code = build_woven_conv(g, constituent_check, perm)
         res = witness_search(code)
         assert res.weight == weight
-        assert not res.exact  # state space far beyond the refinement budget
+        assert not res.exact  # nu = 64-66, far beyond the exact pass's limit
         assert orbit_multiplicity(code, res.word) == 7
 
 
@@ -365,14 +364,9 @@ def small_woven_codes(draw):
 @given(small_woven_codes(), st.integers(1, 4).flatmap(
     lambda t: st.tuples(st.just(t), st.integers(0, 12 if t < 4 else 4))))
 def test_packed_witness_enumeration_matches_column_lists(code, terms_and_shift):
-    # a state limit of -1 turns the exact state search off, so the result
-    # is the enumeration's own best word; the search's starting bound must
-    # leave every field of it as the unbounded column-list enumeration has it
-    max_terms, max_shift = terms_and_shift
-    budget = WitnessBudget(max_terms=max_terms, max_shift=max_shift, search_state_limit=-1)
-    weight, word, count = list_witness_enumeration(code, budget)
-    assert witness_search(code, budget=budget) == WitnessResult(
-        weight=weight, word=word, exact=False, nodes_expanded=0, words_enumerated=count)
+    # the search's starting bound must leave the weight, the word and the
+    # count as the unbounded column-list enumeration has them
+    assert _enumerate(code, *terms_and_shift) == list_witness_enumeration(code, *terms_and_shift)
 
 
 def test_witness_chain_product_improved_witness(best_code):
@@ -380,14 +374,6 @@ def test_witness_chain_product_improved_witness(best_code):
     product, improved = distance_bounds(best_code.graph, best_code.hc)
     assert product <= improved <= res.weight
     assert (product, improved, res.weight) == (18, 24, 32)
-
-
-def test_witness_budget_exhaustion_reports_best(best_code):
-    from wgc.woven import BudgetExhausted
-
-    with pytest.raises(BudgetExhausted) as info:
-        witness_search(best_code, target=24)
-    assert info.value.result.weight == 32
 
 
 def test_orbit_rejects_non_codeword(best_code):
@@ -419,7 +405,7 @@ def test_exact_pass_matches_table_search(seed, n, hc, perm, cap, nodes):
     gen = minimal_generator(code)
     assume(gen.constraint_length <= 12)
     got = lightest_codeword(gen, cap, nodes)
-    expected = table_bidirectional_refine(gen, cap, nodes)
+    expected = table_lightest_codeword(gen, cap, nodes)
     if expected is None:
         assert got is None
         return
@@ -441,21 +427,23 @@ def test_witness_exact_on_degree_zero_specialization():
 # encoder
 
 
-def test_witness_refine_pass_returns_lighter_codeword():
+def test_witness_refine_pass_returns_lighter_codeword(monkeypatch):
     # single unshifted generator rows weigh at least 7; the state search finds 6
+    monkeypatch.setattr(woven, "_MAX_TERMS", 1)
+    monkeypatch.setattr(woven, "_MAX_SHIFT", 0)
     code = build_woven_conv(build_utility(), PolyMatrix([[1, 0b11, 0b101]]), (1, 2, 3))
-    res = witness_search(code, budget=WitnessBudget(max_terms=1, max_shift=0))
+    res = witness_search(code)
     assert res.weight == 6
     assert res.exact
     assert not any(any(oracle_syndrome(res.word, h_row)) for h_row in code.H_wg.entries)
     assert sum(p.weight for p in res.word) == res.weight
-    assert res.word == tuple(BinaryPoly(b) for b in (0, 0, 0, 0, 0b11, 1, 0b101, 0, 1))
+    assert res.word == tuple(BinaryPoly(b) for b in (0b101, 0, 1, 0, 0, 0, 0, 0b11, 1))
 
 
 def test_algebra_values_pickle_through_their_constructors(best_code):
     gen = expanded_generator(best_code)
     for value in (tailbite(best_code.hc, 3), best_code.H_wg, gen.entries[0][0], gen,
-                  BinaryPoly(0b1011), build_heawood(), WitnessBudget(max_terms=2)):
+                  BinaryPoly(0b1011), build_heawood()):
         clone = pickle.loads(pickle.dumps(value))
         assert type(clone) is type(value)
         assert clone == value
@@ -584,8 +572,7 @@ def test_encoder_rejects_partial_frames(best_code):
 
 @pytest.fixture(scope="module")
 def sweep_rows(constituent_check):
-    return permutation_sweep(build_heawood(), constituent_check,
-                             budget=WitnessBudget(max_terms=3, max_shift=10))
+    return permutation_sweep(build_heawood(), constituent_check)
 
 
 def test_sweep_covers_all_permutations(sweep_rows):
@@ -664,11 +651,10 @@ def test_permutations_with_equal_checks_are_flagged(n, a, b, hc):
 
 
 def test_values_and_records_are_immutable(best_code):
-    res = witness_search(best_code, budget=WitnessBudget(max_terms=1, max_shift=0))
+    res = witness_search(best_code)
     values = [
         (BinaryPoly(0b1011), "bits"),
         (build_heawood(), "edges"),
-        (WitnessBudget(), "max_terms"),
         (res, "weight"),
         (generator_report(best_code), "nu_minimal"),
         (SweepRow((1, 2, 3), 70, 65, 8, 18, 24, 30, 7, ""), "flags"),
