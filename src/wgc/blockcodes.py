@@ -63,9 +63,6 @@ class DistanceEstimate(NamedTuple):
     floor: int
     exact: bool
 
-    def __int__(self) -> int:
-        return self.value
-
 
 def _information_sets(gen: BinaryMatrix) -> list[tuple[list[int], int]]:
     """Systematic generators on disjoint pivot columns, as (rows, rank) pairs.

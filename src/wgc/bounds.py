@@ -9,9 +9,7 @@ predicts each root from the last ones of its walk (``_walk_root``): a Newton
 step from the guess is accepted without a further evaluation once its proven
 error bound is at most RTOL of the root, and otherwise ``newton`` runs from
 the previous root.  The entropy and the exponents use ``log1p`` and
-``expm1``, which do not cancel near rate 1.  ``rate_for_delta`` returns the
-entropy rate 1 - h(delta) exactly where the ensemble meets it, and otherwise
-finds the root of the exponent ``fhat`` in the rate directly.
+``expm1``, which do not cancel near rate 1.
 """
 
 from __future__ import annotations
@@ -36,15 +34,6 @@ def _entropy_terms(x: float) -> tuple[float, float, float]:
     """(h(x), h'(x), h''(x)) for 0 < x < 1, in bits; log1p keeps small x exact."""
     lx, l1x = log(x), log1p(-x)
     return -(x * lx + (1.0 - x) * l1x) / LN2, (l1x - lx) / LN2, -1.0 / (x * (1.0 - x) * LN2)
-
-
-def binary_entropy(x: float) -> float:
-    """-x log2 x - (1-x) log2 (1-x), with the limit convention h(0)=h(1)=0."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"entropy argument {x} outside [0, 1]")
-    if x in (0.0, 1.0):
-        return 0.0
-    return _entropy_terms(x)[0]
 
 
 def newton(f, lo: float, hi: float, x: float) -> float:
@@ -140,31 +129,6 @@ def _branch_slope(rate: float, s: int) -> float:
     return log(expm1(LN2 * (1.0 - rate) / s)) / LN2
 
 
-def gamma_opt_block(delta: float, rate: float, s: int) -> float:
-    """Optimizing fraction of active constituents: min(1, delta / boundary)."""
-    return min(1.0, delta / _boundary(rate, s))
-
-
-def fhat(delta: float, rate: float, s: int) -> float:
-    """Ensemble exponent after optimizing the active fraction.
-
-    Piecewise: below the boundary 1 - 2^((R-1)/s) the optimizer is interior
-    and the exponent is (1-s) h(delta) - delta s log2(2^{-(R-1)/s} - 1);
-    from the boundary on the optimizer saturates at 1, giving
-    h(delta) + R - 1.  The two branches agree at the boundary.
-    """
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta {delta} outside (0, 1)")
-    if not 0.0 < rate < 1.0:
-        raise DomainError(f"rate {rate} outside (0, 1)")
-    if s < 2:
-        raise DomainError("need s >= 2")
-    h = _entropy_terms(delta)[0]
-    if delta >= _boundary(rate, s):
-        return h - (1.0 - rate)
-    return (1.0 - s) * h - delta * s * _branch_slope(rate, s)
-
-
 class BoundPoint(NamedTuple):
     rate: float
     s: int
@@ -209,35 +173,6 @@ def _woven_delta(rate: float, s: int, dvg: float | None = None,
     return _walk_root(f, min(2.0 ** -500, boundary / 2), hi, hi, roots), "graph-limited"
 
 
-def rate_for_delta(delta: float, s: int) -> float:
-    """Largest rate whose woven guarantee still reaches ``delta``.
-
-    With R_vg = 1 - h(delta): if delta >= 1 - 2^((R_vg - 1)/s) the optimizer
-    saturates at R_vg (the "vg" regime of ``woven_vg_bound``) and the answer
-    is exactly R_vg.  Otherwise it is the root of fhat(delta, R, s) = 0 in R
-    on [1e-9, R_vg]; fhat is convex and rising in R and positive at R_vg
-    there, so Newton steps from R_vg fall to the root, the result never
-    exceeds R_vg and ``rate_gap`` is >= 0.
-    """
-    if not 0.0 < delta < 0.5 or s < 2:
-        raise DomainError(f"need 0 < delta < 0.5 and s >= 2 (delta={delta}, s={s})")
-    h = binary_entropy(delta)
-    r_vg = 1.0 - h
-    if delta >= _boundary(r_vg, s):
-        return r_vg
-
-    def f(r):
-        c = _branch_slope(r, s)
-        return (1.0 - s) * h - delta * s * c, delta * (1.0 + 2.0 ** -c)
-
-    return newton(f, 1e-9, r_vg, r_vg)
-
-
-def rate_gap(delta: float, s: int) -> float:
-    """Rate shortfall against the entropy bound at fixed relative distance."""
-    return 1.0 - binary_entropy(delta) - rate_for_delta(delta, s)
-
-
 # ---------------------------------------------------------------------------
 # free-distance bound
 
@@ -258,11 +193,6 @@ def costello_delta(rate: float) -> float:
     if not 0.0 < rate < 1.0:
         raise DomainError(f"rate {rate} outside (0, 1)")
     return -rate / _log2_excess(rate)
-
-
-def costello_exponent(delta: float, rate: float) -> float:
-    """Optimized ensemble exponent; zero exactly at costello_delta(rate)."""
-    return -delta * _log2_excess(rate) - rate
 
 
 class OutOfModelError(ValueError):

@@ -138,7 +138,7 @@ def cmd_sd_girth(args) -> int:
 def cmd_mindist(args) -> int:
     from . import blockcodes
     code = blockcodes.LinearBlockCode(load_binary_matrix(args.matrix))
-    est = blockcodes.min_distance(code, full_enum_limit=args.enum_limit)
+    est = blockcodes.min_distance(code)
     rep = blockcodes.code_report(args.matrix, code, est)
     report_out(args, rep)
     return 0
@@ -247,7 +247,7 @@ def cmd_woven_bounds(args) -> int:
     code = _woven_code(args)  # checks the graph, the check row and --perm
     product, improved = woven.distance_bounds(code.graph, code.hc)
     print(f"product_bound={product}")
-    print(f"improved_bound={improved}")
+    print(f"improved_bound={_or_na(improved)}")
     return 0
 
 
@@ -274,9 +274,8 @@ def cmd_woven_sweep(args) -> int:
     lines = ["perm,nu_raw,nu_min,k,product_bound,improved_bound,witness,orbit,flags"]
     for r in rows:
         perm = "-".join(map(str, r.perm))
-        # no bounds at all is n/a; a bipartite code without the improved bound prints None
-        bounds = "n/a,n/a" if r.product_bound is None else f"{r.product_bound},{r.improved_bound}"
-        lines.append(f"{perm},{_or_na(r.nu_raw)},{r.nu_minimal},{r.code_dimension},{bounds},"
+        lines.append(f"{perm},{_or_na(r.nu_raw)},{r.nu_minimal},{r.code_dimension},"
+                     f"{_or_na(r.product_bound)},{_or_na(r.improved_bound)},"
                      f"{r.witness},{_or_na(r.orbit)},{r.flags}")
     emit(args, "\n".join(lines) + "\n")
     return 0
@@ -353,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mindist", help="minimum distance of a binary code")
     p.add_argument("--matrix", required=True, help="parity-check matrix file (binary text)")
-    p.add_argument("--enum-limit", type=int, default=26, metavar="N",
-                   help="budget of 2^N scored words (default 26)")
     add_format(p)
     p.set_defaults(func=cmd_mindist)
 

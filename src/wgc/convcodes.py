@@ -1,6 +1,6 @@
 """Convolutional codes in polynomial form: distances, subcodes, derived block codes.
 
-A code is the matrix a function reads: ``free_distance``, ``spectrum`` and
+A code is the matrix a function reads: ``free_distance`` and
 ``tb_encoder_code`` take a generator G(D), ``block_distance_conv`` and
 ``rate_half_subcodes`` a parity-check matrix H(D).  ``gf2.minimal_kernel``
 converts either form into the other.
@@ -191,35 +191,6 @@ def free_distance(gen: PolyMatrix) -> int:
         raise ValueError(f"constraint length {enc.nu} exceeds the exact-search limit {_MAX_NU}")
     _zero_weight_order(enc)
     return _lightest_paths(enc)[0][0]
-
-
-def spectrum(gen: PolyMatrix, depth: int) -> dict[int, int]:
-    """Counts of first-event paths by weight, from the free distance up.
-
-    Paths diverge from the zero state once and remerge once.  Zero-weight
-    transitions between nonzero states are required to be acyclic, which is
-    the non-catastrophic condition checked up front.
-    """
-    d_free = free_distance(gen)
-    w_max = d_free + depth
-    enc = _Encoder(gen)
-    order = _zero_weight_order(enc)
-
-    # counts[s][w] = number of partial paths reaching state s with weight w;
-    # the zero state, first in the order, starts the one empty path
-    counts = [[0] * (w_max + 1) for _ in range(1 << enc.nu)]
-    counts[0][0] = 1
-    arrived = [0] * (w_max + 1)
-    for w in range(w_max + 1):
-        for s in [0, *order]:
-            cnt = counts[s][w]
-            if not cnt:
-                continue
-            for u, nxt, bw in enc.successors(s):
-                if w + bw > w_max or not (s or u):
-                    continue
-                (counts[nxt] if nxt else arrived)[w + bw] += cnt
-    return {w: arrived[w] for w in range(d_free, w_max + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,6 @@ def expanded_generator(code: WovenConvCode) -> PolyMatrix:
 
 
 class GeneratorReport(NamedTuple):
-    raw: PolyMatrix | None
-    minimal: PolyMatrix
     nu_raw: int | None
     nu_minimal: int
     code_dimension: int
@@ -175,19 +173,16 @@ def minimal_generator(code: WovenConvCode) -> PolyMatrix:
 
 
 def generator_report(code: WovenConvCode) -> GeneratorReport:
-    """Raw and minimal generators; the raw one is None where the graph is not circulant."""
+    """Constraint lengths of the raw and minimal generators and the code's dimension.
+
+    ``nu_raw`` is None where the graph is not circulant and so has no raw generator.
+    """
     try:
-        raw = expanded_generator(code)
+        nu_raw = expanded_generator(code).constraint_length
     except StructureError:
-        raw = None
+        nu_raw = None
     minimal = minimal_generator(code)
-    return GeneratorReport(
-        raw=raw,
-        minimal=minimal,
-        nu_raw=None if raw is None else raw.constraint_length,
-        nu_minimal=minimal.constraint_length,
-        code_dimension=minimal.rows,
-    )
+    return GeneratorReport(nu_raw, minimal.constraint_length, minimal.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +193,13 @@ def distance_bounds(g: Hypergraph, hc: PolyMatrix, graph_girth: int | None = Non
                     ) -> tuple[int, int | None]:
     """(product, improved) lower bounds on the free distance of the woven codes of g and hc.
 
-    Bipartite product bound: max(girth/2, 2) times the constituent free
-    distance.  The improved bound splits codewords by constituent support:
-    fully block-weight-2 words live in the rate-1/2 subcodes and activate at
-    least girth/2 constituents; anything else activates one more constituent
-    at full free distance.  The improved bound is None unless the
+    Bipartite product bound: girth/2 times the constituent free distance,
+    since the active constituents of a codeword hold a cycle, which has at
+    least girth/2 vertices on each side: one where parallel edges give girth 2.
+    The improved bound splits codewords by constituent support: fully
+    block-weight-2 words live in the rate-1/2 subcodes and activate at least
+    girth/2 constituents; anything else activates one more constituent at
+    full free distance.  The improved bound is None unless the
     constituent has block distance 2, c = 3 and one check row.  The check
     permutation plays no part, and ``graph_girth`` is girth(g) when the
     caller has it already.  Both bounds are derived for bipartite graphs
@@ -218,7 +215,7 @@ def distance_bounds(g: Hypergraph, hc: PolyMatrix, graph_girth: int | None = Non
         graph_girth = girth(g)
     if graph_girth is None:
         raise StructureError("acyclic graph has no product bound")
-    active = max(graph_girth // 2, 2)
+    active = graph_girth // 2
     improved: int | None = None
     if d_block == 2 and g.c == 3 and hc.rows == 1:
         d_sub = min(free_distance(sc) for sc in rate_half_subcodes(hc))
@@ -463,9 +460,11 @@ def permutation_sweep(g: Hypergraph, hc: PolyMatrix) -> list[SweepRow]:
 
     The bounds depend only on the graph and the constituent, so they are
     computed once per sweep; both are None where ``distance_bounds`` raises
-    ``StructureError``, as for s != 2.  Permutation pairs whose H_wg match
-    under a row and column permutation are flagged as equivalent; the
-    certification is conservative (unflagged pairs may still be equivalent).
+    ``StructureError``, as for s != 2.  A row whose witness weighs less than
+    either bound is flagged ``bound-contradicted``, since that codeword
+    disproves the bound.  Permutation pairs whose H_wg match under a row and
+    column permutation are flagged as equivalent; the certification is
+    conservative (unflagged pairs may still be equivalent).
     """
     perms = sorted(permutations(range(1, g.c + 1)))
     try:
@@ -482,6 +481,8 @@ def permutation_sweep(g: Hypergraph, hc: PolyMatrix) -> list[SweepRow]:
         rep = generator_report(code)
         res = witness_search(code)
         flags = [] if rep.code_dimension == code.n else ["rank-deficient"]
+        if any(res.weight < b for b in (product, improved) if b is not None):
+            flags.append("bound-contradicted")
         flags += [f"equivalent-to:{','.join(map(str, other))}" for other in partner.get(perm, [])]
         rows.append(SweepRow(perm, rep.nu_raw, rep.nu_minimal, rep.code_dimension, product,
                              improved, res.weight, orbit_multiplicity(code, res.word),

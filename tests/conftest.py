@@ -6,6 +6,7 @@ import heapq
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, permutations, product
+from math import log2
 from operator import xor
 
 import pytest
@@ -695,6 +696,32 @@ def oracle_woven_conv_parity(g: Hypergraph, hc: PolyMatrix, perm) -> PolyMatrix:
                     row[e] = check[slot]
                 rows.append(row)
     return PolyMatrix(rows)
+
+
+# ---------------------------------------------------------------------------
+# the ensemble exponents whose roots the bounds are, in plain float formulas
+
+
+def entropy(x: float) -> float:
+    return -x * log2(x) - (1 - x) * log2(1 - x)
+
+
+def fhat(delta: float, rate: float, s: int) -> float:
+    """Woven block ensemble exponent after optimizing the active fraction.
+
+    Below the boundary 1 - 2^((R-1)/s) the optimizer is interior and the
+    exponent is (1-s) h(delta) - delta s log2(2^((1-R)/s) - 1); from the
+    boundary on it saturates at 1, giving h(delta) + R - 1.  Its root in
+    delta is ``bounds.woven_vg_bound``.
+    """
+    if delta >= 1 - 2 ** ((rate - 1) / s):
+        return entropy(delta) + rate - 1
+    return (1 - s) * entropy(delta) - delta * s * log2(2 ** ((1 - rate) / s) - 1)
+
+
+def costello_exponent(delta: float, rate: float) -> float:
+    """Optimized free-distance ensemble exponent; its root is ``bounds.costello_delta``."""
+    return -delta * log2(2 ** (1 - rate) - 1) - rate
 
 
 # ---------------------------------------------------------------------------

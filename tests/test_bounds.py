@@ -16,20 +16,15 @@ from wgc.bounds import (
     BracketError,
     DomainError,
     OutOfModelError,
-    binary_entropy,
     costello_delta,
-    costello_exponent,
     curves_csv,
     emit_curves,
-    fhat,
-    gamma_opt_block,
     mu_gamma_optimizers,
-    rate_for_delta,
-    rate_gap,
     vg_delta,
     woven_vg_bound,
 )
-from conftest import remark_counterexample, remark_probabilities
+from conftest import (costello_exponent, entropy, fhat, remark_counterexample,
+                      remark_probabilities)
 
 mpmath.mp.dps = 50
 
@@ -60,19 +55,24 @@ def mp_costello_delta(rate) -> float:
 
 
 def test_entropy_reference_points():
-    assert binary_entropy(0.5) == 1.0
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert abs(binary_entropy(0.11) - float(mp_entropy(0.11))) < 1e-14
+    # h, h' and h'' in bits, which every root of this module evaluates
+    h, dh, ddh = bounds._entropy_terms(0.5)
+    assert (h, dh) == (1.0, 0.0)
+    assert abs(ddh + 4.0 / mpmath.log(2)) < 1e-14
+    assert abs(bounds._entropy_terms(0.11)[0] - float(mp_entropy(0.11))) < 1e-14
+    # log1p keeps the (1 - x) term at small x
+    expected = mp_entropy("1e-30")
+    assert abs(bounds._entropy_terms(1e-30)[0] - expected) <= 1e-14 * expected
 
 
 def test_entropy_symmetry_and_domain():
     for x in (0.01, 0.2, 0.37, 0.49):
-        assert abs(binary_entropy(x) - binary_entropy(1 - x)) < 1e-15
-    with pytest.raises(DomainError):
-        binary_entropy(-0.1)
-    with pytest.raises(DomainError):
-        binary_entropy(1.1)
+        (h, dh, ddh), (hm, dhm, ddhm) = bounds._entropy_terms(x), bounds._entropy_terms(1 - x)
+        assert abs(h - hm) < 1e-15 and abs(dh + dhm) < 1e-12 and abs(ddh - ddhm) < 1e-9
+    # the terms are defined on the open interval only; the roots never leave it
+    for x in (-0.1, 0.0, 1.0, 1.1):
+        with pytest.raises(ValueError):
+            bounds._entropy_terms(x)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +95,7 @@ def test_vg_delta_low_rate_limit():
 
 
 # ---------------------------------------------------------------------------
-# exponent function
+# exponent function (conftest.fhat), the certificate of the woven roots
 
 
 def test_fhat_zero_at_entropy_root_in_vg_regime():
@@ -117,27 +117,19 @@ def test_fhat_branches_continuous_at_boundary():
 
 
 def test_fhat_matches_direct_optimizer_evaluation():
-    # evaluating the pre-optimization exponent at gamma_opt reproduces fhat
-    import math
-
+    # evaluating the pre-optimization exponent at the optimizing active
+    # fraction gamma_opt = min(1, delta / boundary) reproduces fhat
     def raw_exponent(delta, rate, s, gamma):
-        return ((1 - s) * binary_entropy(delta)
-                - (1 - rate) * gamma + s * gamma * binary_entropy(delta / gamma))
+        return ((1 - s) * entropy(delta)
+                - (1 - rate) * gamma + s * gamma * entropy(delta / gamma))
 
     for s in (2, 3, 4):
         for rate in (0.25, 0.5, 0.75):
             for delta in (0.02, 0.1, 0.2, 0.3):
-                gamma = gamma_opt_block(delta, rate, s)
+                gamma = min(1.0, delta / (1 - 2 ** ((rate - 1) / s)))
                 if delta / gamma > 1:
                     continue
                 assert abs(fhat(delta, rate, s) - raw_exponent(delta, rate, s, gamma)) < 1e-9
-
-
-def test_fhat_domain_checks():
-    with pytest.raises(DomainError):
-        fhat(0.0, 0.5, 2)
-    with pytest.raises(DomainError):
-        fhat(0.2, 0.5, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +211,11 @@ def test_root_certificates_on_grid(monkeypatch):
     assert regimes == {"vg", "graph-limited"}
 
 
-def test_rate_gap_monotone_in_s():
-    for delta in (0.05, 0.1, 0.2):
-        gaps = [rate_gap(delta, s) for s in (2, 3, 4, 10)]
-        assert all(g >= -1e-12 for g in gaps)
-        assert all(a >= b - 1e-9 for a, b in zip(gaps, gaps[1:]))
+def test_woven_vg_bound_monotone_in_s():
+    # more parts never weaken the guarantee
+    for rate in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+        deltas = [woven_vg_bound(rate, s).delta for s in (2, 3, 4, 10)]
+        assert all(a <= b for a, b in zip(deltas, deltas[1:]))
 
 
 def mp_rate_for_delta(delta, s) -> tuple[float, str]:
@@ -240,21 +232,16 @@ def mp_rate_for_delta(delta, s) -> tuple[float, str]:
 
 
 def test_rate_for_delta_matches_high_precision_root():
+    # the largest rate whose guarantee reaches delta, a 50-digit root in the
+    # rate, maps back through woven_vg_bound to delta in the same regime
     regimes = set()
     for delta in (0.05, 0.1, 0.2):
         for s in (2, 3, 4, 10):
-            expected, regime = mp_rate_for_delta(delta, s)
+            rate, regime = mp_rate_for_delta(delta, s)
             regimes.add(regime)
-            rate = rate_for_delta(delta, s)
-            if regime == "vg":
-                assert rate == 1.0 - binary_entropy(delta)
-                assert rate_gap(delta, s) == 0.0
-            else:
-                assert abs(rate - expected) < 1e-13
-                assert rate <= 1.0 - binary_entropy(delta)
-                assert rate_gap(delta, s) > 0.0
-            # the returned rate still reaches delta
-            assert woven_vg_bound(rate, s).delta >= delta - 1e-9
+            point = woven_vg_bound(rate, s)
+            assert point.regime == regime
+            assert abs(point.delta - delta) <= 1e-12 * delta
     assert regimes == {"vg", "graph-limited"}
 
 
@@ -285,8 +272,6 @@ def test_roots_near_rate_one_match_high_precision():
             regimes.add(regime)
             assert point.regime == regime
             assert abs(point.delta - expected) <= 1e-12 * expected
-            want_rate, _ = mp_rate_for_delta(point.delta, s)
-            assert abs(rate_for_delta(point.delta, s) - want_rate) <= 1e-12 * want_rate
     assert regimes == {"vg", "graph-limited"}
 
 
@@ -315,11 +300,6 @@ def test_costello_low_rate_limit():
     assert abs(costello_delta(1e-6) - mp_costello_delta(1e-6)) < 1e-9
 
 
-def mp_costello_exponent(delta, rate) -> float:
-    d, r = mpmath.mpf(delta), mpmath.mpf(rate)
-    return float(-d * mpmath.log(2 ** (1 - r) - 1, 2) - r)
-
-
 def mp_mu_opt(delta, rate) -> float:
     d, r = mpmath.mpf(delta), mpmath.mpf(rate)
     return float(d / (1 - 2 ** (r - 1)) - 1)
@@ -329,7 +309,6 @@ def mp_mu_opt(delta, rate) -> float:
 def test_costello_formulas_keep_their_digits_at_both_ends_of_the_rate_range(rate):
     # 2^(1-R) - 1 cancels against 1 as R -> 0 and against 0 as R -> 1
     pairs = [(costello_delta(rate), mp_costello_delta(rate)),
-             (costello_exponent(0.3, rate), mp_costello_exponent(0.3, rate)),
              (mu_gamma_optimizers(0.6, rate, 2)[1], mp_mu_opt(0.6, rate))]
     for got, want in pairs:
         assert abs(got - want) <= 1e-13 * abs(want)

@@ -122,6 +122,31 @@ def test_woven_perm_defaults_to_the_identity_of_the_graph_degree(tmp_path, capsy
     assert capsys.readouterr().out == default
 
 
+def test_missing_improved_bound_prints_na(tmp_path, capsys):
+    # degree 4 has no improved bound; girth 2 makes the product bound d_free = 3
+    graph = tmp_path / "degree4.txt"
+    graph.write_text(random_regular(2, 4, 5, 1).to_text())
+    argv = ["--graph", str(graph), "--hc-inline", "1,11,101,111"]
+    assert cli.main(["woven", "bounds", *argv]) == 0
+    assert capsys.readouterr().out == "product_bound=3\nimproved_bound=n/a\n"
+    assert cli.main(["woven", "sweep", *argv]) == 0
+    rows = [line.split(",", 8) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 24
+    assert {(row[4], row[5]) for row in rows} == {("3", "n/a")}
+    assert all("bound-contradicted" not in row[8] for row in rows)
+
+
+def test_mindist_takes_no_enum_limit(tmp_path, capsys):
+    matrix = tmp_path / "h.txt"
+    matrix.write_text("2 4\n1110\n0111\n")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["mindist", "--matrix", str(matrix), "--enum-limit", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --enum-limit 5" in capsys.readouterr().err
+    assert cli.main(["mindist", "--matrix", str(matrix)]) == 0
+    assert "d_min=2\nd_exact=True\n" in capsys.readouterr().out
+
+
 @pytest.fixture
 def hc_file(tmp_path):
     path = tmp_path / "hc.txt"

@@ -1,4 +1,4 @@
-"""Convolutional codes: distances, spectra, subcodes, and derived block codes."""
+"""Convolutional codes: distances, subcodes, and derived block codes."""
 
 from __future__ import annotations
 
@@ -17,11 +17,10 @@ from wgc.convcodes import (
     block_distance_conv,
     free_distance,
     rate_half_subcodes,
-    spectrum,
     tb_encoder_code,
 )
 from wgc.gf2 import BinaryPoly, PolyMatrix, clmul, minimal_kernel, poly_gcd, rank
-from conftest import TupleTrellis, table_free_distance, tb_block_code, zt_block_code
+from conftest import table_free_distance, tb_block_code, zt_block_code
 
 
 # ---------------------------------------------------------------------------
@@ -46,40 +45,6 @@ def enumeration_free_distance(G: PolyMatrix, deg_limit: int) -> int:
         if best is None or w < best:
             best = w
     return best
-
-
-def path_count_spectrum_oracle(G: PolyMatrix, w_max: int, t_max: int) -> dict[int, int]:
-    """Count first-event paths by weight with an explicit time-indexed DP."""
-    tr = TupleTrellis(G)
-    zero = tr.zero
-    counts: dict[int, int] = {}
-    frontier = {}
-    for u in tr.inputs:
-        if any(u):
-            st, w = tr.step(zero, u)
-            if w > w_max:
-                continue
-            if st == zero:
-                counts[w] = counts.get(w, 0) + 1
-            else:
-                frontier[(st, w)] = frontier.get((st, w), 0) + 1
-    for _ in range(t_max):
-        nxt_frontier: dict = {}
-        for (st, w), cnt in frontier.items():
-            for u in tr.inputs:
-                nst, bw = tr.step(st, u)
-                nw = w + bw
-                if nw > w_max:
-                    continue
-                if nst == zero:
-                    counts[nw] = counts.get(nw, 0) + cnt
-                else:
-                    nxt_frontier[(nst, nw)] = nxt_frontier.get((nst, nw), 0) + cnt
-        frontier = nxt_frontier
-        if not frontier:
-            break
-    assert not frontier, "oracle horizon too short for this weight cap"
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -252,36 +217,6 @@ def test_free_distance_matches_table_search_and_enumeration(G):
             free_distance(G)
     else:
         assert free_distance(G) == expected
-
-
-# ---------------------------------------------------------------------------
-# spectrum
-
-
-def test_spectrum_memoryless_single_branch():
-    spec = spectrum(PolyMatrix([[1, 1]]), depth=3)
-    assert spec == {2: 1, 3: 0, 4: 0, 5: 0}
-
-
-def test_spectrum_reference_matches_path_count_oracle(constituent_generator):
-    got = spectrum(constituent_generator, depth=2)
-    oracle = path_count_spectrum_oracle(constituent_generator, w_max=8, t_max=60)
-    assert got[6] == oracle.get(6, 0) > 0
-    assert got[7] == oracle.get(7, 0)
-    assert got[8] == oracle.get(8, 0)
-
-
-def test_spectrum_parent_matches_path_count_oracle(graph_parent_check):
-    gen = minimal_kernel(graph_parent_check)
-    got = spectrum(gen, depth=2)
-    oracle = path_count_spectrum_oracle(gen, w_max=8, t_max=80)
-    assert got == {w: oracle.get(w, 0) for w in range(6, 9)}
-    assert got[6] >= 1
-
-
-def test_spectrum_zero_below_free_distance(constituent_generator):
-    spec = spectrum(constituent_generator, depth=0)
-    assert min(spec) == free_distance(constituent_generator)
 
 
 # ---------------------------------------------------------------------------

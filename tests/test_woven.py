@@ -21,7 +21,7 @@ from wgc.gf2 import (
     tailbite,
 )
 from wgc.hypergraphs import (Hypergraph, build_heawood, build_three_partite, build_utility,
-                            random_regular)
+                            girth, random_regular)
 from wgc.woven import (
     StructureError,
     SweepRow,
@@ -324,6 +324,30 @@ def test_distance_bounds_reference(constituent_check):
 def test_distance_bounds_utility_variant(constituent_check):
     product, _ = distance_bounds(build_utility(), constituent_check)
     assert product == (4 // 2) * 6 == 12
+
+
+def test_girth_two_bounds_are_one_active_constituent():
+    # two parallel edges are a cycle of one constituent per side, so the
+    # product bound is the constituent's d_free, met here by an exact witness
+    g, hc = random_regular(2, 4, 5, 1), cli.parse_poly_matrix_inline("1,11,101,111")
+    assert girth(g) == 2
+    assert distance_bounds(g, hc) == (3, None)
+    res = witness_search(build_woven_conv(g, hc))
+    assert (res.weight, res.exact) == (3, True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 5), st.integers(0, 1000),
+       st.sampled_from(["1,11,101", "11,101,111", "1,11,111"]), st.permutations((1, 2, 3)))
+@example(3, 0, "1,11,101", (1, 2, 3))  # girth 2: max(girth // 2, 2) gave 6 beside a 3
+def test_bounds_never_exceed_a_witness_weight(n, seed, row, perm):
+    # both bounds are lower bounds, so no codeword, exact or not, may weigh
+    # less; most of these graphs have parallel edges (girth 2)
+    g, hc = random_regular(2, 3, n, seed), cli.parse_poly_matrix_inline(row)
+    product, improved = distance_bounds(g, hc)
+    weight = witness_search(build_woven_conv(g, hc, perm)).weight
+    assert product <= weight
+    assert improved is None or improved <= weight
 
 
 def test_witness_search_reference_weights(constituent_check):
@@ -672,3 +696,18 @@ def test_sweep_bounds_consistent(sweep_rows):
         assert row.product_bound == 18
         assert row.improved_bound == 24
         assert row.witness >= row.improved_bound
+        assert "bound-contradicted" not in row.flags
+
+
+@pytest.mark.parametrize("bounds, flagged", [
+    ((100, None), True),   # a product bound above every witness
+    ((1, 100), True),      # an improved bound above every witness
+    ((1, None), False),
+    ((6, 6), False),       # the lightest utility witnesses weigh 6: a bound may be met
+])
+def test_sweep_flags_a_bound_that_a_witness_contradicts(monkeypatch, bounds, flagged):
+    monkeypatch.setattr(woven, "distance_bounds", lambda g, hc: bounds)
+    rows = permutation_sweep(build_utility(), cli.parse_poly_matrix_inline("1,11,101"))
+    assert min(row.witness for row in rows) == 6
+    for row in rows:
+        assert ("bound-contradicted" in row.flags.split(";")) == flagged
