@@ -87,13 +87,12 @@ def parse_perm(text: str | None) -> tuple[int, ...] | None:
 def parse_assignment(text: str, g: hypergraphs.Hypergraph) -> blockcodes.Assignment:
     """Per-vertex block orders for the second partition; "1,2,0;0,1,2;2,0,1"."""
     from . import blockcodes
+    if g.s != 2:
+        raise CliError("inline assignment supported for bipartite graphs only")
     groups = [tuple(int(x) for x in part.split(",")) for part in text.split(";")]
     if len(groups) != g.n:
         raise CliError(f"assignment needs {g.n} vertex groups, got {len(groups)}")
-    ident = blockcodes.identity_assignment(g)
-    if g.s != 2:
-        raise CliError("inline assignment supported for bipartite graphs only")
-    return (ident[0], tuple(groups))
+    return (blockcodes.identity_assignment(g)[0], tuple(groups))
 
 
 def emit(args, text: str) -> None:

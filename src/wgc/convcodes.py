@@ -9,12 +9,12 @@ converts either form into the other.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from itertools import combinations
 
 from .gf2 import (
     BinaryPoly,
     PolyMatrix,
+    minimal_kernel,
     nullspace_basis,
     poly_gcd,
     rank_over_rational_field,
@@ -23,15 +23,10 @@ from .gf2 import (
 from .blockcodes import LinearBlockCode
 
 
-class CatastrophicEncoderError(ValueError):
-    """A zero-weight loop through nonzero states was found."""
-
-
 # ---------------------------------------------------------------------------
 # trellis machinery
 
 _INF = 1 << 60
-_MAX_NU = 24  # largest constraint length whose 2^nu states free_distance walks
 
 
 def _subset_xors(parts: list[int]) -> list[int]:
@@ -127,9 +122,10 @@ def lightest_codeword(G: PolyMatrix, cap: int, max_nodes: int
 
     Every prefix of a codeword path lighter than ``cap`` is lighter too, so
     the search, which keeps every path below ``cap``, meets each such path:
-    ``dist[0]`` is the lightest.  The search is complete only for a
-    non-catastrophic G, such as a ``gf2.minimal_kernel`` basis, where every
-    codeword of finite weight has a finite input and so a path.  Returns (weight, u(D) G(D), nodes
+    ``dist[0]`` is the lightest.  The search is complete when G is
+    non-catastrophic, as a ``gf2.minimal_kernel`` basis is by construction:
+    every codeword of finite weight then has a finite input and so a path.
+    Nothing here checks G.  Returns (weight, u(D) G(D), nodes
     expanded), (cap, (), nodes) when no nonzero codeword is lighter than
     ``cap``, or None once more than ``max_nodes`` states would be expanded.
     """
@@ -148,49 +144,24 @@ def lightest_codeword(G: PolyMatrix, cap: int, max_nodes: int
     return dist[0], enc.encode(inputs[::-1]), nodes
 
 
-def _zero_weight_order(enc: _Encoder) -> list[int]:
-    """Nonzero states in a topological order of the zero-weight branches between them.
-
-    A cycle of such branches is a zero-weight loop through nonzero states:
-    the encoder is catastrophic and CatastrophicEncoderError is raised.
-    """
-    n = 1 << enc.nu
-    edges = {s: [t for _, t, w in enc.successors(s) if t and not w] for s in range(1, n)}
-    indeg = Counter(t for outs in edges.values() for t in outs)
-    ready = [s for s in range(1, n) if indeg[s] == 0]
-    order = []
-    while ready:
-        s = ready.pop()
-        order.append(s)
-        for t in edges[s]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                ready.append(t)
-    if len(order) != n - 1:
-        raise CatastrophicEncoderError("zero-weight cycle through nonzero states")
-    return order
-
-
 def free_distance(gen: PolyMatrix) -> int:
-    """Exact free distance of the generator's code, by lowest-weight search over its encoder.
+    """Exact free distance of the code the generator's rows span.
 
-    The zero state is start and goal but never an interior vertex, so the
-    result is the weight of the lightest nonzero diverge/remerge loop.  A
-    generator without rows, with rows dependent over GF(2)(D) (some nonzero
-    input encodes to zero) or with a constraint length above ``_MAX_NU``
-    raises ValueError first; zero-weight loops through nonzero states then
-    abort with CatastrophicEncoderError before the search.
+    The free distance is a property of the code, not of its encoder, so the
+    search runs on the code's basic basis ``minimal_kernel(minimal_kernel(G))``,
+    which is non-catastrophic whatever G is.  The zero state is start and goal
+    but never an interior vertex, so the result is the weight of the lightest
+    nonzero diverge/remerge loop.  Raises ValueError only on a generator
+    without rows or with rows dependent over GF(2)(D), where some nonzero
+    input encodes to zero.
     """
     if not gen.rows:
         raise ValueError("empty generator: the code has no nonzero codeword")
-    if rank_over_rational_field(gen) < gen.rows:
+    checks = minimal_kernel(gen)
+    if gen.cols - checks.rows < gen.rows:
         raise ValueError("a nonzero input encodes to zero: "
                          "the generator rows are dependent over GF(2)(D)")
-    enc = _Encoder(gen)
-    if enc.nu > _MAX_NU:
-        raise ValueError(f"constraint length {enc.nu} exceeds the exact-search limit {_MAX_NU}")
-    _zero_weight_order(enc)
-    return _lightest_paths(enc)[0][0]
+    return _lightest_paths(_Encoder(minimal_kernel(checks)))[0][0]
 
 
 # ---------------------------------------------------------------------------

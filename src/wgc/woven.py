@@ -202,9 +202,12 @@ def distance_bounds(g: Hypergraph, hc: PolyMatrix, graph_girth: int | None = Non
     full free distance.  The improved bound is None unless the
     constituent has block distance 2, c = 3 and one check row.  The check
     permutation plays no part, and ``graph_girth`` is girth(g) when the
-    caller has it already.  Both bounds are derived for bipartite graphs
+    caller has it already.  A check row whose width is not the graph degree
+    is a ValueError first; both bounds are derived for bipartite graphs
     only, so any other s is a ``StructureError``.
     """
+    if hc.cols != g.c:
+        raise ValueError(f"check row has {hc.cols} columns, graph degree is {g.c}")
     if g.s != 2:
         raise StructureError(f"distance bounds are derived for bipartite graphs, got s={g.s}")
     d_block = block_distance_conv(hc)

@@ -12,7 +12,6 @@ from operator import xor
 import pytest
 
 from wgc.blockcodes import LinearBlockCode, build_graph_code, min_distance
-from wgc.convcodes import CatastrophicEncoderError
 from wgc.gf2 import (BinaryMatrix, BinaryPoly, PolyMatrix, _eliminate, clmul, nullspace_basis,
                      rank_over_rational_field, tailbite)
 from wgc.hypergraphs import Hypergraph, sd_girth
@@ -474,10 +473,16 @@ def transition_table(tr: TupleTrellis):
     return states, rows
 
 
-def table_free_distance(G: PolyMatrix) -> int:
-    """Free distance by Dijkstra over the whole transition table.
+class CatastrophicEncoderError(ValueError):
+    """The encoder has a zero-weight loop through nonzero states."""
 
-    Raises CatastrophicEncoderError on a zero-weight cycle through nonzero
+
+def table_free_distance(G: PolyMatrix) -> int:
+    """Free distance of G's encoder by Dijkstra over the whole transition table.
+
+    Reads the encoder, not the code, so it is an oracle for
+    ``convcodes.free_distance`` only on a non-catastrophic G.  Raises
+    CatastrophicEncoderError on a zero-weight cycle through nonzero
     states; returns 0 when a nonzero input remerges at weight 0.
     """
     tr = TupleTrellis(G)

@@ -164,6 +164,12 @@ def hc_file(tmp_path):
     (["freedist", "--parity", "{hc}", "--parity-inline", HC],
      "give either a file or an inline matrix, not both"),
     (["bounds", "--kind", "costello", "--s", "1"], "--s applies to --kind vg only"),
+    # the sweep names the width mismatch before the c = 3 subcode extraction
+    (["woven", "sweep", "--graph", "builtin:heawood", "--hc-inline", "1,11,101,111"],
+     "check row has 4 columns, graph degree is 3"),
+    # the part count is checked before the vertex groups are counted
+    (["woven-block", "--graph", "builtin:3partite", "--hc-inline", "1,1,1", "--l", "1",
+      "--assign", "0,1,2"], "inline assignment supported for bipartite graphs only"),
 ])
 def test_conflicting_inputs_are_one_error_line(hc_file, capsys, argv, message):
     assert cli.main([arg.format(hc=hc_file) for arg in argv]) == 1
@@ -210,6 +216,15 @@ def test_sweep_off_two_parts_prints_na_bounds_and_orbits(capsys):
 def test_constituent_and_bound_commands_print_the_reference_values(hc_file, capsys, argv, out):
     assert cli.main([arg.format(hc=hc_file) for arg in argv]) == 0
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("gen, d_free", [
+    ("11,11", 2),                          # catastrophic: the code of (1, 1)
+    ("1,10000000000000000000000001", 3),   # constraint length 25
+])
+def test_freedist_prints_the_free_distance_of_the_code(capsys, gen, d_free):
+    assert cli.main(["freedist", "--gen-inline", gen]) == 0
+    assert capsys.readouterr().out == f"free_distance={d_free}\n"
 
 
 @pytest.mark.parametrize("s", ["1", "0", "-3", "2,1"])

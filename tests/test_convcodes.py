@@ -3,24 +3,24 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wgc.blockcodes import min_distance
 from wgc.convcodes import (
-    CatastrophicEncoderError,
-    _Encoder,
-    _zero_weight_order,
     block_distance_conv,
     free_distance,
     rate_half_subcodes,
     tb_encoder_code,
 )
-from wgc.gf2 import BinaryPoly, PolyMatrix, clmul, minimal_kernel, poly_gcd, rank
-from conftest import table_free_distance, tb_block_code, zt_block_code
+from wgc.gf2 import (BinaryPoly, PolyMatrix, clmul, minimal_kernel, poly_gcd,
+                     rank_over_rational_field)
+from conftest import (CatastrophicEncoderError, poly_row_space_equal, table_free_distance,
+                      tb_block_code, zt_block_code)
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +45,23 @@ def enumeration_free_distance(G: PolyMatrix, deg_limit: int) -> int:
         if best is None or w < best:
             best = w
     return best
+
+
+def noncatastrophic_basis(G: PolyMatrix) -> PolyMatrix:
+    """A basis of G's code, checked to span the same rows over GF(2)(D).
+
+    One row is divided by the gcd of its entries, which leaves coprime
+    entries and so a non-catastrophic encoder; more rows take the basic basis
+    minimal_kernel(minimal_kernel(G)).  ``table_free_distance`` raises on the
+    result if it is catastrophic after all.
+    """
+    if G.rows == 1:
+        g = reduce(poly_gcd, G.entries[0])
+        basis = PolyMatrix([[p // g for p in G.entries[0]]])
+    else:
+        basis = minimal_kernel(minimal_kernel(G))
+    assert poly_row_space_equal(basis, G)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -125,22 +142,20 @@ def test_free_distance_invariant_under_column_permutation():
     for _ in range(14):
         row = [rng.randrange(1, 32) for _ in range(3)]
         perm = rng.sample(range(3), 3)
+        gen = PolyMatrix([row])
         try:
-            base = free_distance(PolyMatrix([row]))
+            expected = table_free_distance(gen)
+            checked += 1
         except CatastrophicEncoderError:
-            with pytest.raises(CatastrophicEncoderError):
-                free_distance(PolyMatrix([[row[j] for j in perm]]))
-            continue
-        shuffled = free_distance(PolyMatrix([[row[j] for j in perm]]))
-        assert base == shuffled
-        checked += 1
+            expected = table_free_distance(noncatastrophic_basis(gen))
+        assert free_distance(gen) == expected
+        assert free_distance(PolyMatrix([[row[j] for j in perm]])) == expected
     assert checked >= 8
 
 
-def test_free_distance_rejects_oversized_state_space():
-    # nu = 25 is one past the limit; the check comes before any state is walked
-    with pytest.raises(ValueError, match="constraint length 25 exceeds"):
-        free_distance(PolyMatrix([[1, 1 | 1 << 25]]))
+def test_free_distance_takes_any_constraint_length():
+    # nu = 25: the search runs on the code's basic basis and walks no 2^nu states
+    assert free_distance(PolyMatrix([[1, 1 | 1 << 25]])) == 3
 
 
 @settings(max_examples=80, deadline=None)
@@ -148,32 +163,31 @@ def test_free_distance_rejects_oversized_state_space():
     st.lists(st.integers(0, 15), min_size=c, max_size=c), min_size=1, max_size=c - 1)))
 def test_minimal_kernel_generators_are_never_catastrophic(rows):
     # minimal_kernel spans the whole polynomial kernel, so its basis is
-    # basic: the encoder has no zero-weight loop through nonzero states
+    # basic: the encoder has no zero-weight loop through nonzero states,
+    # on which table_free_distance would raise
     gen = minimal_kernel(PolyMatrix(rows))
-    enc = _Encoder(gen)
-    assume(enc.nu <= 12)
-    _zero_weight_order(enc)  # raises CatastrophicEncoderError on such a loop
+    assume(gen.constraint_length <= 12)
+    assert table_free_distance(gen) > 0
 
 
-def test_free_distance_detects_catastrophic_encoder():
-    # (1+D, 1+D) has a zero-weight loop in the nonzero state
-    with pytest.raises(CatastrophicEncoderError):
-        free_distance(PolyMatrix([[0b11, 0b11]]))
+def test_free_distance_of_a_catastrophic_encoder_is_that_of_its_code():
+    # (1+D, 1+D) has a zero-weight loop in the nonzero state, but spans the
+    # code of (1, 1)
+    assert free_distance(PolyMatrix([[0b11, 0b11]])) == free_distance(PolyMatrix([[1, 1]])) == 2
 
 
 @pytest.mark.parametrize("rows", [
     [[0, 0]],
     [[1, 1], [1, 1]],
     [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
-    # dependent rows that also give zero-weight cycles: the rank check comes first
+    # dependent rows whose encoders also have zero-weight cycles
     [[0b1, 0b10], [0b10, 0b100]],
     [[0b11, 0b101], [0b11, 0b101]],
 ])
 def test_free_distance_rejects_dependent_generator_rows(rows):
     # each generator has a nonzero input that encodes to the zero word
-    with pytest.raises(ValueError, match=r"dependent over GF\(2\)\(D\)") as info:
+    with pytest.raises(ValueError, match=r"dependent over GF\(2\)\(D\)"):
         free_distance(PolyMatrix(rows))
-    assert not isinstance(info.value, CatastrophicEncoderError)
 
 
 def test_free_distance_rejects_an_empty_generator():
@@ -200,15 +214,17 @@ def test_free_distance_matches_table_search_and_enumeration(G):
     try:
         expected = table_free_distance(G)
     except CatastrophicEncoderError:
-        # dependent rows are named before a zero-weight cycle: for b <= 2 they
-        # are dependent when every 2x2 minor (or the one row) is zero
+        # for b <= 2 the rows are dependent when every 2x2 minor (or the one
+        # row) is zero; otherwise G spans a code with a non-catastrophic basis
         g = G.bits()
         dependent = (not any(g[0]) if G.rows == 1 else
                      all(clmul(g[0][i], g[1][j]) == clmul(g[0][j], g[1][i])
                          for i, j in combinations(range(G.cols), 2)))
-        with pytest.raises(ValueError if dependent else CatastrophicEncoderError,
-                           match="dependent" if dependent else None):
-            free_distance(G)
+        if dependent:
+            with pytest.raises(ValueError, match="dependent"):
+                free_distance(G)
+        else:
+            assert free_distance(G) == table_free_distance(noncatastrophic_basis(G))
         return
     # input degree 6 (b = 2) or 12 (b = 1) reached the lightest path in 3,000 checked draws
     assert enumeration_free_distance(G, deg_limit=14 // G.rows - 1) == expected
@@ -217,6 +233,26 @@ def test_free_distance_matches_table_search_and_enumeration(G):
             free_distance(G)
     else:
         assert free_distance(G) == expected
+
+
+@st.composite
+def transformed_generators(draw):
+    # T of full rank over GF(2)(D) maps G's rows onto another basis of its code
+    G = draw(small_generators())
+    assume(rank_over_rational_field(G) == G.rows)
+    T = PolyMatrix(draw(st.lists(st.lists(st.integers(0, 7), min_size=G.rows, max_size=G.rows),
+                                 min_size=G.rows, max_size=G.rows)))
+    assume(rank_over_rational_field(T) == T.rows)
+    return T, G
+
+
+@settings(max_examples=60, deadline=None)
+@given(transformed_generators())
+@example((PolyMatrix([[0b11]]), PolyMatrix([[0b101, 0b111]])))
+def test_free_distance_is_the_same_for_every_generator_of_a_code(pair):
+    # T G spans G's code, and is catastrophic whenever det T is not a power of D
+    T, G = pair
+    assert free_distance(T @ G) == free_distance(G)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +332,12 @@ def test_zt_distance_dominates_free_distance_random():
     for _ in range(8):
         row = [rng.randrange(1, 16) for _ in range(3)]
         code = PolyMatrix([row])
+        d_free = free_distance(code)
         try:
-            d_free = free_distance(code)
+            assert d_free == table_free_distance(code)
         except CatastrophicEncoderError:
-            continue
+            assert d_free == table_free_distance(noncatastrophic_basis(code))
+        # every zero-tail codeword is a finite-weight codeword of the code
         for l in (1, 3):
             assert min_distance(zt_block_code(code, l)).value >= d_free
 
