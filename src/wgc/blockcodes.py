@@ -1,4 +1,9 @@
-"""Linear block codes, graph codes, and woven graph codes with block constituents."""
+"""Linear block codes, graph codes, and woven graph codes with block constituents.
+
+The minimum distance searches systematic generators that ``gf2._eliminate``
+builds, and the product bound on a woven block code is certified for every
+graph, block assignment and number of parts.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .gf2 import BinaryMatrix, nullspace_basis, rank
+from .gf2 import BinaryMatrix, _eliminate, nullspace_basis, rank
 from .hypergraphs import Hypergraph, sd_girth
 
 if TYPE_CHECKING:
@@ -23,17 +28,11 @@ class LinearBlockCode:
         self.n = H.cols
         self.k = H.cols - rank(H)
 
-    def generator_matrix(self) -> BinaryMatrix:
-        return nullspace_basis(self.H)
-
     @property
     def rate(self) -> Fraction:
         from fractions import Fraction  # only reports need it, so the import waits
 
         return Fraction(self.k, self.n)
-
-    def syndrome(self, word: int) -> int:
-        return self.H.mul_vec(word)
 
     def __repr__(self) -> str:
         return f"LinearBlockCode(n={self.n}, k={self.k})"
@@ -72,26 +71,15 @@ def _information_sets(gen: BinaryMatrix) -> list[tuple[list[int], int]]:
     columns, the other rows are zero on every column it could pivot on.  The
     list stops at the first generator of rank below k, left out if it is 0.
     """
-    rows, used, sets = list(gen.data), 0, []
+    used, sets = 0, []
     while True:
-        r = 0
-        for col in range(gen.cols):
-            bit = 1 << col
-            if used & bit:
-                continue
-            piv = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            for i in range(len(rows)):
-                if i != r and rows[i] & bit:
-                    rows[i] ^= rows[r]
-            used |= bit
-            r += 1
-        if r:
-            sets.append((rows[:], r))
-        if r < len(rows):
+        rows, pivots = _eliminate(gen, used)
+        if pivots:
+            sets.append((rows, len(pivots)))
+        if len(pivots) < len(rows):
             return sets
+        gen = BinaryMatrix(rows, gen.cols)
+        used |= sum(1 << col for col in pivots)
 
 
 def _lightest_combination(rows: list[int], w: int) -> int:
@@ -134,7 +122,7 @@ def min_distance(code: LinearBlockCode, *, full_enum_limit: int = 26) -> Distanc
     if full_enum_limit < 0:
         raise ValueError(f"full_enum_limit must be >= 0, got {full_enum_limit}")
     k, budget, scored = code.k, 1 << full_enum_limit, 0
-    sets = _information_sets(code.generator_matrix())
+    sets = _information_sets(nullspace_basis(code.H))
     done = [0] * len(sets)  # rounds each generator has finished
     best = min(row.bit_count() for row in sets[0][0])
 
@@ -257,33 +245,28 @@ def build_woven_block(g: Hypergraph, constituent: LinearBlockCode,
 
 
 def product_distance_bound(g: Hypergraph, constituent: LinearBlockCode,
-                           structure: BlockStructure,
-                           depth: int | None = None) -> int:
-    """Product-type estimate max(ceil(g_sd / c), s) * d_min of the constituent.
+                           structure: BlockStructure) -> int:
+    """Certified lower bound ceil(g_sd / c) * d_c on the woven block code's distance.
 
-    ``g_sd`` is the compact-subgraph girth at ``depth``, which defaults to
-    the constituent block distance.  The edge-count ratio is taken as a
-    ceiling since edge counts are integers.
-
-    When the measured block distance is below 2 the compact-subgraph
-    argument has no bite; following the reference usage, the depth then
-    falls back to the constituent minimum distance.  In that regime the
-    value describes the intended construction but is not certified for
-    every block assignment (routings that align two singular blocks on one
-    edge can go lower), so compare against a measured distance.
+    The nonzero sub-blocks of a nonzero codeword mark its active edges, and
+    every vertex they touch carries a nonzero constituent word, so it meets
+    at least d_block of them (the constituent block distance).  With
+    d_block >= 2 each component of the active edges is a compact subgraph of
+    depth d_block, with at least g_sd = sd_girth(g, d_block) edges.  Every
+    edge has one vertex in each part and a vertex has c edges, so each part
+    holds at least ceil(g_sd / c) active vertices, each of weight at least
+    d_c, the certified floor of the constituent minimum distance.  Below
+    d_block 2 only the one active vertex is certain, and the bound is d_c.
     """
     structure.check(constituent.n)
-    if depth is None:
-        depth = block_distance(constituent, structure)
-        if depth < 2:
-            depth = min_distance(constituent).value
-    if depth < 2:
-        raise ValueError("need compactness depth at least 2")
-    g_sd = sd_girth(g, depth)
-    if g_sd is None:
-        raise ValueError(f"no compact subgraph of depth {depth}")
-    d_c = min_distance(constituent).value
-    return max(-(-g_sd // g.c), g.s) * d_c
+    if structure.c != g.c:
+        raise ValueError(f"constituent has {structure.c} column blocks, graph degree is {g.c}")
+    d_c = min_distance(constituent).floor
+    d_block = block_distance(constituent, structure)
+    if d_block < 2:
+        return d_c
+    # d_block <= c, so every component of g is compact and sd_girth finds one
+    return -(-sd_girth(g, d_block) // g.c) * d_c
 
 
 def rate_bound(g: Hypergraph, rc: Fraction) -> Fraction:

@@ -182,14 +182,7 @@ class BinaryMatrix:
             raise ValueError(f"expected {n} columns, got {mat.cols}")
         return mat
 
-    @classmethod
-    def identity(cls, n: int) -> "BinaryMatrix":
-        return cls((1 << i for i in range(n)), n)
-
     # -- basic queries -----------------------------------------------------
-
-    def row_weights(self) -> list[int]:
-        return [r.bit_count() for r in self.data]
 
     def transpose(self) -> "BinaryMatrix":
         out = [0] * self.cols
@@ -206,38 +199,6 @@ class BinaryMatrix:
         for i, r in enumerate(self.data):
             out |= ((r & v).bit_count() & 1) << i
         return out
-
-    def permuted(self, row_perm: Sequence[int] | None = None,
-                 col_perm: Sequence[int] | None = None) -> "BinaryMatrix":
-        """Reorder rows/columns; col_perm[j] is the new position of column j."""
-        rows = list(self.data)
-        if col_perm is not None:
-            moved = []
-            for r in rows:
-                nr = 0
-                for j in range(self.cols):
-                    if (r >> j) & 1:
-                        nr |= 1 << col_perm[j]
-                moved.append(nr)
-            rows = moved
-        if row_perm is not None:
-            out = [0] * self.rows
-            for i, r in enumerate(rows):
-                out[row_perm[i]] = r
-            rows = out
-        return BinaryMatrix(rows, self.cols)
-
-    def __matmul__(self, other: "BinaryMatrix") -> "BinaryMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = other.transpose()
-        out = []
-        for r in self.data:
-            bits = 0
-            for j, c in enumerate(ot.data):
-                bits |= ((r & c).bit_count() & 1) << j
-            out.append(bits)
-        return BinaryMatrix(out, other.cols)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, BinaryMatrix)
@@ -256,21 +217,27 @@ class BinaryMatrix:
         return "\n".join([f"{self.rows} {self.cols}"] + self.to_strings()) + "\n"
 
 
-def _eliminate(m: BinaryMatrix) -> tuple[list[int], list[int]]:
-    """Gauss-Jordan elimination: the nonzero RREF rows and their pivot columns."""
+def _eliminate(m: BinaryMatrix, skip: int = 0) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan elimination on the columns outside the bit mask ``skip``.
+
+    Returns every row, the RREF pivot rows first, and the pivot columns.
+    """
     work = list(m.data)
     pivots: list[int] = []
     for col in range(m.cols):
+        bit = 1 << col
+        if skip & bit:
+            continue
         r = len(pivots)
-        piv = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
+        piv = next((i for i in range(r, len(work)) if work[i] & bit), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
         for i in range(len(work)):
-            if i != r and (work[i] >> col) & 1:
+            if i != r and work[i] & bit:
                 work[i] ^= work[r]
         pivots.append(col)
-    return work[:len(pivots)], pivots
+    return work, pivots
 
 
 def rank(m: BinaryMatrix) -> int:

@@ -189,33 +189,32 @@ def generator_report(code: WovenConvCode) -> GeneratorReport:
 # distance bounds
 
 
-def distance_bounds(g: Hypergraph, hc: PolyMatrix, graph_girth: int | None = None
-                    ) -> tuple[int, int | None]:
+def distance_bounds(g: Hypergraph, hc: PolyMatrix) -> tuple[int, int | None]:
     """(product, improved) lower bounds on the free distance of the woven codes of g and hc.
 
     Bipartite product bound: girth/2 times the constituent free distance,
     since the active constituents of a codeword hold a cycle, which has at
     least girth/2 vertices on each side: one where parallel edges give girth 2.
+    Below constituent block distance 2 an active constituent need not close a
+    cycle, and the product bound is the constituent free distance alone.
     The improved bound splits codewords by constituent support: fully
     block-weight-2 words live in the rate-1/2 subcodes and activate at least
     girth/2 constituents; anything else activates one more constituent at
     full free distance.  The improved bound is None unless the
     constituent has block distance 2, c = 3 and one check row.  The check
-    permutation plays no part, and ``graph_girth`` is girth(g) when the
-    caller has it already.  A check row whose width is not the graph degree
-    is a ValueError first; both bounds are derived for bipartite graphs
-    only, so any other s is a ``StructureError``.
+    permutation plays no part.  A check row whose width is not the graph
+    degree is a ValueError first; both bounds are derived for bipartite
+    graphs only, so any other s is a ``StructureError``.
     """
     if hc.cols != g.c:
         raise ValueError(f"check row has {hc.cols} columns, graph degree is {g.c}")
     if g.s != 2:
         raise StructureError(f"distance bounds are derived for bipartite graphs, got s={g.s}")
+    d_free_c = free_distance(minimal_kernel(hc))
     d_block = block_distance_conv(hc)
     if d_block < 2:
-        raise ValueError("constituent block distance must be at least 2")
-    d_free_c = free_distance(minimal_kernel(hc))
-    if graph_girth is None:
-        graph_girth = girth(g)
+        return d_free_c, None
+    graph_girth = girth(g)
     if graph_girth is None:
         raise StructureError("acyclic graph has no product bound")
     active = graph_girth // 2

@@ -170,7 +170,7 @@ def zt_block_code(gen: PolyMatrix, l: int, tail: int = 0) -> LinearBlockCode:
     tail = max(gen.memory, tail)
     n = (l + tail) * gen.cols
     if l == 0:
-        return LinearBlockCode(BinaryMatrix.identity(n))
+        return LinearBlockCode(BinaryMatrix([1 << i for i in range(n)], n))
     # every degree is at most tail, so the first l levels never wrap
     rows = tailbite(gen, l + tail).data[:l * gen.rows]
     return LinearBlockCode(nullspace_basis(BinaryMatrix(rows, n)))

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wgc.blockcodes import (
@@ -21,7 +21,7 @@ from wgc.blockcodes import (
     product_distance_bound,
     rate_bound,
 )
-from wgc.gf2 import BinaryMatrix
+from wgc.gf2 import BinaryMatrix, rank
 from wgc.hypergraphs import build_heawood, build_three_partite, build_utility, random_regular
 from conftest import (WOVEN_BLOCK_CONSTITUENT_ROWS, dense_min_weight, girth_distance_check,
                       gray_block_distance, oracle_block_parity)
@@ -55,7 +55,7 @@ def test_three_partite_code_shape_and_distance(three_partite_incidence):
 
 def test_min_distance_rejects_zero_dimension():
     with pytest.raises(ValueError):
-        min_distance(LinearBlockCode(BinaryMatrix.identity(4)))
+        min_distance(LinearBlockCode(BinaryMatrix([1, 2, 4, 8], 4)))
 
 
 def test_min_distance_matches_dense_oracle_small_codes(utility_incidence):
@@ -128,7 +128,7 @@ def test_min_distance_floor_dependency_is_exact_on_wide_woven_block():
     assert 0 not in cols and 0 not in pairs and not any(col in pairs for col in cols)
     quad = next(p + q for group in pairs.values() for p, q in combinations(group, 2))
     assert len(set(quad)) == 4
-    assert wb.code.syndrome(sum(1 << j for j in quad)) == 0
+    assert wb.code.H.mul_vec(sum(1 << j for j in quad)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +344,10 @@ def test_girth_distance_check_reference_cases():
 
 
 def test_product_distance_bound_utility_woven():
-    # block distance 1 trips the fallback depth (constituent minimum
-    # distance 3); the compact subgraph at depth 3 is all of the graph
+    # block distance 1: one active vertex is all that is certain, so the
+    # bound is the constituent minimum distance 3
     bound = product_distance_bound(build_utility(), constituent_code(), BlockStructure(4, 3))
-    assert bound == 9
+    assert bound == 3
     wb = build_woven_block(build_utility(), constituent_code(), BlockStructure(4, 3),
                            best_assignment())
     assert bound <= min_distance(wb.code).value == 10
@@ -370,7 +370,7 @@ def test_product_distance_bound_depth_two_cases():
     assert block_distance(cst, bs) == 2
 
     bound_heawood = product_distance_bound(build_heawood(), cst, bs)
-    assert bound_heawood == max(6 // 3, 2) * 3 == 6
+    assert bound_heawood == 6 // 3 * 3 == 6
     est = min_distance(build_woven_block(build_heawood(), cst, bs).code)
     assert bound_heawood <= est.value
 
@@ -380,10 +380,41 @@ def test_product_distance_bound_depth_two_cases():
     assert exact.exact and bound_utility <= exact.value
 
 
-def test_product_distance_bound_explicit_depth_arithmetic():
-    # fixing the depth reproduces the plain ratio arithmetic on any graph
-    cst = LinearBlockCode(BinaryMatrix.from_strings(FULL_RANK_CONSTITUENT_ROWS))
-    assert product_distance_bound(build_heawood(), cst, BlockStructure(4, 3), depth=2) == 6
+def test_product_distance_bound_rejects_a_constituent_of_another_degree():
+    spc4 = LinearBlockCode(BinaryMatrix([0b1111], 4))
+    with pytest.raises(ValueError, match="4 column blocks, graph degree is 3"):
+        product_distance_bound(build_utility(), spc4, BlockStructure(1, 4))
+
+
+@st.composite
+def woven_block_cases(draw):
+    """A random_regular graph of at most 16 edges and a constituent check matrix.
+
+    Half the cases take the single-parity-check constituent at l = 1, the
+    others a random full-rank check matrix of r < 2c rows at l = 2.
+    """
+    s, c = draw(st.sampled_from([2, 3])), draw(st.sampled_from([3, 4]))
+    graph = (s, c, draw(st.integers(1, 16 // c)), draw(st.integers(0, 1000)))
+    if draw(st.booleans()):
+        return graph, BinaryMatrix([(1 << c) - 1], c), 1
+    r = draw(st.integers(1, 2 * c - 1))
+    hc = BinaryMatrix(draw(st.lists(st.integers(1, (1 << 2 * c) - 1), min_size=r, max_size=r)),
+                      2 * c)
+    assume(rank(hc) == r)
+    return graph, hc, 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(woven_block_cases())
+@example(((2, 4, 5, 1), BinaryMatrix([0b1111], 4), 1))  # girth 2: a weight-2 word, bound 2
+def test_product_distance_bound_never_exceeds_the_exact_distance(case):
+    (s, c, n, seed), hc, l = case
+    g, constituent, bs = random_regular(s, c, n, seed), LinearBlockCode(hc), BlockStructure(l, c)
+    code = build_woven_block(g, constituent, bs).code
+    assume(code.k > 0)
+    est = min_distance(code)
+    assert est.exact
+    assert product_distance_bound(g, constituent, bs) <= est.value
 
 
 def test_rate_bound_values():

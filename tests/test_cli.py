@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wgc import cli, woven
+from wgc import blockcodes, cli, woven
 from wgc.hypergraphs import build_heawood, build_utility, random_regular
 from conftest import WOVEN_BLOCK_CONSTITUENT_ROWS, relabel_right
 
@@ -249,15 +249,42 @@ def test_blockdist_rejects_a_block_length_that_does_not_tile(tmp_path, capsys, l
     (None, "4", "True"),                  # identity routing: a weight-4 codeword
     ("1,2,0;0,1,2;2,0,1", "10", "False"),
 ])
-def test_woven_block_flags_a_bound_above_the_measured_distance(capsys, assign, d_min,
-                                                                contradicted):
-    argv = ["woven-block", "--graph", "builtin:utility", "--hc-inline", BLOCK_HC, "--l", "4"]
-    assert cli.main(argv + (["--assign", assign] if assign else [])) == 0
-    keys, values = zip(*(line.split("=", 1) for line in capsys.readouterr().out.splitlines()))
-    fields = dict(zip(keys, values))
-    assert (fields["d_min"], fields["d_exact"], fields["bound"]) == (d_min, "True", "9")
-    assert fields["bound_contradicted"] == contradicted
-    assert keys.index("bound_contradicted") == keys.index("bound") + 1
+def test_woven_block_flags_a_bound_above_the_measured_distance(monkeypatch, capsys, assign,
+                                                                d_min, contradicted):
+    # block distance 1 certifies the constituent distance 3 on both routings;
+    # a bound of 5, between the two distances, is contradicted by the first
+    argv = ["woven-block", "--graph", "builtin:utility", "--hc-inline", BLOCK_HC, "--l", "4",
+            *(["--assign", assign] if assign else [])]
+
+    def report() -> tuple[str, ...]:
+        assert cli.main(argv) == 0
+        keys, values = zip(*(line.split("=", 1) for line in capsys.readouterr().out.splitlines()))
+        assert keys.index("bound_contradicted") == keys.index("bound") + 1
+        fields = dict(zip(keys, values))
+        return tuple(fields[k] for k in ("d_min", "d_exact", "bound", "bound_contradicted"))
+
+    assert report() == (d_min, "True", "3", "False")
+    monkeypatch.setattr(blockcodes, "product_distance_bound", lambda *args: 5)
+    assert report() == (d_min, "True", "5", contradicted)
+
+
+@pytest.mark.parametrize("argv, out", [
+    # block distance 1: one active constituent, so the bound is its distance 1
+    (["woven-block", "--graph", "builtin:utility", "--hc-inline", "1,0,0", "--l", "1"],
+     "bound=1\nbound_contradicted=False\n"),
+    (["woven", "bounds", "--graph", "builtin:utility", "--hc-inline", "1,0,0"],
+     "product_bound=1\nimproved_bound=n/a\n"),
+    (["woven", "sweep", "--graph", "builtin:utility", "--hc-inline", "1,0,0"],
+     "\n1-2-3,0,0,6,1,n/a,1,"),
+    # girth 2: two parallel edges carry a weight-2 word of the single parity check
+    (["woven-block", "--graph", "{degree4}", "--hc-inline", "1,1,1,1", "--l", "1"],
+     "bound=2\nbound_contradicted=False\n"),
+])
+def test_bounds_hold_below_block_distance_two_and_at_girth_two(tmp_path, capsys, argv, out):
+    graph = tmp_path / "degree4.txt"
+    graph.write_text(random_regular(2, 4, 5, 1).to_text())
+    assert cli.main([arg.format(degree4=graph) for arg in argv]) == 0
+    assert out in capsys.readouterr().out
 
 
 def test_woven_encode_prints_encode_stream_bits(tmp_path, capsys):

@@ -44,7 +44,7 @@ from conftest import (
 
 
 def test_rank_identity():
-    assert rank(BinaryMatrix.identity(3)) == 3
+    assert rank(BinaryMatrix([1, 2, 4], 3)) == 3
 
 
 def test_rank_heawood_incidence(heawood_incidence):
@@ -70,7 +70,7 @@ def test_rank_equals_transpose_rank_randomized():
 
 
 def test_nullspace_identity_empty():
-    basis = nullspace_basis(BinaryMatrix.identity(3))
+    basis = nullspace_basis(BinaryMatrix([1, 2, 4], 3))
     assert basis.rows == 0
 
 
@@ -382,7 +382,8 @@ def test_canonical_form_invariant_under_permutations():
         cp = list(range(base.cols))
         rng.shuffle(rp)
         rng.shuffle(cp)
-        shuffled = base.permuted(rp, cp)
+        shuffled = BinaryMatrix([sum(1 << cp[j] for j in range(base.cols) if base.data[i] >> j & 1)
+                                 for i in rp], base.cols)
         assert permutation_equivalent(shuffled, base)
 
 

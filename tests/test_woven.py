@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from wgc import cli, woven
 from wgc.blockcodes import BlockStructure, DistanceEstimate, build_graph_code
-from wgc.convcodes import lightest_codeword
+from wgc.convcodes import block_distance_conv, lightest_codeword
 from wgc.gf2 import (
     BinaryMatrix,
     BinaryPoly,
@@ -316,14 +316,20 @@ def test_generator_rows_stay_codewords_after_wrapping(best_code):
 
 def test_distance_bounds_reference(constituent_check):
     assert distance_bounds(build_heawood(), constituent_check) == (18, 24)
-    # a girth passed in is the one used: 4 active constituents, and the
-    # improved bound is min(4 * 8, 5 * 6)
-    assert distance_bounds(build_heawood(), constituent_check, 8) == (24, 30)
 
 
 def test_distance_bounds_utility_variant(constituent_check):
     product, _ = distance_bounds(build_utility(), constituent_check)
     assert product == (4 // 2) * 6 == 12
+
+
+def test_block_distance_one_bounds_are_one_active_constituent():
+    # check row 1,0,0 leaves two columns unchecked: a weight-1 word activates
+    # one constituent on each side without closing a cycle
+    g, hc = build_utility(), PolyMatrix([[1, 0, 0]])
+    assert block_distance_conv(hc) == 1
+    assert distance_bounds(g, hc) == (1, None)
+    assert witness_search(build_woven_conv(g, hc)).weight == 1
 
 
 def test_girth_two_bounds_are_one_active_constituent():
