@@ -182,8 +182,8 @@ def route_checks(g: Hypergraph, checks: Sequence[Sequence], order: Assignment) -
     the vertex's k-th incident edge (edges in label order) gets block
     ``order[p][v][k]``.  A row has one entry per edge, the zero of the entry
     type off the vertex's edges.  Entries pass through untouched: packed
-    l-bit ints for a binary constituent, ``BinaryPoly`` for a convolutional
-    one.
+    l-bit ints for a binary constituent, GF(2)[D] polynomials (ints) for a
+    convolutional one.
     """
     rows = []
     for p in range(g.s):

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 # each command imports the modules it uses, so a run loads only those
 if TYPE_CHECKING:
     from . import blockcodes, hypergraphs, woven
-    from .gf2 import BinaryMatrix, BinaryPoly, PolyMatrix
+    from .gf2 import BinaryMatrix, PolyMatrix
 
 
 class CliError(RuntimeError):
@@ -21,7 +21,7 @@ class CliError(RuntimeError):
 # input parsing
 
 
-def parse_poly_token(tok: str) -> BinaryPoly:
+def parse_poly_token(tok: str) -> int:
     """Coefficient string ("11001") or octal shorthand ("o32", lowest digits first).
 
     Octal digit k contributes coefficients of D^(3k)..D^(3k+2); the digit
@@ -36,7 +36,7 @@ def parse_poly_token(tok: str) -> BinaryPoly:
         bits = 0
         for k, ch in enumerate(digits):
             bits |= int(ch, 8) << (3 * k)
-        return BinaryPoly(bits)
+        return bits
     try:
         return BinaryPoly.parse(tok)
     except ValueError as exc:
@@ -252,6 +252,7 @@ def cmd_woven_bounds(args) -> int:
 
 def cmd_woven_witness(args) -> int:
     from . import woven
+    from .gf2 import BinaryPoly
     code = _woven_code(args)
     res = woven.witness_search(code)
     orbit = woven.orbit_multiplicity(code, res.word)
@@ -261,7 +262,7 @@ def cmd_woven_witness(args) -> int:
     print(f"nodes_expanded={res.nodes_expanded}")
     print(f"orbit={_or_na(orbit)}")
     if args.show_word:
-        print("word=" + ",".join(p.to_string() for p in res.word))
+        print("word=" + ",".join(map(BinaryPoly.to_string, res.word)))
     return 0
 
 

@@ -12,8 +12,8 @@ import heapq
 from itertools import combinations
 
 from .gf2 import (
-    BinaryPoly,
     PolyMatrix,
+    _divmod,
     minimal_kernel,
     nullspace_basis,
     poly_gcd,
@@ -50,7 +50,7 @@ class _Encoder:
     def __init__(self, G: PolyMatrix):
         self.G = G
         b = G.rows
-        grid = G.bits()
+        grid = G.entries
         degs = [max((p.bit_length() - 1 for p in row if p), default=0) for row in grid]
         self.nu = sum(degs)
         offs = [sum(degs[:i]) for i in range(b)]
@@ -77,7 +77,7 @@ class _Encoder:
         base, out = (s << 1) & self._keep, self._out(s)
         return [(u, base | lift, (out ^ e).bit_count()) for u, lift, e in self._inputs]
 
-    def encode(self, inputs: list[int]) -> tuple[BinaryPoly, ...]:
+    def encode(self, inputs: list[int]) -> tuple[int, ...]:
         """Zero-tail codeword u(D) G(D) of a finite input path, one input per step."""
         u = [sum((x >> k & 1) << t for t, x in enumerate(inputs))
              for k in reversed(range(self.G.rows))]
@@ -117,7 +117,7 @@ def _lightest_paths(enc: _Encoder, *, cap: int = _INF, max_nodes: int = _INF):
 
 
 def lightest_codeword(G: PolyMatrix, cap: int, max_nodes: int
-                      ) -> tuple[int, tuple[BinaryPoly, ...], int] | None:
+                      ) -> tuple[int, tuple[int, ...], int] | None:
     """Lightest nonzero codeword below ``cap``, by one forward search.
 
     Every prefix of a codeword path lighter than ``cap`` is lighter too, so
@@ -199,10 +199,10 @@ def rate_half_subcodes(h: PolyMatrix) -> list[PolyMatrix]:
     hp = h.entries[0]
     out = []
     for i, j in combinations(range(3), 2):
-        g = poly_gcd(hp[i], hp[j]) or BinaryPoly(1)
-        row = [BinaryPoly(0)] * 3
-        row[i] = hp[j] // g
-        row[j] = hp[i] // g
+        g = poly_gcd(hp[i], hp[j]) or 1
+        row = [0] * 3
+        row[i] = _divmod(hp[j], g)[0]
+        row[j] = _divmod(hp[i], g)[0]
         out.append(PolyMatrix([row]))
     return out
 

@@ -1,13 +1,12 @@
 """Bit-packed linear algebra over GF(2), GF(2)[D], and the rational field GF(2)(D).
 
-Polynomials are kept as plain ints (bit i = coefficient of D^i); matrices
-store one int per row (bit j = column j).  Everything is immutable after
-construction and pickles through its constructor.
+Polynomials are kept as plain ints (bit i = coefficient of D^i); a binary
+matrix stores one int per row (bit j = column j), a polynomial matrix one
+tuple of polynomials per row.  Everything is immutable after construction.
 """
 
 from __future__ import annotations
 
-from functools import total_ordering
 from typing import Iterable, Iterator, Sequence
 
 
@@ -41,91 +40,28 @@ def _divmod(a: int, b: int) -> tuple[int, int]:
     return q, a
 
 
-def _gcd(a: int, b: int) -> int:
+def poly_gcd(a: int, b: int) -> int:
+    """Greatest common divisor of two GF(2)[D] polynomials packed into ints."""
     while b:
         a, b = b, _divmod(a, b)[1]
     return a
 
 
-@total_ordering
 class BinaryPoly:
-    """Immutable polynomial over GF(2), coefficient of D^i stored in bit i of ``bits``."""
+    """Text codec of a GF(2)[D] polynomial, which is an int (bit i = coefficient of D^i)."""
 
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: int = 0):
-        if bits < 0:
-            raise ValueError("coefficient payload must be nonnegative")
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryPoly is immutable")
-
-    def __reduce__(self):
-        return BinaryPoly, (self.bits,)
-
-    def __eq__(self, other: object) -> bool:
-        return self.bits == other.bits if isinstance(other, BinaryPoly) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.bits,))
-
-    def __lt__(self, other: "BinaryPoly") -> bool:
-        return self.bits < other.bits if isinstance(other, BinaryPoly) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"BinaryPoly(bits={self.bits!r})"
-
-    @classmethod
-    def parse(cls, text: str) -> "BinaryPoly":
+    @staticmethod
+    def parse(text: str) -> int:
         """Parse a 0/1 coefficient string, lowest degree first ("11001" = 1+D+D^4)."""
         text = text.strip()
         if not text or set(text) - {"0", "1"}:
             raise ValueError(f"not a coefficient string: {text!r}")
-        return cls(int(text[::-1], 2))
+        return int(text[::-1], 2)
 
-    @property
-    def degree(self) -> int | None:
-        """Degree, or None for the zero polynomial."""
-        return None if self.bits == 0 else _deg(self.bits)
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __add__(self, other: "BinaryPoly") -> "BinaryPoly":
-        return BinaryPoly(self.bits ^ other.bits)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "BinaryPoly") -> "BinaryPoly":
-        return BinaryPoly(clmul(self.bits, other.bits))
-
-    def __divmod__(self, other: "BinaryPoly") -> tuple["BinaryPoly", "BinaryPoly"]:
-        q, r = _divmod(self.bits, other.bits)
-        return BinaryPoly(q), BinaryPoly(r)
-
-    def __floordiv__(self, other: "BinaryPoly") -> "BinaryPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "BinaryPoly") -> "BinaryPoly":
-        return divmod(self, other)[1]
-
-    def to_string(self) -> str:
+    @staticmethod
+    def to_string(p: int) -> str:
         """Coefficient string, lowest degree first; "0" for the zero polynomial."""
-        if self.bits == 0:
-            return "0"
-        return format(self.bits, "b")[::-1]
-
-    def __str__(self) -> str:
-        return self.to_string()
-
-
-def poly_gcd(a: BinaryPoly, b: BinaryPoly) -> BinaryPoly:
-    return BinaryPoly(_gcd(a.bits, b.bits))
+        return format(p, "b")[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +85,6 @@ class BinaryMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryMatrix is immutable")
-
-    def __reduce__(self):
-        return BinaryMatrix, (self.data, self.cols)
 
     # -- constructors ------------------------------------------------------
 
@@ -365,7 +298,7 @@ def _isomorphisms(adj_a: Sequence[Sequence[int]], adj_b: Sequence[Sequence[int]]
 
 def _entries(m: BinaryMatrix | PolyMatrix) -> list[tuple[int, int, int]]:
     """The nonzero entries of a matrix as (value, row, column), in order of value."""
-    grid = m.bits() if isinstance(m, PolyMatrix) else [
+    grid = m.entries if isinstance(m, PolyMatrix) else [
         [r >> j & 1 for j in range(m.cols)] for r in m.data]
     return sorted((v, i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v)
 
@@ -403,27 +336,24 @@ def permutation_equivalent(a: BinaryMatrix | PolyMatrix, b: BinaryMatrix | PolyM
 
 
 class PolyMatrix:
-    """Immutable matrix over GF(2)[D], entries stored as BinaryPoly; ``cols`` sizes a 0-row one."""
+    """Immutable matrix over GF(2)[D], entries stored as ints; ``cols`` sizes a 0-row one."""
 
     __slots__ = ("entries", "rows", "cols")
 
-    def __init__(self, entries: Iterable[Iterable[BinaryPoly | int]], cols: int | None = None):
-        grid = tuple(
-            tuple(e if isinstance(e, BinaryPoly) else BinaryPoly(e) for e in row)
-            for row in entries
-        )
+    def __init__(self, entries: Iterable[Iterable[int]], cols: int | None = None):
+        grid = tuple(map(tuple, entries))
         width = cols if cols is not None else len(grid[0]) if grid else 0
         if any(len(r) != width for r in grid):
             raise ValueError("ragged polynomial matrix")
+        # a negative int has no polynomial, and would never leave clmul's loop
+        if not all(isinstance(p, int) and p >= 0 for row in grid for p in row):
+            raise ValueError("polynomial entries must be nonnegative ints")
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", width)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
-
-    def __reduce__(self):
-        return PolyMatrix, (self.entries, self.cols)
 
     @classmethod
     def from_text(cls, text: str) -> "PolyMatrix":
@@ -440,24 +370,17 @@ class PolyMatrix:
     def to_text(self) -> str:
         out = [f"{self.rows} {self.cols}"]
         for row in self.entries:
-            out.extend(p.to_string() for p in row)
+            out.extend(map(BinaryPoly.to_string, row))
         return "\n".join(out) + "\n"
-
-    def bits(self) -> list[list[int]]:
-        return [[p.bits for p in row] for row in self.entries]
 
     @property
     def memory(self) -> int:
         """Largest entry degree (0 for an all-zero matrix)."""
-        degs = [p.degree for row in self.entries for p in row if p]
-        return max(degs) if degs else 0
+        return max((p.bit_length() - 1 for row in self.entries for p in row if p), default=0)
 
     def row_degrees(self) -> list[int | None]:
-        out = []
-        for row in self.entries:
-            degs = [p.degree for p in row if p]
-            out.append(max(degs) if degs else None)
-        return out
+        """Largest entry degree of each row, None for a zero row."""
+        return [max(map(int.bit_length, row)) - 1 if any(row) else None for row in self.entries]
 
     @property
     def constraint_length(self) -> int:
@@ -476,9 +399,9 @@ class PolyMatrix:
         """
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        support = [[(j, q) for j, q in enumerate(row) if q] for row in other.bits()]
+        support = [[(j, q) for j, q in enumerate(row) if q] for row in other.entries]
         out = []
-        for row in self.bits():
+        for row in self.entries:
             acc = [0] * other.cols
             for p, terms in zip(row, support):
                 if p:
@@ -495,7 +418,7 @@ class PolyMatrix:
         if self.memory != 0:
             raise ValueError("matrix has entries of positive degree")
         return BinaryMatrix(
-            (sum(((row[j].bits & 1) << j) for j in range(self.cols)) for row in self.entries),
+            (sum(((row[j] & 1) << j) for j in range(self.cols)) for row in self.entries),
             self.cols,
         )
 
@@ -523,7 +446,7 @@ def tailbite(m: PolyMatrix, length: int, sign: int = 1) -> BinaryMatrix:
     if length < 1:
         raise ValueError("tailbite length must be at least 1")
     n = m.cols
-    grid = m.bits()
+    grid = m.entries
     out = []
     for s in range(length):
         for row in grid:
@@ -551,7 +474,7 @@ def kernel_basis(h: PolyMatrix) -> PolyMatrix:
     form a basis of the kernel as a GF(2)[D] module.
     """
     m, n = h.rows, h.cols
-    grid = h.bits()
+    grid = h.entries
     work = []
     for i in range(n):
         left = [grid[r][i] for r in range(m)]
@@ -608,7 +531,7 @@ def row_reduce(g: PolyMatrix) -> PolyMatrix:
     rows before it.  A replaced row invalidates only the entries of that row
     and later ones, which are dropped and eliminated again.
     """
-    grid = g.bits()
+    grid = g.entries
     stride = max((p.bit_length() for row in grid for p in row), default=0)
     low = sum(1 << (j * stride) for j in range(g.cols))
     rows = [sum(p << (j * stride) for j, p in enumerate(row)) for row in grid]

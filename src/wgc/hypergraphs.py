@@ -43,9 +43,6 @@ class Hypergraph:
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
 
-    def __reduce__(self):
-        return Hypergraph, (self.s, self.c, self.n, self.edges)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented

@@ -16,7 +16,7 @@ from itertools import accumulate, combinations, permutations
 from typing import NamedTuple
 
 from .blockcodes import Assignment, identity_assignment, route_checks
-from .gf2 import BinaryPoly, PolyMatrix, minimal_kernel, permutation_equivalent
+from .gf2 import PolyMatrix, clmul, minimal_kernel, permutation_equivalent
 from .convcodes import block_distance_conv, free_distance, lightest_codeword, rate_half_subcodes
 from .hypergraphs import Hypergraph, girth
 
@@ -62,7 +62,7 @@ class WovenConvCode:
 
     # t-row polynomials: column slot j of the left blocks carries check j on
     # the left and check perm[j] on the right
-    def t_polys(self) -> list[list[BinaryPoly]]:
+    def t_polys(self) -> list[list[int]]:
         return [[self.hc.entries[i][p - 1] for p in self.perm] for i in range(self.hc.rows)]
 
     def _slot_orders(self) -> Assignment:
@@ -145,12 +145,12 @@ def expanded_generator(code: WovenConvCode) -> PolyMatrix:
     h1, h2, h3 = code.hc.entries[0]
     t1, t2, t3 = code.t_polys()[0]
     _, o2, o3 = offsets
-    terms = [(0, o2, h3 * t2), (0, o3, h2 * t3), (1, 0, h3 * t1),
-             (1, o3, h1 * t3), (2, 0, h2 * t1), (2, o2, h1 * t2)]
+    terms = [(0, o2, clmul(h3, t2)), (0, o3, clmul(h2, t3)), (1, 0, clmul(h3, t1)),
+             (1, o3, clmul(h1, t3)), (2, 0, clmul(h2, t1)), (2, o2, clmul(h1, t2))]
     n = code.n
     row0 = [0] * (3 * n)
     for j, z, product in terms:
-        row0[(o3 - z) % n * 3 + j] ^= product.bits
+        row0[(o3 - z) % n * 3 + j] ^= product
     gen = PolyMatrix([row0[3 * (n - r):] + row0[:3 * (n - r)] for r in range(n)])
     syndrome = gen @ code.H_wg.transpose()
     if not syndrome.is_zero():
@@ -240,16 +240,16 @@ _EXACT_NODES = 200_000
 
 class WitnessResult(NamedTuple):
     weight: int
-    word: tuple[BinaryPoly, ...]
+    word: tuple[int, ...]
     exact: bool
     nodes_expanded: int
     words_enumerated: int
 
 
-def _family_rows(code: WovenConvCode) -> list[list[int]]:
-    rows = minimal_generator(code).bits()
+def _family_rows(code: WovenConvCode) -> list[tuple[int, ...]]:
+    rows = list(minimal_generator(code).entries)
     try:
-        raw = expanded_generator(code).bits()
+        raw = expanded_generator(code).entries
     except StructureError:
         raw = []
     for row in raw:
@@ -259,7 +259,7 @@ def _family_rows(code: WovenConvCode) -> list[list[int]]:
 
 
 def _enumerate(code: WovenConvCode, max_terms: int, max_shift: int
-               ) -> tuple[int, tuple[BinaryPoly, ...], int]:
+               ) -> tuple[int, tuple[int, ...], int]:
     """Lightest combination of D-shifted generator rows: (weight, word, words enumerated).
 
     A combination has at most ``max_terms`` terms, each shifted by at most
@@ -330,7 +330,7 @@ def _enumerate(code: WovenConvCode, max_terms: int, max_shift: int
     if not best_word:
         raise ValueError("no nonzero codeword found; empty generator family")
     mask = (1 << stride) - 1
-    word = tuple(BinaryPoly((best_word >> (j * stride)) & mask) for j in range(ncols))
+    word = tuple((best_word >> (j * stride)) & mask for j in range(ncols))
     return best_w, word, count
 
 
@@ -353,31 +353,30 @@ def witness_search(code: WovenConvCode) -> WitnessResult:
     return WitnessResult(weight, word, True, refined[2], count)
 
 
-def orbit_multiplicity(code: WovenConvCode, word: tuple[BinaryPoly, ...]) -> int | None:
+def orbit_multiplicity(code: WovenConvCode, word: tuple[int, ...]) -> int | None:
     """Distinct codewords among the n cyclic block shifts of a codeword.
 
     None where the graph is not circulant (``z_offsets`` is None), since the
     block shift need not map the code to itself there.
     """
-    vec = [p.bits for p in word]
-    if len(vec) != code.n * code.c:
+    if len(word) != code.n * code.c:
         raise ValueError("word length does not match the code")
 
-    def in_code(v: list[int]) -> bool:
+    def in_code(v: tuple[int, ...]) -> bool:
         return (code.H_wg @ PolyMatrix([[p] for p in v])).is_zero()
 
-    if not in_code(vec):
+    if not in_code(word):
         raise ValueError("input is not a codeword")
     if code.z_offsets() is None:
         return None
     seen = set()
     c = code.c
-    cur = vec
+    cur = tuple(word)
     for _ in range(code.n):
         cur = cur[-c:] + cur[:-c]
         if not in_code(cur):
             raise AssertionError("cyclic shift left the code; graph not circulant?")
-        seen.add(tuple(cur))
+        seen.add(cur)
     return len(seen)
 
 
@@ -415,7 +414,7 @@ def encode_stream(code: WovenConvCode, info_bits, *, pad: bool = False) -> bytea
     if not frame:
         raise ValueError("empty frame")
     if code._plan is None:
-        row0 = expanded_generator(code).bits()[0]
+        row0 = expanded_generator(code).entries[0]
         code._plan = [(b, [(j, t * n) for j, p in enumerate(row0[b * c:(b + 1) * c])
                            for t in range(p.bit_length()) if p >> t & 1])
                       for b in range(n) if any(row0[b * c:(b + 1) * c])]

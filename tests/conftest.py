@@ -132,11 +132,6 @@ def relabel_right(g: Hypergraph, order: list[int]) -> Hypergraph:
     return Hypergraph(2, g.c, g.n, tuple((a, order[b]) for a, b in g.edges))
 
 
-def poly_mul(a: BinaryPoly, b: BinaryPoly) -> BinaryPoly:
-    """Carry-less polynomial product over GF(2)."""
-    return a * b
-
-
 def rref(m: BinaryMatrix) -> BinaryMatrix:
     """Reduced row echelon form; canonical for the row space under fixed columns."""
     return BinaryMatrix(_eliminate(m)[0], m.cols)
@@ -311,8 +306,8 @@ def convolve_mod2(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def coeffs(poly) -> list[int]:
-    return [(poly.bits >> i) & 1 for i in range(poly.bits.bit_length())]
+def coeffs(poly: int) -> list[int]:
+    return [(poly >> i) & 1 for i in range(poly.bit_length())]
 
 
 def oracle_syndrome(gen_row, h_row) -> list[int]:
@@ -351,12 +346,12 @@ def list_witness_enumeration(code, max_terms, max_shift) -> tuple[int, tuple, in
             w = sum(p.bit_count() for p in vec)
             if 0 < w < best_w:
                 best_w, best_vec = w, vec
-    return best_w, tuple(BinaryPoly(p) for p in best_vec), count
+    return best_w, tuple(best_vec), count
 
 
 def nullspace_row_reduce(g: PolyMatrix) -> PolyMatrix:
     """``row_reduce`` finding each dependency by a fresh nullspace of the high-order rows."""
-    rows = [list(r) for r in g.bits()]
+    rows = [list(r) for r in g.entries]
     while True:
         degs = [max(p.bit_length() for p in row) - 1 for row in rows]
         if min(degs) < 0:
@@ -381,7 +376,7 @@ def list_row_reduce(g: PolyMatrix) -> PolyMatrix:
     The same incremental echelon of the high-order rows, keyed by column
     bit, with degrees and high-order rows recomputed entry by entry.
     """
-    rows = [list(r) for r in g.bits()]
+    rows = [list(r) for r in g.entries]
     degs = [0] * len(rows)
     hi = [0] * len(rows)
 
@@ -427,8 +422,8 @@ def list_row_reduce(g: PolyMatrix) -> PolyMatrix:
 
 def dense_poly_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """A B over GF(2)[D], every entry summed over all k, zero products included."""
-    return PolyMatrix([[reduce(xor, map(clmul, row, col), 0) for col in zip(*b.bits())]
-                       for row in a.bits()])
+    return PolyMatrix([[reduce(xor, map(clmul, row, col), 0) for col in zip(*b.entries)]
+                       for row in a.entries])
 
 
 class TupleTrellis:
@@ -437,7 +432,7 @@ class TupleTrellis:
     def __init__(self, G: PolyMatrix):
         self.b = G.rows
         self.c = G.cols
-        self.taps = G.bits()
+        self.taps = G.entries
         self.row_degs = [max((p.bit_length() - 1 for p in row if p), default=0)
                          for row in self.taps]
         self.inputs = list(product((0, 1), repeat=self.b))
@@ -648,8 +643,7 @@ def oracle_equivalent_permutation_pairs(g, hc, perms):
     """
     from wgc.woven import build_woven_conv
 
-    rows = {perm: [tuple(p.bits for p in row)
-                   for row in build_woven_conv(g, hc, perm).H_wg.entries] for perm in perms}
+    rows = {perm: build_woven_conv(g, hc, perm).H_wg.entries for perm in perms}
     holders = {}
     for perm, r in rows.items():
         holders.setdefault(tuple(sorted(r)), []).append(perm)
@@ -682,7 +676,6 @@ def oracle_block_parity(g: Hypergraph, hc: BinaryMatrix, l: int, assignment) -> 
 def oracle_woven_conv_parity(g: Hypergraph, hc: PolyMatrix, perm) -> PolyMatrix:
     """Bipartite woven H_wg: left rows take the checks in slot order, right rows
     the checks ``perm`` in the order of (left slot, edge label)."""
-    zero = BinaryPoly(0)
     seen: dict[int, int] = {}
     left_slot = []
     for e in g.edges:
@@ -696,7 +689,7 @@ def oracle_woven_conv_parity(g: Hypergraph, hc: PolyMatrix, perm) -> PolyMatrix:
             if side:
                 incident.sort(key=lambda e: (left_slot[e], e))
             for check in checks:
-                row = [zero] * g.num_edges
+                row = [0] * g.num_edges
                 for slot, e in enumerate(incident):
                     row[e] = check[slot]
                 rows.append(row)

@@ -67,6 +67,13 @@ def test_start_up_imports_only_what_the_command_uses(tmp_path, argv):
     assert not UNUSED.get(argv[0], HEAVY) & set(loaded.split())
 
 
+def test_octal_shorthand_reads_three_coefficients_per_digit():
+    # lowest digit first: o32 = (1 + D) + 2 D^3 = 1 + D + D^4
+    tokens = ("o32", "0o32", "O32", "0O32", "11001")
+    assert [cli.parse_poly_token(tok) for tok in tokens] == [0b10011] * len(tokens)
+    assert cli.parse_poly_matrix_inline("o32,o37,o57") == cli.parse_poly_matrix_inline(HC)
+
+
 def test_invariant_failure_is_a_clean_error(monkeypatch, capsys):
     def broken(code):
         raise AssertionError("expanded generator failed the parity check")

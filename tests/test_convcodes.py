@@ -17,7 +17,7 @@ from wgc.convcodes import (
     rate_half_subcodes,
     tb_encoder_code,
 )
-from wgc.gf2 import (BinaryPoly, PolyMatrix, clmul, minimal_kernel, poly_gcd,
+from wgc.gf2 import (BinaryPoly, PolyMatrix, _divmod, clmul, minimal_kernel, poly_gcd,
                      rank_over_rational_field)
 from conftest import (CatastrophicEncoderError, poly_row_space_equal, table_free_distance,
                       tb_block_code, zt_block_code)
@@ -29,7 +29,7 @@ from conftest import (CatastrophicEncoderError, poly_row_space_equal, table_free
 
 def enumeration_free_distance(G: PolyMatrix, deg_limit: int) -> int:
     """Min codeword weight over all nonzero inputs of bounded degree."""
-    grid = G.bits()
+    grid = G.entries
     b = G.rows
     best = None
     for mask in range(1, 1 << (b * (deg_limit + 1))):
@@ -57,7 +57,7 @@ def noncatastrophic_basis(G: PolyMatrix) -> PolyMatrix:
     """
     if G.rows == 1:
         g = reduce(poly_gcd, G.entries[0])
-        basis = PolyMatrix([[p // g for p in G.entries[0]]])
+        basis = PolyMatrix([[_divmod(p, g)[0] for p in G.entries[0]]])
     else:
         basis = minimal_kernel(minimal_kernel(G))
     assert poly_row_space_equal(basis, G)
@@ -98,7 +98,7 @@ def test_block_distance_trivial_cases():
 def test_parity_to_generator_roundtrip(graph_parent_check):
     gen = minimal_kernel(graph_parent_check)
     assert gen.rows == 1
-    assert [p.to_string() for p in gen.entries[0]] == ["011", "111", "1"]
+    assert [BinaryPoly.to_string(p) for p in gen.entries[0]] == ["011", "111", "1"]
     assert (gen @ graph_parent_check.transpose()).is_zero()
 
 
@@ -216,7 +216,7 @@ def test_free_distance_matches_table_search_and_enumeration(G):
     except CatastrophicEncoderError:
         # for b <= 2 the rows are dependent when every 2x2 minor (or the one
         # row) is zero; otherwise G spans a code with a non-catastrophic basis
-        g = G.bits()
+        g = G.entries
         dependent = (not any(g[0]) if G.rows == 1 else
                      all(clmul(g[0][i], g[1][j]) == clmul(g[0][j], g[1][i])
                          for i, j in combinations(range(G.cols), 2)))
@@ -265,12 +265,12 @@ def test_rate_half_subcodes_reference(constituent_check):
     h1, h2, h3 = constituent_check.entries[0]
     # supports (0,1), (0,2), (1,2); generators are the swapped check pairs
     expected = [
-        (h2, h1, BinaryPoly(0)),
-        (h3, BinaryPoly(0), h1),
-        (BinaryPoly(0), h3, h2),
+        (h2, h1, 0),
+        (h3, 0, h1),
+        (0, h3, h2),
     ]
     got = [tuple(sc.entries[0]) for sc in subs]
-    assert sorted(str(g) for g in got) == sorted(str(e) for e in expected)
+    assert sorted(got) == sorted(expected)
     assert min(free_distance(sc) for sc in subs) == 8
     assert [free_distance(sc) for sc in subs] == [8, 8, 8]
 
@@ -313,9 +313,8 @@ def test_zt_block_code_zero_information():
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 31), min_size=3, max_size=3), st.integers(1, 3))
 def test_zt_block_code_holds_every_shifted_generator_row(row, l):
-    polys = [BinaryPoly(p) for p in row]
     # a 1 x c feedforward encoder with coprime entries is non-catastrophic
-    assume(poly_gcd(poly_gcd(polys[0], polys[1]), polys[2]) == BinaryPoly(1))
+    assume(poly_gcd(poly_gcd(row[0], row[1]), row[2]) == 1)
     zt = zt_block_code(PolyMatrix([row]), l)
     assert zt.k == l
     for s in range(l):

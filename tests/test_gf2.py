@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import pickle
 import random
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wgc.gf2 import (
@@ -34,7 +33,6 @@ from conftest import (
     dense_rank,
     list_row_reduce,
     nullspace_row_reduce,
-    poly_mul,
     poly_row_space_equal,
 )
 
@@ -105,11 +103,11 @@ def test_nullspace_exact_randomized():
 
 def test_poly_mul_square_char2():
     p = BinaryPoly.parse("11")  # 1 + D
-    assert poly_mul(p, p) == BinaryPoly.parse("101")
+    assert clmul(p, p) == BinaryPoly.parse("101")
 
 
 def test_poly_mul_zero():
-    assert poly_mul(BinaryPoly.parse("1101"), BinaryPoly(0)) == BinaryPoly(0)
+    assert clmul(BinaryPoly.parse("1101"), 0) == 0
 
 
 def test_poly_mul_matches_convolution_oracle():
@@ -118,7 +116,7 @@ def test_poly_mul_matches_convolution_oracle():
     h1 = BinaryPoly.parse("11001")
     h3 = BinaryPoly.parse("101111")
     expected = convolve_mod2(coeffs(h1), coeffs(h3))
-    got = poly_mul(h3, h1)
+    got = clmul(h3, h1)
     assert coeffs(got) == expected
 
 
@@ -126,23 +124,35 @@ def test_poly_mul_matches_convolution_oracle():
 @given(st.integers(0, (1 << 33) - 1), st.integers(0, (1 << 33) - 1),
        st.integers(0, (1 << 33) - 1))
 def test_poly_mul_ring_axioms(a, b, c):
-    pa, pb, pc = BinaryPoly(a), BinaryPoly(b), BinaryPoly(c)
-    assert pa * pb == pb * pa
-    assert (pa * pb) * pc == pa * (pb * pc)
-    assert pa * (pb + pc) == pa * pb + pa * pc
+    assert clmul(a, b) == clmul(b, a)
+    assert clmul(clmul(a, b), c) == clmul(a, clmul(b, c))
+    assert clmul(a, b ^ c) == clmul(a, b) ^ clmul(a, c)
 
 
 def test_poly_degree_sentinel_and_product_degree():
-    assert BinaryPoly(0).degree is None
+    # a zero row has no degree; a product's degree is the sum of its factors'
     a, b = BinaryPoly.parse("1101"), BinaryPoly.parse("011")
-    assert (a * b).degree == a.degree + b.degree
+    assert PolyMatrix([[0, 0], [a, b], [clmul(a, b), 1]]).row_degrees() == [None, 3, 5]
 
 
 def test_poly_text_round_trip():
     for text in ("0", "1", "11001", "000001"):
         p = BinaryPoly.parse(text)
-        assert BinaryPoly.parse(p.to_string()) == p
-    assert BinaryPoly.parse("11001").to_string() == "11001"
+        assert BinaryPoly.parse(BinaryPoly.to_string(p)) == p
+    assert BinaryPoly.to_string(BinaryPoly.parse("11001")) == "11001"
+
+
+@given(st.integers(min_value=0))
+@example(0)
+def test_poly_text_codec_round_trips_every_polynomial(p):
+    assert BinaryPoly.parse(BinaryPoly.to_string(p)) == p
+
+
+def test_poly_matrix_rejects_entries_that_are_not_polynomials():
+    # a negative int would never leave clmul's loop
+    for entry in (-1, "11", 1.0, None):
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            PolyMatrix([[entry]])
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +173,7 @@ def test_rational_rank_generator_matches_minor_oracle(constituent_generator):
     # oracle: some 2x2 minor is nonzero
     from wgc.gf2 import clmul
 
-    bits = g.bits()
+    bits = g.entries
     minors = []
     for j1 in range(3):
         for j2 in range(j1 + 1, 3):
@@ -183,7 +193,7 @@ def test_kernel_basis_orthogonal_and_full(graph_parent_check):
     assert basis.rows == 1
     assert (graph_parent_check @ basis.transpose()).is_zero()
     # the single kernel row is the known parent generator
-    assert [p.to_string() for p in basis.entries[0]] == ["011", "111", "1"]
+    assert [BinaryPoly.to_string(p) for p in basis.entries[0]] == ["011", "111", "1"]
 
 
 def test_trivial_kernel_keeps_the_column_count():
@@ -192,8 +202,6 @@ def test_trivial_kernel_keeps_the_column_count():
                    minimal_kernel(PolyMatrix([[1, 0b10], [0, 1]]))):
         assert (kernel.rows, kernel.cols) == (0, 2)
         assert kernel != PolyMatrix([]) and kernel == PolyMatrix([], 2)
-        clone = pickle.loads(pickle.dumps(kernel))
-        assert (clone.rows, clone.cols) == (0, 2) and clone == kernel
         assert PolyMatrix.from_text(kernel.to_text()) == kernel
         assert (kernel.transpose().rows, kernel.transpose().cols) == (2, 0)
     with pytest.raises(ValueError, match="ragged"):
@@ -272,7 +280,7 @@ def test_row_reduce_random_full_rank_reaches_full_rank_leading_matrix(entries):
     assert poly_row_space_equal(reduced, g)
     assert reduced.constraint_length <= g.constraint_length
     # row i of the high-order matrix: coefficients of D^(row degree i)
-    high = [sum(((p.bits >> d) & 1) << j for j, p in enumerate(row))
+    high = [sum(((p >> d) & 1) << j for j, p in enumerate(row))
             for row, d in zip(reduced.entries, reduced.row_degrees())]
     assert rank(BinaryMatrix(high, reduced.cols)) == reduced.rows
 

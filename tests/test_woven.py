@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
 import random
 from array import array
 from itertools import combinations, permutations
@@ -165,7 +164,7 @@ def test_two_dim_check_shape(best_code, constituent_check):
     assert offsets == (0, 1, 3)
     assert t == [h[0], h[2], h[1]]
     for r in range(7):
-        want = [BinaryPoly(0)] * 21
+        want = [0] * 21
         for j, o in enumerate(offsets):
             want[3 * ((r + o) % 7) + j] = t[j]
         assert list(best_code.H_wg.entries[7 + r]) == want
@@ -175,15 +174,15 @@ def test_two_dim_constant_check_reduces_to_parent(graph_parent_check):
     # with D-free checks H_wg is the wrapped parent of the graph code: parent
     # entry Z^e in row i, column j puts a 1 at row 7i + r, column 3((r + e) mod 7) + j
     code = build_woven_conv(build_heawood(), PolyMatrix([[1, 1, 1]]), (1, 2, 3))
-    parent_bits = graph_parent_check.bits()
-    assert code.t_polys() == [[BinaryPoly(1)] * 3]
-    assert parent_bits == [[1, 1, 1], [1 << o for o in code.z_offsets()]]
+    parent = graph_parent_check.entries
+    assert code.t_polys() == [[1] * 3]
+    assert parent == ((1, 1, 1), tuple(1 << o for o in code.z_offsets()))
     for i in range(2):
         for r in range(7):
             want = [0] * 21
-            for j, z_poly in enumerate(parent_bits[i]):
+            for j, z_poly in enumerate(parent[i]):
                 want[3 * ((r + z_poly.bit_length() - 1) % 7) + j] = 1
-            assert [p.bits for p in code.H_wg.entries[7 * i + r]] == want
+            assert list(code.H_wg.entries[7 * i + r]) == want
 
 
 def test_two_dim_z_one_column_sums(best_code):
@@ -191,12 +190,11 @@ def test_two_dim_z_one_column_sums(best_code):
     h = best_code.hc.entries[0]
     t = best_code.t_polys()[0]
     for j in range(21):
-        acc0 = BinaryPoly(0)
-        acc1 = BinaryPoly(0)
+        acc0 = acc1 = 0
         for r in range(7):
-            acc0 = acc0 + best_code.H_wg.entries[r][j]
+            acc0 ^= best_code.H_wg.entries[r][j]
         for r in range(7, 14):
-            acc1 = acc1 + best_code.H_wg.entries[r][j]
+            acc1 ^= best_code.H_wg.entries[r][j]
         assert (acc0, acc1) == (h[j % 3], t[j % 3])
 
 
@@ -259,12 +257,12 @@ def test_expanded_generator_row_content(best_code, constituent_check):
         bits = 0
         for i, b in enumerate(vals[name]):
             bits |= b << i
-        return BinaryPoly(bits)
+        return bits
 
     row = gen.entries[0]
     placements = {0: "c", 1: "d", 6: "e", 8: "f", 10: "a", 11: "b"}
     for col in range(21):
-        assert row[col] == (poly(placements[col]) if col in placements else BinaryPoly(0))
+        assert row[col] == (poly(placements[col]) if col in placements else 0)
 
 
 def test_expanded_generator_rows_satisfy_checks(best_code):
@@ -290,7 +288,7 @@ def test_identity_perm_checks_are_dependent(constituent_check):
 
 def test_minimal_generator_contains_reference_short_row(best_code):
     gen = minimal_generator(best_code)
-    short = min(gen.entries, key=lambda row: max(p.bits.bit_length() for p in row))
+    short = min(gen.entries, key=lambda row: max(p.bit_length() for p in row))
     gp = BinaryPoly.parse("011")     # D + D^2
     gq = BinaryPoly.parse("11001")   # 1 + D + D^4
     assert tuple(short) == (gp, gq, gq) * 7
@@ -407,15 +405,14 @@ def test_witness_chain_product_improved_witness(best_code):
 
 
 def test_orbit_rejects_non_codeword(best_code):
-    bad = tuple(BinaryPoly(1) for _ in range(21))
+    bad = (1,) * 21
     with pytest.raises(ValueError):
         orbit_multiplicity(best_code, bad)
 
 
 def test_orbit_shift_invariance(best_code):
     res = witness_search(best_code)
-    vec = [p.bits for p in res.word]
-    shifted = tuple(BinaryPoly(b) for b in vec[-3:] + vec[:-3])
+    shifted = res.word[-3:] + res.word[:-3]
     assert orbit_multiplicity(best_code, shifted) == orbit_multiplicity(best_code, res.word)
 
 
@@ -443,7 +440,7 @@ def test_exact_pass_matches_table_search(seed, n, hc, perm, cap, nodes):
     assert (weight, expanded, word == ()) == (expected[0], expected[2], expected[1] == ())
     if word:
         assert not any(any(oracle_syndrome(word, h_row)) for h_row in code.H_wg.entries)
-        assert sum(p.weight for p in word) == weight < cap
+        assert sum(p.bit_count() for p in word) == weight < cap
 
 
 def test_witness_exact_on_degree_zero_specialization():
@@ -466,17 +463,8 @@ def test_witness_refine_pass_returns_lighter_codeword(monkeypatch):
     assert res.weight == 6
     assert res.exact
     assert not any(any(oracle_syndrome(res.word, h_row)) for h_row in code.H_wg.entries)
-    assert sum(p.weight for p in res.word) == res.weight
-    assert res.word == tuple(BinaryPoly(b) for b in (0b101, 0, 1, 0, 0, 0, 0, 0b11, 1))
-
-
-def test_algebra_values_pickle_through_their_constructors(best_code):
-    gen = expanded_generator(best_code)
-    for value in (tailbite(best_code.hc, 3), best_code.H_wg, gen.entries[0][0], gen,
-                  BinaryPoly(0b1011), build_heawood()):
-        clone = pickle.loads(pickle.dumps(value))
-        assert type(clone) is type(value)
-        assert clone == value
+    assert sum(p.bit_count() for p in res.word) == res.weight
+    assert res.word == (0b101, 0, 1, 0, 0, 0, 0, 0b11, 1)
 
 
 def test_encoder_impulse_matches_generator_row(best_code):
@@ -683,7 +671,7 @@ def test_permutations_with_equal_checks_are_flagged(n, a, b, hc):
 def test_values_and_records_are_immutable(best_code):
     res = witness_search(best_code)
     values = [
-        (BinaryPoly(0b1011), "bits"),
+        (best_code.H_wg, "entries"),
         (build_heawood(), "edges"),
         (res, "weight"),
         (generator_report(best_code), "nu_minimal"),
