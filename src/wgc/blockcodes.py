@@ -1,8 +1,9 @@
 """Linear block codes, graph codes, and woven graph codes with block constituents.
 
-The minimum distance searches systematic generators that ``gf2._eliminate``
-builds, and the product bound on a woven block code is certified for every
-graph, block assignment and number of parts.
+Check rows are routed by ``hypergraphs.route_checks``, the minimum distance
+searches systematic generators that ``gf2._eliminate`` builds, and the
+product bound on a woven block code is certified for every graph, block
+assignment and number of parts.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from math import comb
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .gf2 import BinaryMatrix, _eliminate, nullspace_basis, rank
-from .hypergraphs import Hypergraph, sd_girth
+from .hypergraphs import Assignment, Hypergraph, identity_assignment, route_checks, sd_girth
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -163,43 +164,6 @@ def block_distance(code: LinearBlockCode, bs: BlockStructure) -> int:
 
 # ---------------------------------------------------------------------------
 # graph codes and woven graph codes with block constituents
-
-Assignment = tuple[tuple[tuple[int, ...], ...], ...]
-
-
-def identity_assignment(g: Hypergraph) -> Assignment:
-    """Each vertex takes the constituent column blocks in incident-edge order."""
-    return tuple(
-        tuple(tuple(range(g.c)) for _ in range(g.n)) for _ in range(g.s)
-    )
-
-
-def route_checks(g: Hypergraph, checks: Sequence[Sequence], order: Assignment) -> list[list]:
-    """Check rows of the code on ``g``: one row block per vertex of each part.
-
-    ``checks[i][b]`` is check row i's entry in constituent column block b.  For
-    part p and vertex v, in that order, one row is written per check row, and
-    the vertex's k-th incident edge (edges in label order) gets block
-    ``order[p][v][k]``.  A row has one entry per edge, the zero of the entry
-    type off the vertex's edges.  Entries pass through untouched: packed
-    l-bit ints for a binary constituent, GF(2)[D] polynomials (ints) for a
-    convolutional one.
-    """
-    rows = []
-    for p in range(g.s):
-        incident: list[list[int]] = [[] for _ in range(g.n)]
-        for e, edge in enumerate(g.edges):
-            incident[edge[p]].append(e)
-        for v, edges in enumerate(incident):
-            slots = order[p][v]
-            if sorted(slots) != list(range(g.c)):
-                raise ValueError(f"assignment for partition {p} vertex {v} is not a permutation")
-            for check in checks:
-                row = [type(check[0])()] * g.num_edges
-                for e, b in zip(edges, slots):
-                    row[e] = check[b]
-                rows.append(row)
-    return rows
 
 
 def build_graph_code(g: Hypergraph, hc: BinaryMatrix,

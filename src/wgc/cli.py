@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 # each command imports the modules it uses, so a run loads only those
 if TYPE_CHECKING:
-    from . import blockcodes, hypergraphs, woven
+    import argparse
+
+    from . import hypergraphs, woven
     from .gf2 import BinaryMatrix, PolyMatrix
 
 
@@ -84,15 +85,17 @@ def parse_perm(text: str | None) -> tuple[int, ...] | None:
     return None if text is None else tuple(int(x) for x in text.split(","))
 
 
-def parse_assignment(text: str, g: hypergraphs.Hypergraph) -> blockcodes.Assignment:
-    """Per-vertex block orders for the second partition; "1,2,0;0,1,2;2,0,1"."""
-    from . import blockcodes
-    if g.s != 2:
-        raise CliError("inline assignment supported for bipartite graphs only")
-    groups = [tuple(int(x) for x in part.split(",")) for part in text.split(";")]
-    if len(groups) != g.n:
-        raise CliError(f"assignment needs {g.n} vertex groups, got {len(groups)}")
-    return (blockcodes.identity_assignment(g)[0], tuple(groups))
+def parse_assignment(text: str, g: hypergraphs.Hypergraph) -> hypergraphs.Assignment:
+    """Per-vertex block orders of parts 1..s-1, parts "/"-separated; "1,2,0;0,1,2;2,0,1"."""
+    from . import hypergraphs
+    parts = [tuple(tuple(int(x) for x in group.split(",")) for group in part.split(";"))
+             for part in text.split("/")]
+    if len(parts) != g.s - 1:
+        raise CliError(f"assignment needs parts 1..{g.s - 1}, '/'-separated, got {len(parts)}")
+    for p, groups in enumerate(parts, 1):
+        if len(groups) != g.n:
+            raise CliError(f"assignment part {p} needs {g.n} vertex groups, got {len(groups)}")
+    return (hypergraphs.identity_assignment(g)[0], *parts)
 
 
 def emit(args, text: str) -> None:
@@ -321,6 +324,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     top = argparse.ArgumentParser(
         prog="wgc", description="graph codes, woven graph codes, and their bounds")
     # older command lines still pass it; every command runs in one process
@@ -378,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph(p)
     add_hc(p)
     p.add_argument("--l", type=int, required=True, help="sub-block width")
-    p.add_argument("--assign", help='second-partition block orders, e.g. "1,2,0;0,1,2;2,0,1"')
+    p.add_argument("--assign", help='block orders of parts 1..s-1: vertex orders ";"-separated, '
+                                     'parts "/"-separated, e.g. "1,2,0;0,1,2;2,0,1" for s = 2')
     add_format(p)
     p.set_defaults(func=cmd_woven_block)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from .gf2 import (
     PolyMatrix,
@@ -20,7 +21,9 @@ from .gf2 import (
     rank_over_rational_field,
     tailbite,
 )
-from .blockcodes import LinearBlockCode
+
+if TYPE_CHECKING:
+    from .blockcodes import LinearBlockCode
 
 
 # ---------------------------------------------------------------------------
@@ -213,4 +216,6 @@ def rate_half_subcodes(h: PolyMatrix) -> list[PolyMatrix]:
 
 def tb_encoder_code(gen: PolyMatrix, length: int) -> LinearBlockCode:
     """Block code spanned by the wrapped generator rows (dimension b * length)."""
+    from .blockcodes import LinearBlockCode  # only ``verify`` builds one, so the import waits
+
     return LinearBlockCode(nullspace_basis(tailbite(gen, length, -1)))

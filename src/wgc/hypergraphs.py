@@ -1,4 +1,4 @@
-"""s-partite, s-uniform, c-regular hypergraphs: construction and structure.
+"""s-partite, s-uniform, c-regular hypergraphs: construction, structure, check routing.
 
 A hypergraph here has ``s`` partitions of ``n`` vertices each; every
 hyperedge picks exactly one vertex per partition and every vertex lies in
@@ -7,8 +7,8 @@ exactly ``c`` hyperedges, so there are ``n * c`` hyperedges in total.
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
+from typing import Sequence
 
 from .gf2 import BinaryMatrix
 
@@ -99,6 +99,42 @@ class Hypergraph:
         return cls(s, c, n, tuple(edges))
 
 
+Assignment = tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def identity_assignment(g: Hypergraph) -> Assignment:
+    """Each vertex takes the constituent column blocks in incident-edge order."""
+    return tuple(tuple(tuple(range(g.c)) for _ in range(g.n)) for _ in range(g.s))
+
+
+def route_checks(g: Hypergraph, checks: Sequence[Sequence], order: Assignment) -> list[list]:
+    """Check rows of the code on ``g``: one row block per vertex of each part.
+
+    ``checks[i][b]`` is check row i's entry in constituent column block b.  For
+    part p and vertex v, in that order, one row is written per check row, and
+    the vertex's k-th incident edge (edges in label order) gets block
+    ``order[p][v][k]``.  A row has one entry per edge, the zero of the entry
+    type off the vertex's edges.  Entries pass through untouched: packed
+    l-bit ints for a binary constituent, GF(2)[D] polynomials (ints) for a
+    convolutional one.
+    """
+    rows = []
+    for p in range(g.s):
+        incident: list[list[int]] = [[] for _ in range(g.n)]
+        for e, edge in enumerate(g.edges):
+            incident[edge[p]].append(e)
+        for v, edges in enumerate(incident):
+            slots = order[p][v]
+            if sorted(slots) != list(range(g.c)):
+                raise ValueError(f"assignment for partition {p} vertex {v} is not a permutation")
+            for check in checks:
+                row = [type(check[0])()] * g.num_edges
+                for e, b in zip(edges, slots):
+                    row[e] = check[b]
+                rows.append(row)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # built-in graphs, vertex numbering fixed so the incidence matrices match
 # the reference layouts bit for bit
@@ -150,6 +186,7 @@ def random_regular(s: int, c: int, n: int, seed: int) -> Hypergraph:
     permutes the n*c slots and assigns slot pi(i) to vertex pi(i) // c, so
     regularity holds by construction for every seed.
     """
+    import random  # only the random ensemble needs it, so the import waits
     if s < 2 or c < 2 or n < 1:
         raise ValueError("need s >= 2, c >= 2, n >= 1")
     rng = random.Random(seed)

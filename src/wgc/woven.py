@@ -1,8 +1,8 @@
 """Woven graph codes with convolutional constituents.
 
-The construction places one row block per vertex of each of the s parts of
-the hypergraph: the constituent checks, routed along the vertex's edges, in
-column order on part 0 and permuted on the later parts.  On circulant
+Each vertex of each of the s parts of the hypergraph holds one row block:
+the constituent checks, routed by ``hypergraphs.route_checks`` along its
+edges, in column order on part 0 and permuted on the later parts.  On circulant
 bipartite graphs the code also has a raw generator built from the pairwise
 products of the check polynomials: one row per left vertex, each row the one
 before it rotated by a column block.  The minimal generator is
@@ -15,10 +15,9 @@ from __future__ import annotations
 from itertools import accumulate, combinations, permutations
 from typing import NamedTuple
 
-from .blockcodes import Assignment, identity_assignment, route_checks
 from .gf2 import PolyMatrix, clmul, minimal_kernel, permutation_equivalent
 from .convcodes import block_distance_conv, free_distance, lightest_codeword, rate_half_subcodes
-from .hypergraphs import Hypergraph, girth
+from .hypergraphs import Assignment, Hypergraph, girth, identity_assignment, route_checks
 
 
 class StructureError(ValueError):
@@ -33,7 +32,7 @@ class WovenConvCode:
     """Woven graph code: an s-partite hypergraph plus a permuted convolutional check row.
 
     Every vertex of each of the s parts carries one row block, the
-    constituent checks routed along its edges by ``blockcodes.route_checks``.
+    constituent checks routed along its edges by ``hypergraphs.route_checks``.
     A vertex of part 0 takes the checks in column order.  A vertex of a later
     part ranks its edges by (part-0 slot, edge label), and its edge of rank k
     takes check ``perm[k]``.

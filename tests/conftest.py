@@ -654,7 +654,7 @@ def oracle_equivalent_permutation_pairs(g, hc, perms):
 
 # ---------------------------------------------------------------------------
 # independent check-matrix assemblies, one per constituent kind, to compare
-# with ``blockcodes.route_checks``
+# with ``hypergraphs.route_checks``
 
 
 def oracle_block_parity(g: Hypergraph, hc: BinaryMatrix, l: int, assignment) -> BinaryMatrix:

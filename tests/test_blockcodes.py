@@ -16,13 +16,13 @@ from wgc.blockcodes import (
     block_distance,
     build_graph_code,
     build_woven_block,
-    identity_assignment,
     min_distance,
     product_distance_bound,
     rate_bound,
 )
 from wgc.gf2 import BinaryMatrix, rank
-from wgc.hypergraphs import build_heawood, build_three_partite, build_utility, random_regular
+from wgc.hypergraphs import (build_heawood, build_three_partite, build_utility,
+                             identity_assignment, random_regular)
 from conftest import (WOVEN_BLOCK_CONSTITUENT_ROWS, dense_min_weight, girth_distance_check,
                       gray_block_distance, oracle_block_parity)
 

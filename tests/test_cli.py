@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from wgc import blockcodes, cli, woven
-from wgc.hypergraphs import build_heawood, build_utility, random_regular
+from wgc import blockcodes, cli, convcodes, hypergraphs, woven
+from wgc.hypergraphs import (build_heawood, build_three_partite, build_utility,
+                             identity_assignment, random_regular)
 from conftest import WOVEN_BLOCK_CONSTITUENT_ROWS, relabel_right
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -46,7 +47,7 @@ HEAVY = {"wgc.woven", "wgc.convcodes", "concurrent.futures", "dataclasses"}
 # modules a command must not load, where they differ from HEAVY
 UNUSED = {"bounds": HEAVY | {"fractions"},
           "verify": {"wgc.bounds", "concurrent.futures", "dataclasses"},
-          "woven": {"concurrent.futures", "multiprocessing", "dataclasses"}}
+          "woven": {"wgc.blockcodes", "concurrent.futures", "multiprocessing", "dataclasses"}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -65,6 +66,25 @@ def test_start_up_imports_only_what_the_command_uses(tmp_path, argv):
     *_, status, loaded = proc.stdout.splitlines()
     assert status == "exit 0", proc.stderr
     assert not UNUSED.get(argv[0], HEAVY) & set(loaded.split())
+
+
+# ``import wgc.cli, wgc.woven`` under -S, so no site hook has loaded anything first
+IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import wgc.cli, wgc.woven
+print(*sorted({"argparse", "random", "wgc.blockcodes"} & set(sys.modules)))
+"""
+
+
+def test_cli_and_woven_import_no_parser_random_or_block_codes():
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_PROBE, str(SRC)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+    # the benchmark's tracer patches these names in wgc.woven
+    assert woven.free_distance is convcodes.free_distance
+    assert woven.girth is hypergraphs.girth
 
 
 def test_octal_shorthand_reads_three_coefficients_per_digit():
@@ -174,9 +194,11 @@ def hc_file(tmp_path):
     # the sweep names the width mismatch before the c = 3 subcode extraction
     (["woven", "sweep", "--graph", "builtin:heawood", "--hc-inline", "1,11,101,111"],
      "check row has 4 columns, graph degree is 3"),
-    # the part count is checked before the vertex groups are counted
+    # --assign takes parts 1..s-1; the part count is checked before the vertex groups
     (["woven-block", "--graph", "builtin:3partite", "--hc-inline", "1,1,1", "--l", "1",
-      "--assign", "0,1,2"], "inline assignment supported for bipartite graphs only"),
+      "--assign", "0,1,2"], "assignment needs parts 1..2, '/'-separated, got 1"),
+    (["woven-block", "--graph", "builtin:3partite", "--hc-inline", "1,1,1,1", "--l", "1",
+      "--assign", "0,1,2,3/0,1,2,3"], "assignment part 1 needs 4 vertex groups, got 1"),
 ])
 def test_conflicting_inputs_are_one_error_line(hc_file, capsys, argv, message):
     assert cli.main([arg.format(hc=hc_file) for arg in argv]) == 1
@@ -273,6 +295,20 @@ def test_woven_block_flags_a_bound_above_the_measured_distance(monkeypatch, caps
     assert report() == (d_min, "True", "3", "False")
     monkeypatch.setattr(blockcodes, "product_distance_bound", lambda *args: 5)
     assert report() == (d_min, "True", "5", contradicted)
+
+
+def test_assign_takes_block_orders_for_every_later_part(capsys):
+    # s = 3: parts 1 and 2, "/"-separated; the explicit identity routes as no --assign
+    g = build_three_partite()
+    ident, swapped = ";".join(["0,1,2,3"] * 4), ";".join(["1,0,2,3"] * 4)
+    assert cli.parse_assignment(f"{ident}/{ident}", g) == identity_assignment(g)
+    assert cli.parse_assignment(f"{ident}/{swapped}", g)[1:] == (identity_assignment(g)[1],
+                                                                 ((1, 0, 2, 3),) * 4)
+    argv = ["woven-block", "--graph", "builtin:3partite", "--hc-inline", "1,1,1,1", "--l", "1"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    assert cli.main([*argv, "--assign", f"{ident}/{ident}"]) == 0
+    assert capsys.readouterr().out == plain
 
 
 @pytest.mark.parametrize("argv, out", [
