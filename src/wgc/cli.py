@@ -182,8 +182,6 @@ def cmd_freedist(args) -> int:
 
 
 def cmd_graph_code(args) -> int:
-    from fractions import Fraction
-
     from . import blockcodes, hypergraphs
     from .gf2 import BinaryMatrix
     g = load_graph(args.graph)
@@ -196,7 +194,7 @@ def cmd_graph_code(args) -> int:
         f"graph-code:{args.graph}", code, est,
         extras={"girth": gg, "rate": code.rate,
                 "rate_bound": blockcodes.rate_bound(
-                    g, Fraction(g.c - hc.rows, g.c))})
+                    g, blockcodes.LinearBlockCode(hc).rate)})
     report_out(args, rep)
     return 0
 

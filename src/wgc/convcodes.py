@@ -1,9 +1,9 @@
-"""Convolutional codes in polynomial form: distances, subcodes, derived block codes.
+"""Convolutional codes in polynomial form: distances and derived block codes.
 
 A code is the matrix a function reads: ``free_distance`` and
-``tb_encoder_code`` take a generator G(D), ``block_distance_conv`` and
-``rate_half_subcodes`` a parity-check matrix H(D).  ``gf2.minimal_kernel``
-converts either form into the other.
+``tb_encoder_code`` take a generator G(D), ``block_distance_conv`` a
+parity-check matrix H(D).  ``gf2.minimal_kernel`` converts either form into
+the other.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ from typing import TYPE_CHECKING
 
 from .gf2 import (
     PolyMatrix,
-    _divmod,
     minimal_kernel,
     nullspace_basis,
-    poly_gcd,
     rank_over_rational_field,
     tailbite,
 )
@@ -186,28 +184,6 @@ def block_distance_conv(h: PolyMatrix) -> int:
             if rank_over_rational_field(sub) < size:
                 return size
     raise AssertionError("unreachable: full support always carries codewords")
-
-
-def rate_half_subcodes(h: PolyMatrix) -> list[PolyMatrix]:
-    """Generators of the three rate-1/2 subcodes of a c=3, single-check code.
-
-    For each coordinate pair {i, j} the codewords supported there are the
-    multiples of (h_j, h_i) divided by the pair gcd; each generator is
-    embedded in the three coordinates, so its codewords satisfy h.
-    """
-    if h.cols != 3:
-        raise ValueError("rate-1/2 subcode extraction needs c = 3")
-    if h.rows != 1:
-        raise ValueError("need a single-row parity-check matrix")
-    hp = h.entries[0]
-    out = []
-    for i, j in combinations(range(3), 2):
-        g = poly_gcd(hp[i], hp[j]) or 1
-        row = [0] * 3
-        row[i] = _divmod(hp[j], g)[0]
-        row[j] = _divmod(hp[i], g)[0]
-        out.append(PolyMatrix([row]))
-    return out
 
 
 # ---------------------------------------------------------------------------

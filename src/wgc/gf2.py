@@ -40,13 +40,6 @@ def _divmod(a: int, b: int) -> tuple[int, int]:
     return q, a
 
 
-def poly_gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two GF(2)[D] polynomials packed into ints."""
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    return a
-
-
 class BinaryPoly:
     """Text codec of a GF(2)[D] polynomial, which is an int (bit i = coefficient of D^i)."""
 

@@ -253,68 +253,42 @@ def sd_girth(g: Hypergraph, d: int) -> int | None:
     """Hyperedge count of the shortest compact subgraph.
 
     A compact subgraph is a connected set of hyperedges in which every
-    incident vertex touches at least ``d`` of them.  Exact iterative
-    deepening over connected edge subsets anchored at their smallest edge;
-    exponential in general, sized for graphs of a couple dozen edges.
-
-    A partial subset is dropped as soon as some vertex it touches still
-    lacks ``d - deg`` edges and either fewer slots remain to the target
-    size, or fewer of the vertex's edges may still be added (index above
-    the anchor, not banned in this branch, not chosen yet).  At the target
-    size this is exactly the compactness test.
+    incident vertex touches at least ``d`` of them.  Each component of an
+    edge set with that degree property has it too, so a smallest such set is
+    connected and the search need not track connectivity.  Exact iterative
+    deepening on the size k, each set anchored at its smallest edge: while
+    some touched vertex meets fewer than ``d`` chosen edges, every compact
+    superset takes ``d - deg`` more of that vertex's edges above the anchor,
+    so the search branches over those choices and drops a branch that cannot
+    fit them in k.  Exponential in general, sized for graphs of a few dozen
+    edges.
     """
     if d < 2:
         raise ValueError("compactness degree must be at least 2")
     if d > g.c:
         return None
 
-    edge_verts = [frozenset((p, v) for p, v in enumerate(e)) for e in g.edges]
-    vertex_edges: dict[tuple[int, int], list[int]] = {}
-    for i, verts in enumerate(edge_verts):
-        for pv in verts:
-            vertex_edges.setdefault(pv, []).append(i)
-    neighbors: list[set[int]] = [set() for _ in range(g.num_edges)]
-    for i, j in combinations(range(g.num_edges), 2):
-        if edge_verts[i] & edge_verts[j]:
-            neighbors[i].add(j)
-            neighbors[j].add(i)
+    at: dict[tuple[int, int], list[int]] = {}
+    for i, e in enumerate(g.edges):
+        for pv in enumerate(e):
+            at.setdefault(pv, []).append(i)
 
-    def grown(anchor: int, k: int) -> bool:
-        # connected subsets of size k whose minimum edge index is `anchor`
-
-        def feasible(current: list[int], banned: set[int]) -> bool:
-            deg: dict[tuple[int, int], int] = {}
-            for i in current:
-                for pv in edge_verts[i]:
-                    deg[pv] = deg.get(pv, 0) + 1
-            room = k - len(current)
-            for pv, cnt in deg.items():
-                short = d - cnt
-                if short > 0 and (short > room or sum(
-                        1 for x in vertex_edges[pv]
-                        if x > anchor and x not in banned and x not in current) < short):
-                    return False
+    def grows(chosen: list[int], k: int) -> bool:
+        deg: dict[tuple[int, int], int] = {}
+        for i in chosen:
+            for pv in enumerate(g.edges[i]):
+                deg[pv] = deg.get(pv, 0) + 1
+        short = next((pv for pv, n in deg.items() if n < d), None)
+        if short is None:
             return True
-
-        def rec(current: list[int], frontier: set[int], banned: set[int]) -> bool:
-            if not feasible(current, banned):
-                return False
-            if len(current) == k:
-                return True
-            options = sorted(frontier - banned)
-            local_ban = set(banned)
-            for e in options:
-                nf = frontier | {x for x in neighbors[e] if x > anchor and x not in current}
-                if rec(current + [e], nf - {e} - local_ban, local_ban):
-                    return True
-                local_ban.add(e)
+        need = d - deg[short]
+        if len(chosen) + need > k:
             return False
-
-        start_frontier = {x for x in neighbors[anchor] if x > anchor}
-        return rec([anchor], start_frontier, set())
+        options = [i for i in at[short] if i > chosen[0] and i not in chosen]
+        return any(grows(chosen + list(more), k) for more in combinations(options, need))
 
     for k in range(2, g.num_edges + 1):
         for anchor in range(g.num_edges - k + 1):
-            if grown(anchor, k):
+            if grows([anchor], k):
                 return k
-    return None
+    raise AssertionError("unreachable: with d <= c every component is compact")

@@ -16,7 +16,7 @@ from itertools import accumulate, combinations, permutations
 from typing import NamedTuple
 
 from .gf2 import PolyMatrix, clmul, minimal_kernel, permutation_equivalent
-from .convcodes import block_distance_conv, free_distance, lightest_codeword, rate_half_subcodes
+from .convcodes import block_distance_conv, free_distance, lightest_codeword
 from .hypergraphs import Assignment, Hypergraph, girth, identity_assignment, route_checks
 
 
@@ -197,9 +197,9 @@ def distance_bounds(g: Hypergraph, hc: PolyMatrix) -> tuple[int, int | None]:
     Below constituent block distance 2 an active constituent need not close a
     cycle, and the product bound is the constituent free distance alone.
     The improved bound splits codewords by constituent support: fully
-    block-weight-2 words live in the rate-1/2 subcodes and activate at least
-    girth/2 constituents; anything else activates one more constituent at
-    full free distance.  The improved bound is None unless the
+    block-weight-2 words live in the rate-1/2 subcodes, the kernels of the
+    check pairs, and activate at least girth/2 constituents; anything else
+    activates one more constituent at full free distance.  The improved bound is None unless the
     constituent has block distance 2, c = 3 and one check row.  The check
     permutation plays no part.  A check row whose width is not the graph
     degree is a ValueError first; both bounds are derived for bipartite
@@ -219,7 +219,8 @@ def distance_bounds(g: Hypergraph, hc: PolyMatrix) -> tuple[int, int | None]:
     active = graph_girth // 2
     improved: int | None = None
     if d_block == 2 and g.c == 3 and hc.rows == 1:
-        d_sub = min(free_distance(sc) for sc in rate_half_subcodes(hc))
+        d_sub = min(free_distance(minimal_kernel(PolyMatrix([pair])))
+                    for pair in combinations(hc.entries[0], 2))
         improved = min(active * d_sub, (active + 1) * d_free_c)
     return active * d_free_c, improved
 

@@ -12,8 +12,8 @@ from operator import xor
 import pytest
 
 from wgc.blockcodes import LinearBlockCode, build_graph_code, min_distance
-from wgc.gf2 import (BinaryMatrix, BinaryPoly, PolyMatrix, _eliminate, clmul, nullspace_basis,
-                     rank_over_rational_field, tailbite)
+from wgc.gf2 import (BinaryMatrix, BinaryPoly, PolyMatrix, _divmod, _eliminate, clmul,
+                     nullspace_basis, rank_over_rational_field, tailbite)
 from wgc.hypergraphs import Hypergraph, sd_girth
 from wgc.woven import _family_rows
 
@@ -308,6 +308,13 @@ def convolve_mod2(a: list[int], b: list[int]) -> list[int]:
 
 def coeffs(poly: int) -> list[int]:
     return [(poly >> i) & 1 for i in range(poly.bit_length())]
+
+
+def poly_gcd(a: int, b: int) -> int:
+    """Greatest common divisor of two GF(2)[D] polynomials packed into ints."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return a
 
 
 def oracle_syndrome(gen_row, h_row) -> list[int]:

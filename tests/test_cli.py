@@ -191,7 +191,7 @@ def hc_file(tmp_path):
     (["freedist", "--parity", "{hc}", "--parity-inline", HC],
      "give either a file or an inline matrix, not both"),
     (["bounds", "--kind", "costello", "--s", "1"], "--s applies to --kind vg only"),
-    # the sweep names the width mismatch before the c = 3 subcode extraction
+    # the sweep names the width mismatch before the bounds read a check pair
     (["woven", "sweep", "--graph", "builtin:heawood", "--hc-inline", "1,11,101,111"],
      "check row has 4 columns, graph degree is 3"),
     # --assign takes parts 1..s-1; the part count is checked before the vertex groups
@@ -295,6 +295,13 @@ def test_woven_block_flags_a_bound_above_the_measured_distance(monkeypatch, caps
     assert report() == (d_min, "True", "3", "False")
     monkeypatch.setattr(blockcodes, "product_distance_bound", lambda *args: 5)
     assert report() == (d_min, "True", "5", contradicted)
+
+
+@pytest.mark.parametrize("command", [["graph-code"], ["woven-block", "--l", "1"]])
+def test_rate_bound_reads_the_constituent_rate_not_its_row_count(capsys, command):
+    # the second check row repeats the first, so the constituent has rate 2/3
+    assert cli.main([*command, "--graph", "builtin:heawood", "--hc-inline", "1,1,1;1,1,1"]) == 0
+    assert "rate_bound=1/3" in capsys.readouterr().out.splitlines()
 
 
 def test_assign_takes_block_orders_for_every_later_part(capsys):

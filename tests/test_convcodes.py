@@ -14,13 +14,12 @@ from wgc.blockcodes import min_distance
 from wgc.convcodes import (
     block_distance_conv,
     free_distance,
-    rate_half_subcodes,
     tb_encoder_code,
 )
-from wgc.gf2 import (BinaryPoly, PolyMatrix, _divmod, clmul, minimal_kernel, poly_gcd,
+from wgc.gf2 import (BinaryPoly, PolyMatrix, _divmod, clmul, minimal_kernel,
                      rank_over_rational_field)
-from conftest import (CatastrophicEncoderError, poly_row_space_equal, table_free_distance,
-                      tb_block_code, zt_block_code)
+from conftest import (CatastrophicEncoderError, poly_gcd, poly_row_space_equal,
+                      table_free_distance, tb_block_code, zt_block_code)
 
 
 # ---------------------------------------------------------------------------
@@ -260,31 +259,24 @@ def test_free_distance_is_the_same_for_every_generator_of_a_code(pair):
 
 
 def test_rate_half_subcodes_reference(constituent_check):
-    subs = rate_half_subcodes(constituent_check)
-    assert len(subs) == 3
-    h1, h2, h3 = constituent_check.entries[0]
-    # supports (0,1), (0,2), (1,2); generators are the swapped check pairs
-    expected = [
-        (h2, h1, 0),
-        (h3, 0, h1),
-        (0, h3, h2),
-    ]
-    got = [tuple(sc.entries[0]) for sc in subs]
-    assert sorted(got) == sorted(expected)
-    assert min(free_distance(sc) for sc in subs) == 8
+    # the subcode on support {i, j} is the kernel of the check pair: the
+    # swapped pair, whose entries are coprime on the reference constituent
+    h = constituent_check.entries[0]
+    subs = []
+    for i, j in combinations(range(3), 2):
+        sub = minimal_kernel(PolyMatrix([[h[i], h[j]]]))
+        assert sub.entries == ((h[j], h[i]),)
+        subs.append(sub)
     assert [free_distance(sc) for sc in subs] == [8, 8, 8]
 
 
 def test_rate_half_subcode_words_satisfy_parent(constituent_check):
-    for sc in rate_half_subcodes(constituent_check):
-        assert (sc @ constituent_check.transpose()).is_zero()
-
-
-def test_rate_half_subcodes_reject_wrong_width():
-    with pytest.raises(ValueError, match="c = 3"):
-        rate_half_subcodes(PolyMatrix([[1, 1]]))
-    with pytest.raises(ValueError, match="single-row"):
-        rate_half_subcodes(PolyMatrix([[1, 1, 1], [1, 0b10, 0b100]]))
+    h = constituent_check.entries[0]
+    for i, j in combinations(range(3), 2):
+        (a, b), = minimal_kernel(PolyMatrix([[h[i], h[j]]])).entries
+        row = [0] * 3
+        row[i], row[j] = a, b
+        assert (PolyMatrix([row]) @ constituent_check.transpose()).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -34,27 +34,29 @@ def subset_girth_oracle(g: Hypergraph) -> int | None:
                 verts |= edge_verts[i]
             incid = sum(len(edge_verts[i]) for i in subset)
             nodes = k + len(verts)
-            comps = _component_count(subset, edge_verts)
+            comps = len(_components(subset, edge_verts))
             if incid > nodes - comps:
                 return k
     return None
 
 
-def _component_count(subset, edge_verts) -> int:
+def _components(subset, edge_verts) -> list[set[int]]:
+    """Edge sets of the connected components of the given edges."""
     remaining = set(subset)
-    comps = 0
+    comps = []
     while remaining:
-        comps += 1
-        stack = [remaining.pop()]
-        comp_verts = set(edge_verts[stack[0]])
+        comp = {remaining.pop()}
+        comp_verts = set(edge_verts[next(iter(comp))])
         grew = True
         while grew:
             grew = False
             for e in list(remaining):
                 if edge_verts[e] & comp_verts:
                     comp_verts |= edge_verts[e]
+                    comp.add(e)
                     remaining.discard(e)
                     grew = True
+        comps.append(comp)
     return comps
 
 
@@ -63,7 +65,7 @@ def subset_sd_girth_oracle(g: Hypergraph, d: int, k_max: int) -> int | None:
     edge_verts = [set((p, v) for p, v in enumerate(e)) for e in g.edges]
     for k in range(2, k_max + 1):
         for subset in combinations(range(g.num_edges), k):
-            if _component_count(subset, edge_verts) != 1:
+            if len(_components(subset, edge_verts)) != 1:
                 continue
             deg: dict = {}
             for i in subset:
@@ -184,6 +186,18 @@ def test_sd_girth_matches_exhaustive_subsets_on_random_graphs(shape, seed):
     g = random_regular(*shape, seed)
     for d in range(2, g.c + 1):
         assert sd_girth(g, d) == subset_sd_girth_oracle(g, d, g.num_edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 15), st.integers(0, 10_000))
+def test_sd_girth_on_graphs_beyond_the_exhaustive_oracle(s, n, seed):
+    # up to 45 edges; at d = c the compact sets are unions of whole components
+    g = random_regular(s, 3, n, seed)
+    if s == 2:
+        assert sd_girth(g, 2) == girth(g)
+    edge_verts = [set(enumerate(e)) for e in g.edges]
+    smallest = min(len(comp) for comp in _components(range(g.num_edges), edge_verts))
+    assert sd_girth(g, g.c) == smallest
 
 
 def test_sd_girth_rejects_small_d_and_handles_large_d():
