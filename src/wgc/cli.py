@@ -171,13 +171,19 @@ def cmd_freedist(args) -> int:
     has_parity = args.parity or args.parity_inline
     if has_gen and has_parity:
         raise CliError("give either a generator or a parity-check matrix, not both")
-    if has_gen:
+    if has_parity:
+        h = load_poly_matrix(args, "parity", "parity_inline")
+    elif has_gen:
         gen = load_poly_matrix(args, "gen", "gen_inline")
-    elif has_parity:
-        gen = minimal_kernel(load_poly_matrix(args, "parity", "parity_inline"))
+        if not gen.rows:
+            raise ValueError("empty generator: the code has no nonzero codeword")
+        h = minimal_kernel(gen)
+        if gen.cols - h.rows < gen.rows:
+            raise ValueError("a nonzero input encodes to zero: "
+                             "the generator rows are dependent over GF(2)(D)")
     else:
         raise CliError("need a generator or parity-check matrix")
-    print(f"free_distance={convcodes.free_distance(gen)}")
+    print(f"free_distance={convcodes.free_distance(h)}")
     return 0
 
 

@@ -1,9 +1,9 @@
 """Convolutional codes in polynomial form: distances and derived block codes.
 
-A code is the matrix a function reads: ``free_distance`` and
-``tb_encoder_code`` take a generator G(D), ``block_distance_conv`` a
-parity-check matrix H(D).  ``gf2.minimal_kernel`` converts either form into
-the other.
+A property of the code reads its parity-check matrix H(D)
+(``free_distance``, ``block_distance_conv``); a property of an encoder reads
+its generator G(D) (``tb_encoder_code``, ``lightest_codeword``).
+``gf2.minimal_kernel`` converts either form into the other.
 """
 
 from __future__ import annotations
@@ -145,24 +145,18 @@ def lightest_codeword(G: PolyMatrix, cap: int, max_nodes: int
     return dist[0], enc.encode(inputs[::-1]), nodes
 
 
-def free_distance(gen: PolyMatrix) -> int:
-    """Exact free distance of the code the generator's rows span.
+def free_distance(h: PolyMatrix) -> int:
+    """Exact free distance of the code the parity-check matrix h defines.
 
-    The free distance is a property of the code, not of its encoder, so the
-    search runs on the code's basic basis ``minimal_kernel(minimal_kernel(G))``,
-    which is non-catastrophic whatever G is.  The zero state is start and goal
-    but never an interior vertex, so the result is the weight of the lightest
-    nonzero diverge/remerge loop.  Raises ValueError only on a generator
-    without rows or with rows dependent over GF(2)(D), where some nonzero
-    input encodes to zero.
+    The search runs on the code's basic basis ``minimal_kernel(h)``, which is
+    non-catastrophic whatever h is, from the zero state back to it and never
+    through it: the weight of the lightest nonzero diverge/remerge loop.
+    Raises ValueError when h has full column rank, so the code is {0}.
     """
+    gen = minimal_kernel(h)
     if not gen.rows:
-        raise ValueError("empty generator: the code has no nonzero codeword")
-    checks = minimal_kernel(gen)
-    if gen.cols - checks.rows < gen.rows:
-        raise ValueError("a nonzero input encodes to zero: "
-                         "the generator rows are dependent over GF(2)(D)")
-    return _lightest_paths(_Encoder(minimal_kernel(checks)))[0][0]
+        raise ValueError("the code has no nonzero codeword: H has full column rank over GF(2)(D)")
+    return _lightest_paths(_Encoder(gen))[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,11 @@ def generator_report(code: WovenConvCode) -> GeneratorReport:
 # distance bounds
 
 
+def subcode_free_distance(hc: PolyMatrix) -> int:
+    """Least free distance of the rate-1/2 subcodes, the codes that pairs of hc's entries check."""
+    return min(free_distance(PolyMatrix([pair])) for pair in combinations(hc.entries[0], 2))
+
+
 def distance_bounds(g: Hypergraph, hc: PolyMatrix) -> tuple[int, int | None]:
     """(product, improved) lower bounds on the free distance of the woven codes of g and hc.
 
@@ -197,7 +202,7 @@ def distance_bounds(g: Hypergraph, hc: PolyMatrix) -> tuple[int, int | None]:
     Below constituent block distance 2 an active constituent need not close a
     cycle, and the product bound is the constituent free distance alone.
     The improved bound splits codewords by constituent support: fully
-    block-weight-2 words live in the rate-1/2 subcodes, the kernels of the
+    block-weight-2 words live in the rate-1/2 subcodes, the codes of the
     check pairs, and activate at least girth/2 constituents; anything else
     activates one more constituent at full free distance.  The improved bound is None unless the
     constituent has block distance 2, c = 3 and one check row.  The check
@@ -209,7 +214,7 @@ def distance_bounds(g: Hypergraph, hc: PolyMatrix) -> tuple[int, int | None]:
         raise ValueError(f"check row has {hc.cols} columns, graph degree is {g.c}")
     if g.s != 2:
         raise StructureError(f"distance bounds are derived for bipartite graphs, got s={g.s}")
-    d_free_c = free_distance(minimal_kernel(hc))
+    d_free_c = free_distance(hc)
     d_block = block_distance_conv(hc)
     if d_block < 2:
         return d_free_c, None
@@ -219,9 +224,7 @@ def distance_bounds(g: Hypergraph, hc: PolyMatrix) -> tuple[int, int | None]:
     active = graph_girth // 2
     improved: int | None = None
     if d_block == 2 and g.c == 3 and hc.rows == 1:
-        d_sub = min(free_distance(minimal_kernel(PolyMatrix([pair])))
-                    for pair in combinations(hc.entries[0], 2))
-        improved = min(active * d_sub, (active + 1) * d_free_c)
+        improved = min(active * subcode_free_distance(hc), (active + 1) * d_free_c)
     return active * d_free_c, improved
 
 

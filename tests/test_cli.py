@@ -199,11 +199,31 @@ def hc_file(tmp_path):
       "--assign", "0,1,2"], "assignment needs parts 1..2, '/'-separated, got 1"),
     (["woven-block", "--graph", "builtin:3partite", "--hc-inline", "1,1,1,1", "--l", "1",
       "--assign", "0,1,2,3/0,1,2,3"], "assignment part 1 needs 4 vertex groups, got 1"),
+    # a check matrix of full column rank: blamed on H, as no generator was given
+    (["freedist", "--parity-inline", "1"],
+     "the code has no nonzero codeword: H has full column rank over GF(2)(D)"),
 ])
 def test_conflicting_inputs_are_one_error_line(hc_file, capsys, argv, message):
     assert cli.main([arg.format(hc=hc_file) for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("gen", [
+    "0,0",
+    "1,1;1,1",
+    "11,11;11,11",
+    "1,1,0;0,1,1;1,0,1",
+    # dependent rows whose encoders also have zero-weight cycles
+    "1,01;01,001",
+    "11,101;11,101",
+])
+def test_freedist_rejects_dependent_generator_rows(capsys, gen):
+    # each generator has a nonzero input that encodes to the zero word
+    assert cli.main(["freedist", "--gen-inline", gen]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: a nonzero input encodes to zero: the generator rows are dependent over GF(2)(D)\n")
 
 
 @pytest.mark.parametrize("flag", ["--budget", "--max-shift", "--nodes", "--target"])
