@@ -3,14 +3,15 @@
 Check rows are routed by ``hypergraphs.route_checks``, the minimum distance
 searches systematic generators that ``gf2._eliminate`` builds, and the
 product bound on a woven block code is certified for every graph, block
-assignment and number of parts.
+assignment and number of parts.  The module computes numbers only; their
+key=value and CSV reports are written by ``cli``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 from .gf2 import BinaryMatrix, _eliminate, nullspace_basis, rank
 from .hypergraphs import Assignment, Hypergraph, identity_assignment, route_checks, sd_girth
@@ -239,35 +240,3 @@ def rate_bound(g: Hypergraph, rc: Fraction) -> Fraction:
         raise ValueError("constituent rate must be in (0, 1]")
     return g.s * (rc - 1) + 1
 
-
-# ---------------------------------------------------------------------------
-# reporting
-
-
-def code_report(name: str, code: LinearBlockCode, est: DistanceEstimate,
-                extras: dict | None = None) -> dict:
-    rep = {
-        "name": name,
-        "n": code.n,
-        "k": code.k,
-        "d_min": est.value,
-        "d_exact": est.exact,
-        "d_floor": est.floor,
-    }
-    if extras:
-        rep.update(extras)
-    return rep
-
-
-def report_text(rep: dict) -> str:
-    return "\n".join(f"{k}={v}" for k, v in rep.items()) + "\n"
-
-
-def report_csv(reps: Sequence[dict]) -> str:
-    if not reps:
-        return "\n"
-    keys = list(reps[0].keys())
-    lines = [",".join(keys)]
-    for rep in reps:
-        lines.append(",".join(str(rep.get(k, "")) for k in keys))
-    return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import argparse
 
-    from . import hypergraphs, woven
+    from . import blockcodes, hypergraphs, woven
     from .gf2 import BinaryMatrix, PolyMatrix
 
 
@@ -98,6 +98,10 @@ def parse_assignment(text: str, g: hypergraphs.Hypergraph) -> hypergraphs.Assign
     return (hypergraphs.identity_assignment(g)[0], *parts)
 
 
+# ---------------------------------------------------------------------------
+# reports: every key=value and CSV report of wgc is formatted here
+
+
 def emit(args, text: str) -> None:
     if getattr(args, "out", None):
         Path(args.out).write_text(text)
@@ -105,16 +109,36 @@ def emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _or_na(value) -> str:
-    return "n/a" if value is None else str(value)
+def _or_na(value, na: str = "n/a") -> str:
+    return na if value is None else str(value)
+
+
+def report_text(rep: dict) -> str:
+    return "".join(f"{k}={v}\n" for k, v in rep.items())
+
+
+def report_csv(reps: list[dict]) -> str:
+    """A header of the first report's keys, then one line of values per report.
+
+    Fields are not quoted, so a value holding a comma shifts its row.
+    """
+    keys = list(reps[0])
+    lines = [keys, *([rep[k] for k in keys] for rep in reps)]
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)
 
 
 def report_out(args, rep: dict) -> None:
-    from . import blockcodes
-    if getattr(args, "format", "text") == "csv":
-        emit(args, blockcodes.report_csv([rep]))
-    else:
-        emit(args, blockcodes.report_text(rep))
+    """Write one report to ``--out`` or stdout: key=value lines, or CSV under ``--format csv``."""
+    emit(args, (report_csv([rep]) if getattr(args, "format", "text") == "csv"
+                else report_text(rep)))
+
+
+def code_report(name: str, code: blockcodes.LinearBlockCode) -> dict:
+    """Name, length, dimension and minimum distance with its proof status."""
+    from .blockcodes import min_distance
+    est = min_distance(code)
+    return {"name": name, "n": code.n, "k": code.k, "d_min": est.value,
+            "d_exact": est.exact, "d_floor": est.floor}
 
 
 # ---------------------------------------------------------------------------
@@ -123,35 +147,29 @@ def report_out(args, rep: dict) -> None:
 
 def cmd_girth(args) -> int:
     from . import hypergraphs
-    g = load_graph(args.graph)
-    value = hypergraphs.girth(g)
-    print("girth=" + ("none" if value is None else str(value)))
+    report_out(args, {"girth": _or_na(hypergraphs.girth(load_graph(args.graph)), "none")})
     return 0
 
 
 def cmd_sd_girth(args) -> int:
     from . import hypergraphs
-    g = load_graph(args.graph)
-    value = hypergraphs.sd_girth(g, args.d)
-    print(f"sd_girth(d={args.d})=" + ("none" if value is None else str(value)))
+    value = hypergraphs.sd_girth(load_graph(args.graph), args.d)
+    report_out(args, {f"sd_girth(d={args.d})": _or_na(value, "none")})
     return 0
 
 
 def cmd_mindist(args) -> int:
     from . import blockcodes
-    code = blockcodes.LinearBlockCode(load_binary_matrix(args.matrix))
-    est = blockcodes.min_distance(code)
-    rep = blockcodes.code_report(args.matrix, code, est)
-    report_out(args, rep)
+    report_out(args, code_report(args.matrix,
+                                 blockcodes.LinearBlockCode(load_binary_matrix(args.matrix))))
     return 0
 
 
 def cmd_blockdist(args) -> int:
     from . import blockcodes, convcodes
-    from .gf2 import PolyMatrix
     if args.parity:
-        h = PolyMatrix.from_text(Path(args.parity).read_text())
-        print(f"block_distance={convcodes.block_distance_conv(h)}")
+        h = load_poly_matrix(args, "parity", "parity_inline")
+        report_out(args, {"block_distance": convcodes.block_distance_conv(h)})
         return 0
     if not args.matrix or args.l is None:
         raise CliError("need --parity (polynomial) or --matrix with --l")
@@ -160,7 +178,7 @@ def cmd_blockdist(args) -> int:
         raise CliError(f"--l must be a positive divisor of the code length {code.n}, "
                        f"got {args.l}")
     bs = blockcodes.BlockStructure(args.l, code.n // args.l)
-    print(f"block_distance={blockcodes.block_distance(code, bs)}")
+    report_out(args, {"block_distance": blockcodes.block_distance(code, bs)})
     return 0
 
 
@@ -183,7 +201,7 @@ def cmd_freedist(args) -> int:
                              "the generator rows are dependent over GF(2)(D)")
     else:
         raise CliError("need a generator or parity-check matrix")
-    print(f"free_distance={convcodes.free_distance(h)}")
+    report_out(args, {"free_distance": convcodes.free_distance(h)})
     return 0
 
 
@@ -194,14 +212,9 @@ def cmd_graph_code(args) -> int:
     hc = load_poly_matrix(args).constant_matrix() if (args.hc or args.hc_inline) \
         else BinaryMatrix.from_strings(["1" * g.c])
     code = blockcodes.build_graph_code(g, hc)
-    est = blockcodes.min_distance(code)
-    gg = hypergraphs.girth(g)
-    rep = blockcodes.code_report(
-        f"graph-code:{args.graph}", code, est,
-        extras={"girth": gg, "rate": code.rate,
-                "rate_bound": blockcodes.rate_bound(
-                    g, blockcodes.LinearBlockCode(hc).rate)})
-    report_out(args, rep)
+    report_out(args, code_report(f"graph-code:{args.graph}", code) | {
+        "girth": hypergraphs.girth(g), "rate": code.rate,
+        "rate_bound": blockcodes.rate_bound(g, blockcodes.LinearBlockCode(hc).rate)})
     return 0
 
 
@@ -216,17 +229,11 @@ def cmd_woven_block(args) -> int:
     bs = blockcodes.BlockStructure(args.l, hcm.cols // args.l)
     assignment = parse_assignment(args.assign, g) if args.assign else None
     wb = blockcodes.build_woven_block(g, constituent, bs, assignment)
-    est = blockcodes.min_distance(wb.code)
+    rep = code_report(f"woven-block:{args.graph}", wb.code)
     bound = blockcodes.product_distance_bound(g, constituent, bs)
-    rep = blockcodes.code_report(
-        f"woven-block:{args.graph}", wb.code, est,
-        extras={
-            "bound": bound,
-            "bound_contradicted": est.value < bound,
-            "rate": wb.rate,
-            "rate_bound": blockcodes.rate_bound(g, constituent.rate),
-        })
-    report_out(args, rep)
+    report_out(args, rep | {"bound": bound, "bound_contradicted": rep["d_min"] < bound,
+                            "rate": wb.rate,
+                            "rate_bound": blockcodes.rate_bound(g, constituent.rate)})
     return 0
 
 
@@ -242,9 +249,9 @@ def cmd_woven_build(args) -> int:
     code = _woven_code(args)
     rep = woven.generator_report(code)
     emit(args, code.H_wg.to_text())
-    print(f"nu_raw={_or_na(rep.nu_raw)}", file=sys.stderr)
-    print(f"nu_minimal={rep.nu_minimal}", file=sys.stderr)
-    print(f"dimension={rep.code_dimension}", file=sys.stderr)
+    # --out holds H_wg, so the summary goes to stderr
+    sys.stderr.write(report_text({"nu_raw": _or_na(rep.nu_raw), "nu_minimal": rep.nu_minimal,
+                                  "dimension": rep.code_dimension}))
     return 0
 
 
@@ -252,8 +259,7 @@ def cmd_woven_bounds(args) -> int:
     from . import woven
     code = _woven_code(args)  # checks the graph, the check row and --perm
     product, improved = woven.distance_bounds(code.graph, code.hc)
-    print(f"product_bound={product}")
-    print(f"improved_bound={_or_na(improved)}")
+    report_out(args, {"product_bound": product, "improved_bound": _or_na(improved)})
     return 0
 
 
@@ -262,14 +268,12 @@ def cmd_woven_witness(args) -> int:
     from .gf2 import BinaryPoly
     code = _woven_code(args)
     res = woven.witness_search(code)
-    orbit = woven.orbit_multiplicity(code, res.word)
-    print(f"witness_weight={res.weight}")
-    print(f"exact={res.exact}")
-    print(f"words_enumerated={res.words_enumerated}")
-    print(f"nodes_expanded={res.nodes_expanded}")
-    print(f"orbit={_or_na(orbit)}")
+    rep = {"witness_weight": res.weight, "exact": res.exact,
+           "words_enumerated": res.words_enumerated, "nodes_expanded": res.nodes_expanded,
+           "orbit": _or_na(woven.orbit_multiplicity(code, res.word))}
     if args.show_word:
-        print("word=" + ",".join(map(BinaryPoly.to_string, res.word)))
+        rep["word"] = ",".join(map(BinaryPoly.to_string, res.word))
+    report_out(args, rep)
     return 0
 
 
@@ -277,14 +281,12 @@ def cmd_woven_sweep(args) -> int:
     from . import woven
     g = load_graph(args.graph)
     hc = load_poly_matrix(args)
-    rows = woven.permutation_sweep(g, hc)
-    lines = ["perm,nu_raw,nu_min,k,product_bound,improved_bound,witness,orbit,flags"]
-    for r in rows:
-        perm = "-".join(map(str, r.perm))
-        lines.append(f"{perm},{_or_na(r.nu_raw)},{r.nu_minimal},{r.code_dimension},"
-                     f"{_or_na(r.product_bound)},{_or_na(r.improved_bound)},"
-                     f"{r.witness},{_or_na(r.orbit)},{r.flags}")
-    emit(args, "\n".join(lines) + "\n")
+    emit(args, report_csv([
+        {"perm": "-".join(map(str, r.perm)), "nu_raw": _or_na(r.nu_raw), "nu_min": r.nu_minimal,
+         "k": r.code_dimension, "product_bound": _or_na(r.product_bound),
+         "improved_bound": _or_na(r.improved_bound), "witness": r.witness,
+         "orbit": _or_na(r.orbit), "flags": r.flags}
+        for r in woven.permutation_sweep(g, hc)]))
     return 0
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .gf2 import BinaryMatrix
-
 
 class Hypergraph:
     """Immutable s-partite hypergraph; edge i picks vertex edges[i][p] of partition p."""
@@ -57,18 +55,6 @@ class Hypergraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def incidence_matrix(self) -> BinaryMatrix:
-        """(s*n) x (n*c) matrix; rows partition-major, columns by edge label."""
-        rows = []
-        for p in range(self.s):
-            for v in range(self.n):
-                bits = 0
-                for i, e in enumerate(self.edges):
-                    if e[p] == v:
-                        bits |= 1 << i
-                rows.append(bits)
-        return BinaryMatrix(rows, self.num_edges)
 
     # -- text formats --------------------------------------------------
 

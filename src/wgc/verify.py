@@ -28,7 +28,7 @@ def run_heawood_verification() -> list[tuple]:
 
     wrapped = tailbite(GRAPH_PARENT_CHECK, 7)
     check("wrapped parent = incidence (up to perm)", True,
-          permutation_equivalent(wrapped, g.incidence_matrix()))
+          permutation_equivalent(wrapped, spc.H))
     tb7 = convcodes.tb_encoder_code(minimal_kernel(GRAPH_PARENT_CHECK), 7)
     check("wrapped-parent code (n,k)", (21, 7), (tb7.n, tb7.k))
     check("wrapped-parent code d_min", 6, blockcodes.min_distance(tb7).value)

@@ -360,27 +360,19 @@ def orbit_multiplicity(code: WovenConvCode, word: tuple[int, ...]) -> int | None
     """Distinct codewords among the n cyclic block shifts of a codeword.
 
     None where the graph is not circulant (``z_offsets`` is None), since the
-    block shift need not map the code to itself there.
+    block shift need not map the code to itself there.  Where it is, a
+    vertex ranks its edges by part-0 slot, one edge per slot, so a shift by
+    one column block maps the rows of H_wg onto rows of H_wg and every shift
+    of a codeword is a codeword.
     """
     if len(word) != code.n * code.c:
         raise ValueError("word length does not match the code")
-
-    def in_code(v: tuple[int, ...]) -> bool:
-        return (code.H_wg @ PolyMatrix([[p] for p in v])).is_zero()
-
-    if not in_code(word):
+    if not (code.H_wg @ PolyMatrix([[p] for p in word])).is_zero():
         raise ValueError("input is not a codeword")
     if code.z_offsets() is None:
         return None
-    seen = set()
-    c = code.c
-    cur = tuple(word)
-    for _ in range(code.n):
-        cur = cur[-c:] + cur[:-c]
-        if not in_code(cur):
-            raise AssertionError("cyclic shift left the code; graph not circulant?")
-        seen.add(cur)
-    return len(seen)
+    word, c = tuple(word), code.c
+    return len({word[c * i:] + word[:c * i] for i in range(code.n)})
 
 
 # ---------------------------------------------------------------------------

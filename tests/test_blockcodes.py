@@ -206,8 +206,9 @@ def test_graph_code_heawood_equals_incidence(heawood_incidence):
     assert min_distance(code).value == 6
 
 
-def test_graph_code_utility_single_parity():
+def test_graph_code_utility_single_parity(utility_incidence):
     code = build_graph_code(build_utility(), SPC3)
+    assert code.H == utility_incidence
     assert (code.n, code.k) == (9, 4)
     assert min_distance(code).value == 4 == dense_min_weight(code.H.to_strings())
 

@@ -317,6 +317,31 @@ def test_woven_block_flags_a_bound_above_the_measured_distance(monkeypatch, caps
     assert report() == (d_min, "True", "5", contradicted)
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["mindist", "--matrix", "{matrix}"],
+     "name,n,k,d_min,d_exact,d_floor\n{matrix},4,2,2,True,2\n"),
+    (["graph-code", "--graph", "builtin:heawood"],
+     "name,n,k,d_min,d_exact,d_floor,girth,rate,rate_bound\n"
+     "graph-code:builtin:heawood,21,8,6,True,6,6,8/21,1/3\n"),
+    (["woven-block", "--graph", "builtin:utility", "--hc-inline", "1,1,1", "--l", "1"],
+     "name,n,k,d_min,d_exact,d_floor,bound,bound_contradicted,rate,rate_bound\n"
+     "woven-block:builtin:utility,9,4,4,True,4,4,False,4/9,1/3\n"),
+])
+def test_code_reports_print_a_csv_header_and_row(tmp_path, capsys, argv, out):
+    matrix = tmp_path / "h.txt"
+    matrix.write_text("2 4\n1110\n0111\n")
+    assert cli.main([*(arg.format(matrix=matrix) for arg in argv), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == out.format(matrix=matrix)
+
+
+def test_report_out_writes_the_report_to_the_file(tmp_path, capsys):
+    path = tmp_path / "report.txt"
+    assert cli.main(["graph-code", "--graph", "builtin:utility", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == ("name=graph-code:builtin:utility\nn=9\nk=4\nd_min=4\n"
+                                "d_exact=True\nd_floor=4\ngirth=4\nrate=4/9\nrate_bound=1/3\n")
+
+
 @pytest.mark.parametrize("command", [["graph-code"], ["woven-block", "--l", "1"]])
 def test_rate_bound_reads_the_constituent_rate_not_its_row_count(capsys, command):
     # the second check row repeats the first, so the constituent has rate 2/3

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgc.blockcodes import build_graph_code
+from wgc.gf2 import BinaryMatrix
 from wgc.hypergraphs import (
     Hypergraph,
     build_heawood,
@@ -77,31 +79,24 @@ def subset_sd_girth_oracle(g: Hypergraph, d: int, k_max: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# built-in instances
+# built-in instances (their incidence matrices are pinned in test_blockcodes.py)
 
 
-def test_heawood_incidence_bit_identical(heawood_incidence):
-    assert build_heawood().incidence_matrix() == heawood_incidence
+def incidence(g: Hypergraph) -> BinaryMatrix:
+    """The incidence matrix: H of the graph code with a single-parity constituent."""
+    return build_graph_code(g, BinaryMatrix.from_strings(["1" * g.c])).H
 
 
 def test_heawood_girth_and_regularity():
     g = build_heawood()
     assert girth(g) == 6
-    assert [r.bit_count() for r in g.incidence_matrix().data] == [3] * 14
-
-
-def test_utility_incidence_bit_identical(utility_incidence):
-    assert build_utility().incidence_matrix() == utility_incidence
+    assert [r.bit_count() for r in incidence(g).data] == [3] * 14
 
 
 def test_utility_girth_and_edge_count():
     g = build_utility()
     assert girth(g) == 4
     assert g.num_edges == 9
-
-
-def test_three_partite_incidence_bit_identical(three_partite_incidence):
-    assert build_three_partite().incidence_matrix() == three_partite_incidence
 
 
 def test_three_partite_girths():
@@ -112,7 +107,7 @@ def test_three_partite_girths():
 
 def test_incidence_row_and_column_sums():
     for g in (build_heawood(), build_utility(), build_three_partite()):
-        m = g.incidence_matrix()
+        m = incidence(g)
         assert {r.bit_count() for r in m.transpose().data} == {g.s}
         assert {r.bit_count() for r in m.data} == {g.c}
 
@@ -234,7 +229,7 @@ def test_random_regular_deterministic():
 def test_random_regular_specific_shape_valid():
     g = random_regular(3, 4, 4, seed=0)
     assert (g.s, g.c, g.n) == (3, 4, 4)
-    m = g.incidence_matrix()
+    m = incidence(g)
     assert {r.bit_count() for r in m.transpose().data} == {3}
     assert {r.bit_count() for r in m.data} == {4}
 

@@ -416,6 +416,23 @@ def test_orbit_shift_invariance(best_code):
     assert orbit_multiplicity(best_code, shifted) == orbit_multiplicity(best_code, res.word)
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.integers(3, 7).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(0, n - 1))),
+       st.lists(st.integers(1, 7), min_size=3, max_size=3))
+def test_block_shifts_of_the_witness_are_codewords(n_a_b, hc):
+    # orbit_multiplicity counts the block shifts of a codeword without testing them:
+    # on a circulant labelling each shift maps the rows of H_wg onto rows of H_wg
+    n, a, b = n_a_b
+    for perm in permutations((1, 2, 3)):
+        code = build_woven_conv(_circulant(n, a, b), PolyMatrix([hc]), perm)
+        assert code.z_offsets() == (0, a, b)
+        word = witness_search(code).word
+        for i in range(n):
+            shifted = word[3 * i:] + word[:3 * i]
+            assert not any(any(oracle_syndrome(shifted, h_row)) for h_row in code.H_wg.entries)
+
+
 def test_orbit_multiplicity_divides_levels(best_code):
     res = witness_search(best_code)
     assert orbit_multiplicity(best_code, res.word) in (1, 7)
