@@ -79,12 +79,16 @@ def subset_sd_girth_oracle(g: Hypergraph, d: int, k_max: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# built-in instances (their incidence matrices are pinned in test_blockcodes.py)
+# built-in instances
 
 
 def incidence(g: Hypergraph) -> BinaryMatrix:
     """The incidence matrix: H of the graph code with a single-parity constituent."""
     return build_graph_code(g, BinaryMatrix.from_strings(["1" * g.c])).H
+
+
+def test_heawood_incidence_bit_identical(heawood_incidence):
+    assert incidence(build_heawood()) == heawood_incidence
 
 
 def test_heawood_girth_and_regularity():
@@ -93,10 +97,18 @@ def test_heawood_girth_and_regularity():
     assert [r.bit_count() for r in incidence(g).data] == [3] * 14
 
 
+def test_utility_incidence_bit_identical(utility_incidence):
+    assert incidence(build_utility()) == utility_incidence
+
+
 def test_utility_girth_and_edge_count():
     g = build_utility()
     assert girth(g) == 4
     assert g.num_edges == 9
+
+
+def test_three_partite_incidence_bit_identical(three_partite_incidence):
+    assert incidence(build_three_partite()) == three_partite_incidence
 
 
 def test_three_partite_girths():
