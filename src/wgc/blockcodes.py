@@ -188,10 +188,6 @@ class WovenBlockCode:
              for row in route_checks(g, checks, assignment)), g.num_edges * l)
         self.code = LinearBlockCode(self.H_wg)
 
-    @property
-    def rate(self) -> Fraction:
-        return self.code.rate
-
     def __repr__(self) -> str:
         return f"WovenBlockCode(n={self.code.n}, k={self.code.k})"
 

@@ -14,10 +14,6 @@ if TYPE_CHECKING:
     from .gf2 import BinaryMatrix, PolyMatrix
 
 
-class CliError(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # input parsing
 
@@ -33,15 +29,12 @@ def parse_poly_token(tok: str) -> int:
     if tok.startswith(("o", "O", "0o", "0O")):
         digits = tok[2:] if tok[:2] in ("0o", "0O") else tok[1:]
         if not digits or set(digits) - set("01234567"):
-            raise CliError(f"bad octal polynomial {tok!r}")
+            raise ValueError(f"bad octal polynomial {tok!r}")
         bits = 0
         for k, ch in enumerate(digits):
             bits |= int(ch, 8) << (3 * k)
         return bits
-    try:
-        return BinaryPoly.parse(tok)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return BinaryPoly.parse(tok)
 
 
 def parse_poly_matrix_inline(text: str) -> PolyMatrix:
@@ -59,7 +52,7 @@ def load_graph(spec: str) -> hypergraphs.Hypergraph:
         return hypergraphs.BUILTINS[name]()
     path = Path(spec)
     if not path.exists():
-        raise CliError(f"unknown graph {spec!r} (builtins: {sorted(hypergraphs.BUILTINS)})")
+        raise ValueError(f"unknown graph {spec!r} (builtins: {sorted(hypergraphs.BUILTINS)})")
     return hypergraphs.Hypergraph.from_text(path.read_text())
 
 
@@ -73,12 +66,12 @@ def load_poly_matrix(args, file_attr: str = "hc", inline_attr: str = "hc_inline"
     path = getattr(args, file_attr, None)
     inline = getattr(args, inline_attr, None)
     if path and inline:
-        raise CliError("give either a file or an inline matrix, not both")
+        raise ValueError("give either a file or an inline matrix, not both")
     if path:
         return PolyMatrix.from_text(Path(path).read_text())
     if inline:
         return parse_poly_matrix_inline(inline)
-    raise CliError("a polynomial matrix is required (file or inline)")
+    raise ValueError("a polynomial matrix is required (file or inline)")
 
 
 def parse_perm(text: str | None) -> tuple[int, ...] | None:
@@ -91,10 +84,10 @@ def parse_assignment(text: str, g: hypergraphs.Hypergraph) -> hypergraphs.Assign
     parts = [tuple(tuple(int(x) for x in group.split(",")) for group in part.split(";"))
              for part in text.split("/")]
     if len(parts) != g.s - 1:
-        raise CliError(f"assignment needs parts 1..{g.s - 1}, '/'-separated, got {len(parts)}")
+        raise ValueError(f"assignment needs parts 1..{g.s - 1}, '/'-separated, got {len(parts)}")
     for p, groups in enumerate(parts, 1):
         if len(groups) != g.n:
-            raise CliError(f"assignment part {p} needs {g.n} vertex groups, got {len(groups)}")
+            raise ValueError(f"assignment part {p} needs {g.n} vertex groups, got {len(groups)}")
     return (hypergraphs.identity_assignment(g)[0], *parts)
 
 
@@ -172,11 +165,11 @@ def cmd_blockdist(args) -> int:
         report_out(args, {"block_distance": convcodes.block_distance_conv(h)})
         return 0
     if not args.matrix or args.l is None:
-        raise CliError("need --parity (polynomial) or --matrix with --l")
+        raise ValueError("need --parity (polynomial) or --matrix with --l")
     code = blockcodes.LinearBlockCode(load_binary_matrix(args.matrix))
     if args.l < 1 or code.n % args.l:
-        raise CliError(f"--l must be a positive divisor of the code length {code.n}, "
-                       f"got {args.l}")
+        raise ValueError(f"--l must be a positive divisor of the code length {code.n}, "
+                         f"got {args.l}")
     bs = blockcodes.BlockStructure(args.l, code.n // args.l)
     report_out(args, {"block_distance": blockcodes.block_distance(code, bs)})
     return 0
@@ -188,7 +181,7 @@ def cmd_freedist(args) -> int:
     has_gen = args.gen or args.gen_inline
     has_parity = args.parity or args.parity_inline
     if has_gen and has_parity:
-        raise CliError("give either a generator or a parity-check matrix, not both")
+        raise ValueError("give either a generator or a parity-check matrix, not both")
     if has_parity:
         h = load_poly_matrix(args, "parity", "parity_inline")
     elif has_gen:
@@ -200,7 +193,7 @@ def cmd_freedist(args) -> int:
             raise ValueError("a nonzero input encodes to zero: "
                              "the generator rows are dependent over GF(2)(D)")
     else:
-        raise CliError("need a generator or parity-check matrix")
+        raise ValueError("need a generator or parity-check matrix")
     report_out(args, {"free_distance": convcodes.free_distance(h)})
     return 0
 
@@ -223,8 +216,8 @@ def cmd_woven_block(args) -> int:
     g = load_graph(args.graph)
     hcm = load_poly_matrix(args).constant_matrix()
     if args.l < 1 or hcm.cols % args.l:
-        raise CliError(f"--l must be a positive divisor of the constituent's "
-                       f"{hcm.cols} columns, got {args.l}")
+        raise ValueError(f"--l must be a positive divisor of the constituent's "
+                         f"{hcm.cols} columns, got {args.l}")
     constituent = blockcodes.LinearBlockCode(hcm)
     bs = blockcodes.BlockStructure(args.l, hcm.cols // args.l)
     assignment = parse_assignment(args.assign, g) if args.assign else None
@@ -232,7 +225,7 @@ def cmd_woven_block(args) -> int:
     rep = code_report(f"woven-block:{args.graph}", wb.code)
     bound = blockcodes.product_distance_bound(g, constituent, bs)
     report_out(args, rep | {"bound": bound, "bound_contradicted": rep["d_min"] < bound,
-                            "rate": wb.rate,
+                            "rate": wb.code.rate,
                             "rate_bound": blockcodes.rate_bound(g, constituent.rate)})
     return 0
 
@@ -303,7 +296,7 @@ def cmd_woven_encode(args) -> int:
 def cmd_bounds(args) -> int:
     from . import bounds
     if args.kind == "costello" and args.s is not None:
-        raise CliError("--s applies to --kind vg only")
+        raise ValueError("--s applies to --kind vg only")
     s_list = [int(x) for x in args.s.split(",")] if args.s else [2]
     emit(args, bounds.curves_csv(bounds.emit_curves(s_list, args.step, args.kind)))
     return 0
@@ -311,7 +304,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.what != "heawood":
-        raise CliError("only the heawood reproduction is built in")
+        raise ValueError("only the heawood reproduction is built in")
     from .verify import run_heawood_verification
 
     results = run_heawood_verification()
@@ -449,7 +442,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, RuntimeError, OSError, AssertionError) as exc:
+    except (ValueError, RuntimeError, OSError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

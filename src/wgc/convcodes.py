@@ -167,7 +167,8 @@ def block_distance_conv(h: PolyMatrix) -> int:
     """Smallest coordinate support carrying a nonzero codeword of the code h checks.
 
     A nonzero codeword lives on support S exactly when the parity columns
-    indexed by S are rank deficient over GF(2)(D).
+    indexed by S are rank deficient over GF(2)(D).  Raises ValueError when no
+    support is, as ``free_distance`` does: h has full column rank.
     """
     if not h.rows:
         raise ValueError("code has no redundancy; block distance undefined")
@@ -177,7 +178,7 @@ def block_distance_conv(h: PolyMatrix) -> int:
             sub = PolyMatrix([cols[j] for j in subset]).transpose()
             if rank_over_rational_field(sub) < size:
                 return size
-    raise AssertionError("unreachable: full support always carries codewords")
+    raise ValueError("the code has no nonzero codeword: H has full column rank over GF(2)(D)")
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,23 @@ def gray_block_distance(rows: list[str], l: int) -> int:
     return best
 
 
+def minor_rank(rows: list[list[int]]) -> int:
+    """Rank over GF(2)(D) of packed GF(2)[D] rows: the size of the largest nonzero minor.
+
+    Each minor is a Leibniz determinant over ``clmul``; over GF(2) every
+    sign is +1, so it is the XOR of the products along each permutation.
+    """
+    assert len(rows) <= 3, "oracle meant for at most 3 rows"
+    cols = len(rows[0]) if rows else 0
+    for size in range(min(len(rows), cols), 0, -1):
+        for r in combinations(range(len(rows)), size):
+            for c in combinations(range(cols), size):
+                if reduce(xor, (reduce(clmul, (rows[i][c[p]] for i, p in zip(r, perm)))
+                                for perm in permutations(range(size)))):
+                    return size
+    return 0
+
+
 def convolve_mod2(a: list[int], b: list[int]) -> list[int]:
     """Schoolbook polynomial product over GF(2), coefficient lists."""
     if not a or not b:

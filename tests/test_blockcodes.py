@@ -20,7 +20,8 @@ from wgc.blockcodes import (
     product_distance_bound,
     rate_bound,
 )
-from wgc.gf2 import BinaryMatrix, rank
+from wgc.convcodes import block_distance_conv
+from wgc.gf2 import BinaryMatrix, PolyMatrix, rank
 from wgc.hypergraphs import (build_heawood, build_three_partite, build_utility,
                              identity_assignment, random_regular)
 from conftest import (WOVEN_BLOCK_CONSTITUENT_ROWS, dense_min_weight, girth_distance_check,
@@ -181,6 +182,10 @@ def test_block_distance_matches_gray_code_enumeration(l, c, data):
     code = LinearBlockCode(BinaryMatrix.from_strings(rows))
     assume(code.k > 0)
     assert block_distance(code, BlockStructure(l, c)) == gray_block_distance(rows, l)
+    if l == 1:
+        # a constant H has the same rank over GF(2)(D) as over GF(2)
+        assert block_distance_conv(PolyMatrix([[int(b) for b in row] for row in rows])) \
+            == gray_block_distance(rows, 1)
 
 
 def test_block_distance_beyond_enumeration_range():
@@ -286,7 +291,7 @@ def test_woven_block_reference_matrix_and_distance():
 def test_woven_block_identity_assignment_rate_bound():
     g = build_utility()
     wb = build_woven_block(g, constituent_code(), BlockStructure(4, 3))
-    assert wb.rate >= rate_bound(g, Fraction(2, 3)) == Fraction(1, 3)
+    assert wb.code.rate >= rate_bound(g, Fraction(2, 3)) == Fraction(1, 3)
     assert wb.H_wg.rows == g.s * g.n * 4 and wb.H_wg.cols == g.num_edges * 4
 
 

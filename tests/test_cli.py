@@ -294,6 +294,17 @@ def test_blockdist_rejects_a_block_length_that_does_not_tile(tmp_path, capsys, l
     assert capsys.readouterr().out == "block_distance=2\n"
 
 
+@pytest.mark.parametrize("command", ["blockdist", "freedist"])
+def test_a_full_rank_parity_matrix_is_one_error_line(tmp_path, capsys, command):
+    # the 2x2 identity checks every coordinate: both distances name the same fault
+    identity = tmp_path / "identity.txt"
+    identity.write_text("2 2\n1\n0\n0\n1\n")
+    assert cli.main([command, "--parity", str(identity)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: the code has no nonzero codeword: H has full column rank over GF(2)(D)\n")
+
+
 @pytest.mark.parametrize("assign, d_min, contradicted", [
     (None, "4", "True"),                  # identity routing: a weight-4 codeword
     ("1,2,0;0,1,2;2,0,1", "10", "False"),

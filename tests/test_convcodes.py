@@ -19,7 +19,7 @@ from wgc.convcodes import (
 from wgc.gf2 import (BinaryPoly, PolyMatrix, _divmod, clmul, minimal_kernel,
                      rank_over_rational_field)
 from wgc.woven import subcode_free_distance
-from conftest import (CatastrophicEncoderError, poly_gcd, poly_row_space_equal,
+from conftest import (CatastrophicEncoderError, minor_rank, poly_gcd, poly_row_space_equal,
                       table_free_distance, tb_block_code, zt_block_code)
 
 
@@ -93,6 +93,27 @@ def test_block_distance_trivial_cases():
     # an invertible generator leaves no check row
     with pytest.raises(ValueError, match="no redundancy"):
         block_distance_conv(minimal_kernel(PolyMatrix([[1, 0], [0, 1]])))
+    # full column rank: no support carries a nonzero codeword, as free_distance says
+    for h in (PolyMatrix([[1, 0], [0, 1]]), PolyMatrix([[1, 0b10], [0b11, 1]])):
+        with pytest.raises(ValueError, match="no nonzero codeword"):
+            block_distance_conv(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda c: st.lists(
+    st.lists(st.integers(0, 15), min_size=c, max_size=c), min_size=1, max_size=3)))
+@example([[1, 0], [0, 1]])
+@example([[1, 0b11], [0b11, 0b101]])  # det (1 + D)^2 + 1 + D^2 = 0: distance 2
+def test_block_distance_conv_matches_the_minor_rank_oracle(rows):
+    # the least column set whose rank over GF(2)(D) falls below its size
+    cols = len(rows[0])
+    dependent = [size for size in range(1, cols + 1) for subset in combinations(range(cols), size)
+                 if minor_rank([[row[j] for j in subset] for row in rows]) < size]
+    if dependent:
+        assert block_distance_conv(PolyMatrix(rows)) == min(dependent)
+    else:
+        with pytest.raises(ValueError, match="no nonzero codeword"):
+            block_distance_conv(PolyMatrix(rows))
 
 
 def test_parity_to_generator_roundtrip(graph_parent_check):
