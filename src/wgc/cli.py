@@ -160,6 +160,8 @@ def cmd_mindist(args) -> int:
 
 def cmd_blockdist(args) -> int:
     from . import blockcodes, convcodes
+    if args.parity and (args.matrix or args.l is not None):
+        raise ValueError("give either --parity or --matrix with --l, not both")
     if args.parity:
         h = load_poly_matrix(args, "parity", "parity_inline")
         report_out(args, {"block_distance": convcodes.block_distance_conv(h)})
@@ -250,8 +252,7 @@ def cmd_woven_build(args) -> int:
 
 def cmd_woven_bounds(args) -> int:
     from . import woven
-    code = _woven_code(args)  # checks the graph, the check row and --perm
-    product, improved = woven.distance_bounds(code.graph, code.hc)
+    product, improved = woven.distance_bounds(load_graph(args.graph), load_poly_matrix(args))
     report_out(args, {"product_bound": product, "improved_bound": _or_na(improved)})
     return 0
 
@@ -286,8 +287,9 @@ def cmd_woven_sweep(args) -> int:
 def cmd_woven_encode(args) -> int:
     from . import woven
     code = _woven_code(args)
-    raw = Path(args.infile).read_bytes()
-    bits = raw.translate(woven._TO_BITS, bytes(b for b in range(256) if b not in b"01"))
+    digits = b"".join(Path(args.infile).read_bytes().split())  # drops ASCII whitespace
+    # "0" and "1" become bits, raw 0x00 and 0x01 a non-bit: encode_stream rejects every other byte
+    bits = digits.translate(bytes.maketrans(b"01\0\1", b"\0\1??"))
     out = woven.encode_stream(code, bits, pad=args.pad)
     emit(args, out.translate(woven._TO_DIGITS).decode() + "\n")
     return 0
@@ -402,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_woven_build)
 
     p = wsub.add_parser("bounds", help="product and improved free-distance bounds")
-    add_woven_common(p)
+    add_graph(p)
+    add_hc(p)
     p.set_defaults(func=cmd_woven_bounds)
 
     p = wsub.add_parser("witness", help="search for a low-weight codeword")
@@ -411,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_woven_witness)
 
     p = wsub.add_parser("sweep", help="all check permutations side by side")
-    add_woven_common(p)
+    add_graph(p)
+    add_hc(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_woven_sweep)
 

@@ -394,6 +394,9 @@ def encode_stream(code: WovenConvCode, info_bits, *, pad: bool = False) -> bytea
     column blocks, so each coefficient D^t of row 0's entry at column
     b*c + j XORs into output slot j the frame with each level rotated by b,
     shifted by t*n: one rotation per b, a shift-XOR per coefficient.
+    Each column becomes 0/1 bytes before it is interleaved into the output,
+    so a frame holds its input copy, one column's text and the one output
+    bytearray, never two output-sized buffers.
     """
     try:
         frame = bytearray(info_bits if isinstance(info_bits, _SEQUENCES) else list(info_bits))
@@ -424,11 +427,12 @@ def encode_stream(code: WovenConvCode, info_bits, *, pad: bool = False) -> bytea
         for j, shift in taps:
             acc[j] ^= rotated << shift
     out = bytearray(size * c)
+    spec = f"0{size}b"
     for j, col in enumerate(acc):
         while col >> size:
             col = col & full ^ col >> size
-        out[j::c] = format(col, f"0{size}b").encode()
-    return out.translate(_TO_BITS)
+        out[j::c] = format(col, spec).encode().translate(_TO_BITS)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,11 @@ def hc_file(tmp_path):
     # a check matrix of full column rank: blamed on H, as no generator was given
     (["freedist", "--parity-inline", "1"],
      "the code has no nonzero codeword: H has full column rank over GF(2)(D)"),
+    # --parity takes neither the binary matrix nor its sub-block length
+    (["blockdist", "--parity", "{hc}", "--matrix", "{hc}", "--l", "5"],
+     "give either --parity or --matrix with --l, not both"),
+    (["blockdist", "--parity", "{hc}", "--l", "1"],
+     "give either --parity or --matrix with --l, not both"),
 ])
 def test_conflicting_inputs_are_one_error_line(hc_file, capsys, argv, message):
     assert cli.main([arg.format(hc=hc_file) for arg in argv]) == 1
@@ -259,7 +264,7 @@ def test_sweep_off_two_parts_prints_na_bounds_and_orbits(capsys):
     (["freedist", "--parity", "{hc}"], "free_distance=6\n"),
     (["freedist", "--gen-inline", "101,001,111;0111,1,101"], "free_distance=6\n"),
     (["blockdist", "--parity", "{hc}"], "block_distance=2\n"),
-    (["woven", "bounds", "--graph", "builtin:heawood", "--hc-inline", HC, "--perm", "1,3,2"],
+    (["woven", "bounds", "--graph", "builtin:heawood", "--hc-inline", HC],
      "product_bound=18\nimproved_bound=24\n"),
 ])
 def test_constituent_and_bound_commands_print_the_reference_values(hc_file, capsys, argv, out):
@@ -396,8 +401,10 @@ def test_bounds_hold_below_block_distance_two_and_at_girth_two(tmp_path, capsys,
 def test_woven_encode_prints_encode_stream_bits(tmp_path, capsys):
     rng = random.Random(3)
     bits = [rng.randrange(2) for _ in range(7 * 12 + 3)]
+    text = "".join(map(str, bits))
     path = tmp_path / "info.txt"
-    path.write_text("".join(map(str, bits)) + "\n")
+    # ASCII whitespace anywhere in the file is dropped
+    path.write_bytes(f" {text[:30]}\t{text[30:60]}\r\n{text[60:]}\x0b\x0c\n".encode())
     argv = ["woven", "encode", "--graph", "builtin:heawood", "--hc-inline", HC,
             "--perm", "1,3,2", "--in", str(path)]
     code = woven.build_woven_conv(build_heawood(), cli.parse_poly_matrix_inline(HC), (1, 3, 2))
@@ -410,6 +417,27 @@ def test_woven_encode_prints_encode_stream_bits(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "pad" in captured.err
+
+
+@pytest.mark.parametrize("text", ["0120101x1\n", "0101\x00101\n", "0101\x01101\n", "0101,0101"])
+def test_woven_encode_rejects_every_byte_but_bits_and_whitespace(tmp_path, capsys, text):
+    path = tmp_path / "info.txt"
+    path.write_bytes(text.encode())
+    argv = ["woven", "encode", "--graph", "builtin:heawood", "--hc-inline", HC, "--in", str(path),
+            "--pad"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: info bits must be 0 or 1\n"
+
+
+@pytest.mark.parametrize("command", ["bounds", "sweep"])
+def test_woven_bounds_and_sweep_take_no_perm(capsys, command):
+    # neither output depends on the check permutation: the sweep runs all c!
+    argv = ["woven", command, "--graph", "builtin:utility", "--hc-inline", "1,11,101"]
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, "--perm", "1,3,2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --perm 1,3,2" in capsys.readouterr().err
 
 
 def test_woven_build_and_sweep_report_no_raw_generator_off_the_circulant_labelling(

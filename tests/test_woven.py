@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from array import array
 from itertools import combinations, permutations
 
@@ -131,8 +132,8 @@ def test_three_partite_builds_and_its_bounds_are_a_structure_error(capsys):
     assert code.z_offsets() is None
     with pytest.raises(StructureError):
         distance_bounds(g, hc)
-    argv = ["--graph", "builtin:3partite", "--hc-inline", "1,11,101,111", "--perm", "1,2,3,4"]
-    assert cli.main(["woven", "build", *argv]) == 0
+    argv = ["--graph", "builtin:3partite", "--hc-inline", "1,11,101,111"]
+    assert cli.main(["woven", "build", *argv, "--perm", "1,2,3,4"]) == 0
     assert capsys.readouterr().out.startswith("12 16\n")
     assert cli.main(["woven", "bounds", *argv]) == 1
     out, err = capsys.readouterr()
@@ -599,6 +600,22 @@ def test_encoder_rejects_partial_frames(best_code):
         encode_stream(best_code, [1] * 9)
     out = encode_stream(best_code, [1] * 9, pad=True)
     assert len(out) == 2 * 21
+
+
+def test_encoder_holds_one_output_sized_buffer(best_code):
+    # the output bytearray is the frame's one n*c*L buffer: each column becomes
+    # bits before it is interleaved, so no translated copy of the output is made
+    encode_stream(best_code, [1] * 7)  # the first call builds the plan
+    rng = random.Random(6)
+    info = [rng.randrange(2) for _ in range(7 * 10_000)]
+    tracemalloc.start()
+    try:
+        out = encode_stream(best_code, info)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 21 * 10_000
+    assert peak < 2.5 * len(out)
 
 
 # ---------------------------------------------------------------------------
