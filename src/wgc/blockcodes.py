@@ -167,38 +167,33 @@ def block_distance(code: LinearBlockCode, bs: BlockStructure) -> int:
 # graph codes and woven graph codes with block constituents
 
 
+def _routed_code(g: Hypergraph, hc: BinaryMatrix, l: int,
+                 assignment: Assignment | None) -> LinearBlockCode:
+    """The code whose checks route hc's l-bit column blocks onto g's edges (length n*c*l)."""
+    mask = (1 << l) - 1
+    checks = [[row >> (l * b) & mask for b in range(g.c)] for row in hc.data]
+    routed = route_checks(g, checks, assignment or identity_assignment(g))
+    return LinearBlockCode(BinaryMatrix(
+        (sum(block << (l * e) for e, block in enumerate(row)) for row in routed),
+        g.num_edges * l))
+
+
 def build_graph_code(g: Hypergraph, hc: BinaryMatrix,
                      assignment: Assignment | None = None) -> LinearBlockCode:
     """Graph-based code: one constituent check block per vertex, length n*c."""
     if hc.cols != g.c:
         raise ValueError(f"constituent has {hc.cols} columns, graph degree is {g.c}")
-    return WovenBlockCode(g, hc, 1, assignment or identity_assignment(g)).code
-
-
-class WovenBlockCode:
-    """Graph code whose constituent blocks are l bits wide (length n*c*l)."""
-
-    __slots__ = ("H_wg", "code")
-
-    def __init__(self, g: Hypergraph, hc: BinaryMatrix, l: int, assignment: Assignment):
-        mask = (1 << l) - 1
-        checks = [[row >> (l * b) & mask for b in range(g.c)] for row in hc.data]
-        self.H_wg = BinaryMatrix(
-            (sum(block << (l * e) for e, block in enumerate(row))
-             for row in route_checks(g, checks, assignment)), g.num_edges * l)
-        self.code = LinearBlockCode(self.H_wg)
-
-    def __repr__(self) -> str:
-        return f"WovenBlockCode(n={self.code.n}, k={self.code.k})"
+    return _routed_code(g, hc, 1, assignment)
 
 
 def build_woven_block(g: Hypergraph, constituent: LinearBlockCode,
                       structure: BlockStructure,
-                      assignment: Assignment | None = None) -> WovenBlockCode:
+                      assignment: Assignment | None = None) -> LinearBlockCode:
+    """Woven graph code whose constituent blocks are l bits wide (length n*c*l)."""
     structure.check(constituent.n)
     if structure.c != g.c:
         raise ValueError(f"constituent has {structure.c} column blocks, graph degree is {g.c}")
-    return WovenBlockCode(g, constituent.H, structure.l, assignment or identity_assignment(g))
+    return _routed_code(g, constituent.H, structure.l, assignment)
 
 
 # ---------------------------------------------------------------------------

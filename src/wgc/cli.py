@@ -18,31 +18,10 @@ if TYPE_CHECKING:
 # input parsing
 
 
-def parse_poly_token(tok: str) -> int:
-    """Coefficient string ("11001") or octal shorthand ("o32", lowest digits first).
-
-    Octal digit k contributes coefficients of D^(3k)..D^(3k+2); the digit
-    value is c0 + 2 c1 + 4 c2 within the triple.
-    """
-    from .gf2 import BinaryPoly
-    tok = tok.strip()
-    if tok.startswith(("o", "O", "0o", "0O")):
-        digits = tok[2:] if tok[:2] in ("0o", "0O") else tok[1:]
-        if not digits or set(digits) - set("01234567"):
-            raise ValueError(f"bad octal polynomial {tok!r}")
-        bits = 0
-        for k, ch in enumerate(digits):
-            bits |= int(ch, 8) << (3 * k)
-        return bits
-    return BinaryPoly.parse(tok)
-
-
 def parse_poly_matrix_inline(text: str) -> PolyMatrix:
-    from .gf2 import PolyMatrix
-    rows = []
-    for row_text in text.split(";"):
-        rows.append([parse_poly_token(tok) for tok in row_text.split(",")])
-    return PolyMatrix(rows)
+    from .gf2 import BinaryPoly, PolyMatrix
+    return PolyMatrix([[BinaryPoly.parse(tok) for tok in row.split(",")]
+                       for row in text.split(";")])
 
 
 def load_graph(spec: str) -> hypergraphs.Hypergraph:
@@ -223,11 +202,11 @@ def cmd_woven_block(args) -> int:
     constituent = blockcodes.LinearBlockCode(hcm)
     bs = blockcodes.BlockStructure(args.l, hcm.cols // args.l)
     assignment = parse_assignment(args.assign, g) if args.assign else None
-    wb = blockcodes.build_woven_block(g, constituent, bs, assignment)
-    rep = code_report(f"woven-block:{args.graph}", wb.code)
+    code = blockcodes.build_woven_block(g, constituent, bs, assignment)
+    rep = code_report(f"woven-block:{args.graph}", code)
     bound = blockcodes.product_distance_bound(g, constituent, bs)
     report_out(args, rep | {"bound": bound, "bound_contradicted": rep["d_min"] < bound,
-                            "rate": wb.code.rate,
+                            "rate": code.rate,
                             "rate_bound": blockcodes.rate_bound(g, constituent.rate)})
     return 0
 
@@ -337,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="builtin:heawood|utility|3partite or a hypergraph file")
 
     def add_hc(p):
-        p.add_argument("--hc", help="constituent check matrix file (polynomial text format)")
+        p.add_argument("--hc", help="constituent check matrix file (polynomial text format; "
+                                    'entries may also be octal, "o32")')
         p.add_argument("--hc-inline",
                        help='inline check matrix, rows ";"-separated, entries ","-separated; '
                             'entries are coefficient strings or octal ("o32")')
@@ -363,13 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blockdist", help="block distance (binary or convolutional)")
     p.add_argument("--matrix", help="binary parity-check matrix file")
     p.add_argument("--l", type=int, help="sub-block length for the binary form")
-    p.add_argument("--parity", help="polynomial parity-check matrix file")
+    p.add_argument("--parity", help="polynomial parity-check matrix file "
+                                    '(entries may also be octal, "o32")')
     p.set_defaults(func=cmd_blockdist)
 
     p = sub.add_parser("freedist", help="free distance of a convolutional code")
-    p.add_argument("--gen", help="generator matrix file (polynomial text)")
+    p.add_argument("--gen", help="generator matrix file (polynomial text; "
+                                 'entries may also be octal, "o32")')
     p.add_argument("--gen-inline")
-    p.add_argument("--parity", help="parity-check matrix file (polynomial text)")
+    p.add_argument("--parity", help="parity-check matrix file (polynomial text; "
+                                    'entries may also be octal, "o32")')
     p.add_argument("--parity-inline")
     p.set_defaults(func=cmd_freedist)
 

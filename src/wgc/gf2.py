@@ -45,8 +45,19 @@ class BinaryPoly:
 
     @staticmethod
     def parse(text: str) -> int:
-        """Parse a 0/1 coefficient string, lowest degree first ("11001" = 1+D+D^4)."""
+        """Parse a 0/1 coefficient string, lowest degree first ("11001" = 1+D+D^4).
+
+        The octal shorthand ("o32", prefix o, O, 0o or 0O) is read lowest
+        digit first too: digit k holds the coefficients of D^(3k)..D^(3k+2),
+        so "o32" = 1+D+D^4.
+        """
         text = text.strip()
+        if text.startswith(("o", "O", "0o", "0O")):
+            digits = text[2:] if text[:2] in ("0o", "0O") else text[1:]
+            # int() would also take "_" and whitespace
+            if not digits or set(digits) - set("01234567"):
+                raise ValueError(f"bad octal polynomial {text!r}")
+            return int(digits[::-1], 8)
         if not text or set(text) - {"0", "1"}:
             raise ValueError(f"not a coefficient string: {text!r}")
         return int(text[::-1], 2)
@@ -100,7 +111,10 @@ class BinaryMatrix:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty matrix text")
-        m, n = (int(x) for x in lines[0].split())
+        try:
+            m, n = map(int, lines[0].split())
+        except ValueError:
+            raise ValueError(f'expected the header "rows cols", got {lines[0]!r}') from None
         if len(lines) - 1 != m:
             raise ValueError(f"expected {m} rows, got {len(lines) - 1}")
         mat = cls.from_strings(lines[1:]) if m else cls((), n)
@@ -350,11 +364,14 @@ class PolyMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "PolyMatrix":
-        """Parse: first line "rows cols", then one coefficient string per entry."""
+        """Parse: first line "rows cols", then one polynomial (``BinaryPoly.parse``) per entry."""
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty polynomial matrix text")
-        m, n = (int(x) for x in lines[0].split())
+        try:
+            m, n = map(int, lines[0].split())
+        except ValueError:
+            raise ValueError(f'expected the header "rows cols", got {lines[0]!r}') from None
         if len(lines) - 1 != m * n:
             raise ValueError(f"expected {m * n} entries, got {len(lines) - 1}")
         polys = [BinaryPoly.parse(ln) for ln in lines[1:]]

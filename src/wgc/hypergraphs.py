@@ -69,7 +69,10 @@ class Hypergraph:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty hypergraph text")
-        s, c, n = (int(x) for x in lines[0].split())
+        try:
+            s, c, n = map(int, lines[0].split())
+        except ValueError:
+            raise ValueError(f'expected the header "s c n", got {lines[0]!r}') from None
         edges = []
         for ln in lines[1:]:
             ent = [None] * s

@@ -104,32 +104,32 @@ def test_min_distance_matches_brute_force(rows):
 def test_min_distance_word_budget_keeps_a_certified_floor():
     # the code has d = 4 (see the next test); the limits are too small for
     # an exact answer at first, and from 2^6 words it is exact
-    wb = build_woven_block(build_heawood(), constituent_code(), BlockStructure(4, 3))
-    assert not min_distance(wb.code, full_enum_limit=0).exact
+    code = build_woven_block(build_heawood(), constituent_code(), BlockStructure(4, 3))
+    assert not min_distance(code, full_enum_limit=0).exact
     for limit in range(8):
-        est = min_distance(wb.code, full_enum_limit=limit)
+        est = min_distance(code, full_enum_limit=limit)
         # the lightest row of the first systematic generator already has weight 4
         assert est.floor <= 4 == est.value
         assert est.exact == (est.value == est.floor)
     with pytest.raises(ValueError, match="full_enum_limit"):
-        min_distance(wb.code, full_enum_limit=-1)
+        min_distance(code, full_enum_limit=-1)
 
 
 def test_min_distance_floor_dependency_is_exact_on_wide_woven_block():
-    wb = build_woven_block(build_heawood(), constituent_code(), BlockStructure(4, 3))
-    assert (wb.code.n, wb.code.k) == (84, 28)
-    assert min_distance(wb.code) == DistanceEstimate(4, 4, True)
+    code = build_woven_block(build_heawood(), constituent_code(), BlockStructure(4, 3))
+    assert (code.n, code.k) == (84, 28)
+    assert min_distance(code) == DistanceEstimate(4, 4, True)
     # independent check by column pairs of H grouped by their XOR: no zero
     # column, equal pair or pair equal to a third column means no codeword of
     # weight 3 or less; two pairs with one XOR are the support of a weight-4 one
-    cols = wb.H_wg.transpose().data
+    cols = code.H.transpose().data
     pairs: dict[int, list[tuple[int, int]]] = {}
     for a, b in combinations(range(len(cols)), 2):
         pairs.setdefault(cols[a] ^ cols[b], []).append((a, b))
     assert 0 not in cols and 0 not in pairs and not any(col in pairs for col in cols)
     quad = next(p + q for group in pairs.values() for p, q in combinations(group, 2))
     assert len(set(quad)) == 4
-    assert wb.code.H.mul_vec(sum(1 << j for j in quad)) == 0
+    assert code.H.mul_vec(sum(1 << j for j in quad)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +282,17 @@ def expected_woven_matrix() -> BinaryMatrix:
 
 def test_woven_block_reference_matrix_and_distance():
     g = build_utility()
-    wb = build_woven_block(g, constituent_code(), BlockStructure(4, 3), best_assignment())
-    assert wb.H_wg == expected_woven_matrix()
-    assert (wb.code.n, wb.code.k) == (36, 12)
-    assert min_distance(wb.code).value == 10
+    code = build_woven_block(g, constituent_code(), BlockStructure(4, 3), best_assignment())
+    assert code.H == expected_woven_matrix()
+    assert (code.n, code.k) == (36, 12)
+    assert min_distance(code).value == 10
 
 
 def test_woven_block_identity_assignment_rate_bound():
     g = build_utility()
-    wb = build_woven_block(g, constituent_code(), BlockStructure(4, 3))
-    assert wb.code.rate >= rate_bound(g, Fraction(2, 3)) == Fraction(1, 3)
-    assert wb.H_wg.rows == g.s * g.n * 4 and wb.H_wg.cols == g.num_edges * 4
+    code = build_woven_block(g, constituent_code(), BlockStructure(4, 3))
+    assert code.rate >= rate_bound(g, Fraction(2, 3)) == Fraction(1, 3)
+    assert code.H.rows == g.s * g.n * 4 and code.H.cols == g.num_edges * 4
 
 
 def test_woven_block_assignment_sweep_max_distance_is_ten():
@@ -304,8 +304,8 @@ def test_woven_block_assignment_sweep_max_distance_is_ten():
     best = 0
     hits = []
     for combo in product(perms3, repeat=3):
-        wb = build_woven_block(g, constituent, bs, (ident[0], combo))
-        d = min_distance(wb.code).value
+        code = build_woven_block(g, constituent, bs, (ident[0], combo))
+        d = min_distance(code).value
         if d > best:
             best, hits = d, [combo]
         elif d == best:
@@ -324,8 +324,8 @@ def test_route_checks_matches_block_oracle(s, c, n, l, seed, data):
     assignment = tuple(tuple(tuple(data.draw(st.permutations(range(c)))) for _ in range(n))
                        for _ in range(s))
     expected = oracle_block_parity(g, hc, l, assignment)
-    wb = build_woven_block(g, LinearBlockCode(hc), BlockStructure(l, c), assignment)
-    assert wb.H_wg == expected
+    code = build_woven_block(g, LinearBlockCode(hc), BlockStructure(l, c), assignment)
+    assert code.H == expected
     if l == 1:
         assert build_graph_code(g, hc, assignment).H == expected
 
@@ -354,9 +354,9 @@ def test_product_distance_bound_utility_woven():
     # bound is the constituent minimum distance 3
     bound = product_distance_bound(build_utility(), constituent_code(), BlockStructure(4, 3))
     assert bound == 3
-    wb = build_woven_block(build_utility(), constituent_code(), BlockStructure(4, 3),
-                           best_assignment())
-    assert bound <= min_distance(wb.code).value == 10
+    code = build_woven_block(build_utility(), constituent_code(), BlockStructure(4, 3),
+                             best_assignment())
+    assert bound <= min_distance(code).value == 10
 
 
 FULL_RANK_CONSTITUENT_ROWS = [
@@ -377,12 +377,12 @@ def test_product_distance_bound_depth_two_cases():
 
     bound_heawood = product_distance_bound(build_heawood(), cst, bs)
     assert bound_heawood == 6 // 3 * 3 == 6
-    est = min_distance(build_woven_block(build_heawood(), cst, bs).code)
+    est = min_distance(build_woven_block(build_heawood(), cst, bs))
     assert bound_heawood <= est.value
 
     bound_utility = product_distance_bound(build_utility(), cst, bs)
     assert bound_utility == 6
-    exact = min_distance(build_woven_block(build_utility(), cst, bs).code)
+    exact = min_distance(build_woven_block(build_utility(), cst, bs))
     assert exact.exact and bound_utility <= exact.value
 
 
@@ -416,7 +416,7 @@ def woven_block_cases(draw):
 def test_product_distance_bound_never_exceeds_the_exact_distance(case):
     (s, c, n, seed), hc, l = case
     g, constituent, bs = random_regular(s, c, n, seed), LinearBlockCode(hc), BlockStructure(l, c)
-    code = build_woven_block(g, constituent, bs).code
+    code = build_woven_block(g, constituent, bs)
     assume(code.k > 0)
     est = min_distance(code)
     assert est.exact

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from wgc import blockcodes, cli, convcodes, hypergraphs, woven
+from wgc.gf2 import BinaryPoly
 from wgc.hypergraphs import (build_heawood, build_three_partite, build_utility,
                              identity_assignment, random_regular)
 from conftest import WOVEN_BLOCK_CONSTITUENT_ROWS, relabel_right
@@ -90,8 +91,22 @@ def test_cli_and_woven_import_no_parser_random_or_block_codes():
 def test_octal_shorthand_reads_three_coefficients_per_digit():
     # lowest digit first: o32 = (1 + D) + 2 D^3 = 1 + D + D^4
     tokens = ("o32", "0o32", "O32", "0O32", "11001")
-    assert [cli.parse_poly_token(tok) for tok in tokens] == [0b10011] * len(tokens)
+    assert [BinaryPoly.parse(tok) for tok in tokens] == [0b10011] * len(tokens)
     assert cli.parse_poly_matrix_inline("o32,o37,o57") == cli.parse_poly_matrix_inline(HC)
+
+
+@pytest.mark.parametrize("command, option", [
+    (["freedist"], "--parity"),
+    (["woven", "bounds", "--graph", "builtin:heawood"], "--hc"),
+    (["woven", "build", "--graph", "builtin:heawood", "--perm", "1,3,2"], "--hc"),
+])
+def test_polynomial_files_take_the_octal_shorthand(tmp_path, capsys, command, option):
+    octal = tmp_path / "octal.txt"
+    octal.write_text("1 3\no32\no37\no57\n")
+    assert cli.main([*command, option, str(octal)]) == 0
+    from_file = capsys.readouterr().out
+    assert cli.main([*command, f"{option}-inline", "o32,o37,o57"]) == 0
+    assert capsys.readouterr().out == from_file
 
 
 def test_invariant_failure_is_a_clean_error(monkeypatch, capsys):
@@ -112,6 +127,13 @@ BAD_INPUT_FILES = {
     "part_negative": "2 1 1\n0:0 -1:0\n",
     "part_repeated": "2 1 1\n0:0 1:0 1:0\n",
 }
+# a malformed first line: the error names the header it should be and echoes the line
+BAD_HEADERS = {
+    "graph_two_fields": ("2 3\n0:0 1:0\n", """expected the header "s c n", got '2 3'"""),
+    "graph_not_an_int": ("2 3 x\n", """expected the header "s c n", got '2 3 x'"""),
+    "matrix_three_fields": ("1 3 3\n101\n", """expected the header "rows cols", got '1 3 3'"""),
+    "poly_not_an_int": ("1 y\n11\n", """expected the header "rows cols", got '1 y'"""),
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -127,16 +149,24 @@ BAD_INPUT_FILES = {
     ["girth", "--graph", "{part_too_high}"],
     ["girth", "--graph", "{part_negative}"],
     ["girth", "--graph", "{part_repeated}"],
+    ["girth", "--graph", "{graph_two_fields}"],
+    ["sd-girth", "--graph", "{graph_not_an_int}", "--d", "2"],
+    ["mindist", "--matrix", "{matrix_three_fields}"],
+    ["freedist", "--parity", "{poly_not_an_int}"],
 ])
 def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv):
     files = {}
-    for name, text in BAD_INPUT_FILES.items():
+    texts = BAD_INPUT_FILES | {name: text for name, (text, _) in BAD_HEADERS.items()}
+    for name, text in texts.items():
         files[name] = tmp_path / f"{name}.txt"
         files[name].write_text(text)
     assert cli.main([arg.format(**files) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    for name, (_, message) in BAD_HEADERS.items():
+        if f"{{{name}}}" in argv:
+            assert err == f"error: {message}\n"
 
 
 def test_woven_perm_defaults_to_the_identity_of_the_graph_degree(tmp_path, capsys):

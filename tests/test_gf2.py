@@ -148,6 +148,37 @@ def test_poly_text_codec_round_trips_every_polynomial(p):
     assert BinaryPoly.parse(BinaryPoly.to_string(p)) == p
 
 
+@given(st.integers(min_value=0, max_value=2**24 - 1))
+@example(0)
+def test_poly_text_codec_reads_both_spellings(p):
+    # the octal shorthand, like a coefficient string, puts the lowest digit first
+    octal = format(p, "o")[::-1]
+    spellings = [BinaryPoly.to_string(p), *(prefix + octal for prefix in ("o", "O", "0o", "0O"))]
+    assert [BinaryPoly.parse(text) for text in spellings] == [p] * 5
+
+
+@given(st.text("01234567", min_size=1))
+def test_octal_digit_k_holds_the_coefficients_of_d_to_the_3k(digits):
+    expected = sum(int(ch, 8) << (3 * k) for k, ch in enumerate(digits))
+    assert BinaryPoly.parse("o" + digits) == expected
+
+
+@pytest.mark.parametrize("text, message", [
+    ("o", "bad octal polynomial 'o'"),
+    ("0o", "bad octal polynomial '0o'"),
+    ("o9", "bad octal polynomial 'o9'"),
+    ("o1_2", "bad octal polynomial 'o1_2'"),  # int() would read it as 0o21
+    ("o1 2", "bad octal polynomial 'o1 2'"),
+    ("x", "not a coefficient string: 'x'"),
+    ("", "not a coefficient string: ''"),
+    ("12", "not a coefficient string: '12'"),
+])
+def test_poly_text_codec_names_a_bad_token(text, message):
+    with pytest.raises(ValueError) as info:
+        BinaryPoly.parse(text)
+    assert str(info.value) == message
+
+
 def test_poly_matrix_rejects_entries_that_are_not_polynomials():
     # a negative int would never leave clmul's loop
     for entry in (-1, "11", 1.0, None):
